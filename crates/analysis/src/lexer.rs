@@ -458,6 +458,9 @@ impl FileModel {
         // The most recent fn name, consumed by its body's `{` (cleared by
         // `;` for bodyless trait methods / declarations).
         let mut pending_fn: Option<String> = None;
+        // Open `(`/`[` outside attributes: a `;` nested in them (an array
+        // type `[i64; W]` in a signature) does not end an item.
+        let mut nesting = 0usize;
 
         let mut target_feature_fns = Vec::new();
 
@@ -538,7 +541,9 @@ impl FileModel {
                 TokKind::Punct('}') => {
                     scopes.pop();
                 }
-                TokKind::Punct(';') => {
+                TokKind::Punct('(' | '[') => nesting += 1,
+                TokKind::Punct(')' | ']') => nesting = nesting.saturating_sub(1),
+                TokKind::Punct(';') if nesting == 0 => {
                     // An item ended without a body: `#[cfg(test)] use …;`,
                     // `fn f();`. Only clear outside any expression — a `;`
                     // inside a body belongs to a statement, but pendings

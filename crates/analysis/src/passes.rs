@@ -33,12 +33,15 @@ pub struct CheckConfig {
     /// Files permitted to contain `unsafe` at all.
     pub unsafe_files: Vec<String>,
     /// Registered runtime-dispatch sites: the only `(file, fn)` bodies
-    /// allowed to invoke a `#[target_feature]` function.
+    /// allowed to invoke a `#[target_feature]` function. An entry whose
+    /// fn matches no non-test body in its file is itself a finding.
     pub dispatch_sites: Vec<(String, String)>,
     /// The design document (relative) whose `§N` headings anchor doc refs.
     pub design_doc: String,
     /// Registered per-sample scopes for the alloc-freedom pass: every fn
     /// named `.1` in file `.0` (free fn or method, any impl) is covered.
+    /// An entry whose fn matches no non-test body in its file is itself a
+    /// finding.
     pub alloc_scopes: Vec<(String, String)>,
     /// Files permitted to carry `xanalyze: begin-allow(alloc)` regions.
     pub alloc_allow_files: Vec<String>,
@@ -87,7 +90,7 @@ impl CheckConfig {
             ],
             float_allow_files: vec![format!("{HOT}decision.rs"), format!("{HOT}threshold.rs")],
             unsafe_files: vec![format!("{HOT}lane.rs")],
-            dispatch_sites: vec![(format!("{HOT}lane.rs"), "stage_block_dispatch".to_string())],
+            dispatch_sites: vec![(format!("{HOT}lane.rs"), "run_at".to_string())],
             design_doc: "DESIGN.md".into(),
             // PR 10: the per-sample loops of the service era. Streaming
             // push + ingest, the decision tail, the lane stage kernels,
@@ -97,13 +100,18 @@ impl CheckConfig {
                 (format!("{HOT}streaming.rs"), "push_impl"),
                 (format!("{HOT}streaming.rs"), "ingest"),
                 (format!("{HOT}threshold.rs"), "push"),
-                (format!("{HOT}lane.rs"), "tick"),
-                (format!("{HOT}lane.rs"), "accumulate_generic"),
-                (format!("{HOT}lane.rs"), "block_exact"),
                 (format!("{HOT}lane.rs"), "stage_block"),
-                (format!("{HOT}lane.rs"), "stage_block_avx512"),
-                (format!("{HOT}lane.rs"), "stage_block_avx2"),
-                (format!("{HOT}lane.rs"), "stage_block_dispatch"),
+                (format!("{HOT}lane.rs"), "run"),
+                (format!("{HOT}lane.rs"), "run_at"),
+                (format!("{HOT}lane.rs"), "run_avx512"),
+                (format!("{HOT}lane.rs"), "run_avx2"),
+                (format!("{HOT}lane.rs"), "run_baseline"),
+                (format!("{HOT}lane.rs"), "tick"),
+                (format!("{HOT}lane.rs"), "blocks"),
+                (format!("{HOT}lane.rs"), "block"),
+                (format!("{HOT}lane.rs"), "mac"),
+                (format!("{HOT}lane.rs"), "accumulate"),
+                (format!("{HOT}lane.rs"), "product"),
                 ("crates/service/src/shard.rs".to_string(), "tick"),
                 ("crates/service/src/shard.rs".to_string(), "tick_bank"),
                 ("crates/service/src/shard.rs".to_string(), "tick_solos"),
@@ -309,6 +317,13 @@ fn float_freedom(config: &CheckConfig, sources: &[SourceFile], out: &mut Vec<Fin
 /// `// SAFETY:` comment; `#[target_feature]` functions invoked only from
 /// registered dispatch sites.
 fn unsafe_audit(config: &CheckConfig, sources: &[SourceFile], out: &mut Vec<Finding>) {
+    stale_registrations(
+        &config.dispatch_sites,
+        "dispatch site",
+        Pass::Unsafe,
+        sources,
+        out,
+    );
     // All #[target_feature] fn definitions across the tree.
     let mut tf_fns: Vec<(String, String, usize)> = Vec::new(); // (name, file, token idx)
     for f in sources {
@@ -368,6 +383,38 @@ fn unsafe_audit(config: &CheckConfig, sources: &[SourceFile], out: &mut Vec<Find
                     ));
                 }
             }
+        }
+    }
+}
+
+/// Reports every registered `(file, fn)` entry whose fn has no non-test
+/// body in its file (reported at line 0 of that file). Registrations match
+/// by name, so a renamed or deleted fn would otherwise drop its entry's
+/// coverage without a trace.
+fn stale_registrations(
+    entries: &[(String, String)],
+    what: &str,
+    pass: Pass,
+    sources: &[SourceFile],
+    out: &mut Vec<Finding>,
+) {
+    for (file, name) in entries {
+        let defined = sources.iter().filter(|f| &f.rel == file).any(|f| {
+            // A fn body's closing brace is enclosed by the fn itself, so
+            // even an empty body leaves one token naming it.
+            let m = &f.model;
+            m.enclosing_fn
+                .iter()
+                .zip(&m.in_test)
+                .any(|(enc, &test)| !test && enc.as_deref() == Some(name.as_str()))
+        });
+        if !defined {
+            out.push(Finding::new(
+                pass,
+                file,
+                0,
+                format!("registered {what} `{name}` matches no fn in this file"),
+            ));
         }
     }
 }
@@ -621,6 +668,13 @@ const ALLOC_CALLS: [&str; 16] = [
 /// its own scope (register it too if it is hot), and callees are not
 /// chased — register each fn on the per-sample path.
 fn alloc_freedom(config: &CheckConfig, sources: &[SourceFile], out: &mut Vec<Finding>) {
+    stale_registrations(
+        &config.alloc_scopes,
+        "per-sample scope",
+        Pass::Alloc,
+        sources,
+        out,
+    );
     for f in sources {
         let scopes: Vec<&str> = config
             .alloc_scopes

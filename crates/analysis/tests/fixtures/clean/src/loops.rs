@@ -1,4 +1,4 @@
-//! Adversarial alloc fixture: `push` and `tick` are registered scopes,
+//! Adversarial alloc fixture: `push`, `tick` and `drain` are registered scopes,
 //! yet every allocating token below hides where only a real lexer (or
 //! the marker grammar) can prove it harmless. Zero findings required.
 
@@ -23,6 +23,8 @@ impl Ring {
         // xanalyze: end-allow(alloc)
         self.buf.clear(); // `clear` frees nothing and is not a growth call
     }
+
+    pub fn drain(&mut self) {}
 
     pub fn setup(&mut self) {
         // Unregistered fn: allocation is legal here.

@@ -1,6 +1,6 @@
 //! Unsafe-audit fixture: one uncommented `unsafe`, one commented one, one
-//! `#[target_feature]` kernel, one registered dispatch call site, and one
-//! rogue call site. Never compiled.
+//! `#[target_feature]` kernel, one registered dispatch call site, one
+//! rogue call site, and one stale registration. Never compiled.
 
 #[target_feature(enable = "avx2")]
 pub unsafe fn kernel(x: i64) -> i64 {
@@ -22,3 +22,6 @@ pub fn rogue(x: i64) -> i64 {
 pub fn uncommented(x: *const i64) -> i64 {
     unsafe { *x } // seeded missing-SAFETY violation (line 23)
 }
+
+// `dispatch_narrow` is registered but was deleted: this comment naming it
+// is not a body, so the stale registration is a seeded finding (line 0).

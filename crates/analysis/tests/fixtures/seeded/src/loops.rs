@@ -34,4 +34,8 @@ mod tests {
         let mut v = vec![0i64];
         v.push(1);
     }
+
+    // A test fn does not satisfy the registered `drain` scope: the stale
+    // registration is a seeded finding (line 0).
+    fn drain() {}
 }

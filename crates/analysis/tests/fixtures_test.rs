@@ -14,10 +14,12 @@ use analysis::{analyze, CheckConfig, Finding, Pass};
 /// A config rooted at `tests/fixtures/<name>` with the fixture layout:
 /// `src/hot.rs` and `src/casts.rs` are the hot path (hot.rs is
 /// float-allowlisted), `src/dispatch.rs` is the audited unsafe file with
-/// `dispatch` as the one registered site, `src/loops.rs` holds the
-/// registered per-sample scopes `push`/`tick`, `src/worker.rs` is worker
-/// scope (with `events` as the one unbounded channel), and `src/codec.rs`
-/// is the schema-mirrored codec file.
+/// `dispatch` and `dispatch_narrow` as the registered sites, `src/loops.rs`
+/// holds the registered per-sample scopes `push`/`tick`/`drain`,
+/// `src/worker.rs` is worker scope (with `events` as the one unbounded
+/// channel), and `src/codec.rs` is the schema-mirrored codec file. The
+/// seeded tree defines no `dispatch_narrow` or `drain` body, so those two
+/// registrations are stale.
 fn fixture_config(name: &str) -> CheckConfig {
     let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("tests/fixtures")
@@ -30,11 +32,15 @@ fn fixture_config(name: &str) -> CheckConfig {
         hot_paths: vec!["src/hot.rs".into(), "src/casts.rs".into()],
         float_allow_files: vec!["src/hot.rs".into()],
         unsafe_files: vec!["src/dispatch.rs".into()],
-        dispatch_sites: vec![("src/dispatch.rs".into(), "dispatch".into())],
+        dispatch_sites: vec![
+            ("src/dispatch.rs".into(), "dispatch".into()),
+            ("src/dispatch.rs".into(), "dispatch_narrow".into()),
+        ],
         design_doc: "../DESIGN.md".into(),
         alloc_scopes: vec![
             ("src/loops.rs".into(), "push".into()),
             ("src/loops.rs".into(), "tick".into()),
+            ("src/loops.rs".into(), "drain".into()),
         ],
         alloc_allow_files: vec!["src/loops.rs".into()],
         width_allow_files: vec!["src/casts.rs".into()],
@@ -103,6 +109,15 @@ fn seeded_alloc_violations_are_reported_with_file_and_line() {
 }
 
 #[test]
+fn seeded_stale_registrations_are_reported_at_file_level() {
+    let findings = run("seeded");
+    // `dispatch_narrow` appears only in a comment, and `drain` only as a
+    // test fn: neither is a body the registration can cover.
+    assert_hit(&findings, Pass::Unsafe, "src/dispatch.rs", 0);
+    assert_hit(&findings, Pass::Alloc, "src/loops.rs", 0);
+}
+
+#[test]
 fn seeded_blocking_violations_are_reported_with_file_and_line() {
     let findings = run("seeded");
     assert_hit(&findings, Pass::Blocking, "src/worker.rs", 10); // reply.send
@@ -138,7 +153,7 @@ fn seeded_fixture_reports_nothing_else() {
     let findings = run("seeded");
     assert_eq!(
         findings.len(),
-        21,
+        23,
         "unexpected extra findings: {findings:#?}"
     );
 }

@@ -237,3 +237,28 @@ proptest! {
         }
     }
 }
+
+/// A `;` inside an array type in a signature does not end the item: the
+/// fn still names its body (so registered scopes cover it), and a bodyless
+/// declaration still clears the pending name.
+#[test]
+fn array_types_in_signatures_keep_the_fn_scope() {
+    let src = "trait T {\n    fn decl(&self, x: [u8; 2]);\n}\n\
+               fn kernel<const W: usize>(row: &[i64; W], out: &mut [i64; W]) {\n    \
+               let probe = row[0];\n}\n";
+    let model = FileModel::build(src);
+    let probe = model
+        .tokens
+        .iter()
+        .position(|t| t.text == "probe")
+        .expect("probe token");
+    assert_eq!(model.enclosing_fn[probe].as_deref(), Some("kernel"));
+    assert!(
+        !model
+            .enclosing_fn
+            .iter()
+            .flatten()
+            .any(|name| name == "decl"),
+        "a bodyless declaration names no scope"
+    );
+}

@@ -21,6 +21,12 @@
 //! * AMA4 (`Sum = !A`, `Cout = A`) and AMA5 (`Sum = B`, `Cout = A`) have no
 //!   carry dependence at all — the low `k` bits are wires and the carry into
 //!   cell `k` is bit `k−1` of `A`.
+//!
+//! Each closed form is one [`ClosedForm`] value with its masks and shifts
+//! resolved ([`RippleCarryAdder::form`]): the scalar entry points match on
+//! the resolved [`AdderForm`] per call, while a lane kernel matches once
+//! ([`with_adder_form!`](crate::with_adder_form)) and runs a loop
+//! monomorphized for the form.
 
 use crate::full_adder::FullAdderKind;
 use crate::word::Word;
@@ -111,11 +117,7 @@ impl RippleCarryAdder {
     #[must_use]
     #[inline]
     pub fn add(&self, a: i64, b: i64) -> i64 {
-        let mask = self.width_mask();
-        let bits = self.add_bits((a as u64) & mask, (b as u64) & mask);
-        // Sign-extend from bit `width − 1`.
-        let shift = 64 - self.width;
-        ((bits << shift) as i64) >> shift
+        self.form().add(a, b)
     }
 
     /// Adds two words; widths must match the adder.
@@ -138,17 +140,43 @@ impl RippleCarryAdder {
     #[inline]
     pub fn add_bits(&self, a: u64, b: u64) -> u64 {
         debug_assert!(a <= self.width_mask() && b <= self.width_mask());
+        self.form().add_bits(a, b)
+    }
+
+    /// This adder's closed form with its masks and shifts resolved — the
+    /// one implementation behind [`RippleCarryAdder::add`],
+    /// [`RippleCarryAdder::add_bits`], and the lane kernels, which resolve
+    /// it once and run a loop monomorphized for the form.
+    #[must_use]
+    #[inline]
+    pub fn form(&self) -> AdderForm {
+        let ext = 64 - self.width;
         if self.is_exact() {
-            // Fast path: plain wrap-around addition.
-            return a.wrapping_add(b) & self.width_mask();
+            return AdderForm::Wrap(Wrap { ext });
         }
+        let k = self.approx_lsbs;
+        // k ≤ width ≤ 63, so neither shift overflows.
+        let low = (1u64 << k) - 1;
+        let carry_bit = 1u64 << k;
         match self.kind {
-            FullAdderKind::Accurate => unreachable!("handled by is_exact"),
-            FullAdderKind::Ama1 => self.add_bits_ama1(a, b),
-            FullAdderKind::Ama2 => self.add_bits_ama2(a, b),
-            FullAdderKind::Ama3 => self.add_bits_ama3(a, b),
-            FullAdderKind::Ama4 => self.add_bits_wired(a, b, !a),
-            FullAdderKind::Ama5 => self.add_bits_wired(a, b, b),
+            FullAdderKind::Accurate => AdderForm::Wrap(Wrap { ext }),
+            FullAdderKind::Ama1 => AdderForm::Ama1(Ama1 { low, ext }),
+            FullAdderKind::Ama2 => AdderForm::Ama2(Ama2 { low, ext }),
+            FullAdderKind::Ama3 => AdderForm::Ama3(Ama3 {
+                low,
+                carry_bit,
+                ext,
+            }),
+            FullAdderKind::Ama4 => AdderForm::Ama4(Wired {
+                low,
+                carry_bit,
+                ext,
+            }),
+            FullAdderKind::Ama5 => AdderForm::Ama5(Wired {
+                low,
+                carry_bit,
+                ext,
+            }),
         }
     }
 
@@ -156,71 +184,6 @@ impl RippleCarryAdder {
     fn width_mask(&self) -> u64 {
         // width ≤ 63, so the shift never overflows.
         (1u64 << self.width) - 1
-    }
-
-    #[inline]
-    fn low_mask(&self) -> u64 {
-        // approx_lsbs ≤ width ≤ 63, so the shift never overflows.
-        (1u64 << self.approx_lsbs) - 1
-    }
-
-    /// AMA1: the carry chain is exact (its Cout has no error rows); the sum
-    /// bit is wrong exactly on rows `(A,B,Cin) = (0,1,1)` (reads 1 instead
-    /// of 0) and `(1,0,0)` (reads 0 instead of 1) — both are *flips* of the
-    /// exact sum, applied only inside the approximate region.
-    #[inline]
-    fn add_bits_ama1(&self, a: u64, b: u64) -> u64 {
-        let s = a.wrapping_add(b);
-        let cin = a ^ b ^ s; // carry-in vector of the exact addition
-        let flip = ((!a & b & cin) | (a & !b & !cin)) & self.low_mask();
-        (s ^ flip) & self.width_mask()
-    }
-
-    /// AMA2: the carry chain is exact; in the approximate region every sum
-    /// bit is the complement of that cell's (exact) carry-out.
-    #[inline]
-    fn add_bits_ama2(&self, a: u64, b: u64) -> u64 {
-        let s = a.wrapping_add(b);
-        let cin = a ^ b ^ s;
-        let cout = (a & b) | (cin & (a ^ b));
-        let mask = self.low_mask();
-        ((s & !mask) | (!cout & mask)) & self.width_mask()
-    }
-
-    /// AMA3: `Cout = A·B + A·Cin`, `Sum = !Cout`. The carry recurrence has
-    /// generate `A·B` and propagate `A`; since the generate is a subset of
-    /// the propagate, its chain is identical to the carry chain of the plain
-    /// addition `A + (A·B)`, which one machine add produces for all cells.
-    #[inline]
-    fn add_bits_ama3(&self, a: u64, b: u64) -> u64 {
-        let k = self.approx_lsbs;
-        let g = a & b;
-        let cin = a ^ g ^ a.wrapping_add(g); // approximate carry-in vector
-        let cout = g | (a & cin);
-        let low = !cout & self.low_mask();
-        if k >= self.width {
-            return low & self.width_mask();
-        }
-        let carry = (cin >> k) & 1;
-        let hi = (a >> k) + (b >> k) + carry;
-        (low | (hi << k)) & self.width_mask()
-    }
-
-    /// Shared closed form for the wiring-only kinds AMA4 (`Sum = !A`) and
-    /// AMA5 (`Sum = B`): the approximate region's sum bits are `low_bits`
-    /// and, with `Cout = A` in both, the carry entering the accurate region
-    /// is bit `k−1` of `A`.
-    #[inline]
-    fn add_bits_wired(&self, a: u64, b: u64, low_bits: u64) -> u64 {
-        let k = self.approx_lsbs;
-        let low = low_bits & self.low_mask();
-        if k >= self.width {
-            return low & self.width_mask();
-        }
-        // k ≥ 1 here: k = 0 is the exact fast path.
-        let carry = (a >> (k - 1)) & 1;
-        let hi = (a >> k) + (b >> k) + carry;
-        (low | (hi << k)) & self.width_mask()
     }
 
     /// Reference bit-level evaluation: ripples a carry through every cell,
@@ -278,6 +241,228 @@ impl RippleCarryAdder {
     }
 }
 
+/// A [`RippleCarryAdder`] closed form with its masks and shifts resolved,
+/// so a loop generic over the form runs branch- and dispatch-free.
+///
+/// [`ClosedForm::raw`] is the form itself on raw operand bits: the low
+/// `width` bits of its result depend only on the low `width` bits of each
+/// operand (carries only travel upwards), so callers may pass
+/// sign-extended `i64` patterns and mask or sign-extend the result
+/// afterwards — which is what [`ClosedForm::add`] and
+/// [`ClosedForm::add_bits`] do.
+pub trait ClosedForm: Copy {
+    /// The form on raw bits; only the low `width` bits are significant.
+    fn raw(self, a: u64, b: u64) -> u64;
+
+    /// `64 − width`: the shift pair that sign-extends from the bus width.
+    fn ext(self) -> u32;
+
+    /// [`RippleCarryAdder::add`]: the `width`-bit result of two bus
+    /// values, sign-extended to `i64`.
+    #[inline(always)]
+    #[must_use]
+    fn add(self, a: i64, b: i64) -> i64 {
+        let ext = self.ext();
+        ((self.raw(a as u64, b as u64) << ext) as i64) >> ext
+    }
+
+    /// [`RippleCarryAdder::add_bits`]: the wrapped `width`-bit result bits.
+    #[inline(always)]
+    #[must_use]
+    fn add_bits(self, a: u64, b: u64) -> u64 {
+        let ext = self.ext();
+        (self.raw(a, b) << ext) >> ext
+    }
+}
+
+/// `k = 0` or an accurate cell kind: plain two's-complement addition.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Wrap {
+    ext: u32,
+}
+
+impl ClosedForm for Wrap {
+    #[inline(always)]
+    fn raw(self, a: u64, b: u64) -> u64 {
+        a.wrapping_add(b)
+    }
+
+    #[inline(always)]
+    fn ext(self) -> u32 {
+        self.ext
+    }
+}
+
+/// AMA1: the carry chain is exact (its Cout has no error rows); the sum bit
+/// is wrong exactly on rows `(A,B,Cin) = (0,1,1)` (reads 1 instead of 0)
+/// and `(1,0,0)` (reads 0 instead of 1) — both are *flips* of the exact
+/// sum, applied only inside the approximate region.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Ama1 {
+    low: u64,
+    ext: u32,
+}
+
+impl ClosedForm for Ama1 {
+    #[inline(always)]
+    fn raw(self, a: u64, b: u64) -> u64 {
+        let s = a.wrapping_add(b);
+        let cin = a ^ b ^ s; // carry-in vector of the exact addition
+        s ^ (((!a & b & cin) | (a & !b & !cin)) & self.low)
+    }
+
+    #[inline(always)]
+    fn ext(self) -> u32 {
+        self.ext
+    }
+}
+
+/// AMA2: the carry chain is exact; in the approximate region every sum bit
+/// is the complement of that cell's (exact) carry-out.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Ama2 {
+    low: u64,
+    ext: u32,
+}
+
+impl ClosedForm for Ama2 {
+    #[inline(always)]
+    fn raw(self, a: u64, b: u64) -> u64 {
+        let s = a.wrapping_add(b);
+        let cin = a ^ b ^ s;
+        let cout = (a & b) | (cin & (a ^ b));
+        (s & !self.low) | (!cout & self.low)
+    }
+
+    #[inline(always)]
+    fn ext(self) -> u32 {
+        self.ext
+    }
+}
+
+/// AMA3: `Cout = A·B + A·Cin`, `Sum = !Cout`. The carry recurrence has
+/// generate `A·B` and propagate `A`; since the generate is a subset of the
+/// propagate, its chain is identical to the carry chain of the plain
+/// addition `A + (A·B)`, which one machine add produces for all cells. The
+/// accurate region adds the operands' upper bits plus the approximate
+/// carry into cell `k` (bit `k` of that carry vector).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Ama3 {
+    low: u64,
+    carry_bit: u64,
+    ext: u32,
+}
+
+impl ClosedForm for Ama3 {
+    #[inline(always)]
+    fn raw(self, a: u64, b: u64) -> u64 {
+        let g = a & b;
+        let cin = a ^ g ^ a.wrapping_add(g); // approximate carry-in vector
+        let cout = g | (a & cin);
+        let hi = (a & !self.low)
+            .wrapping_add(b & !self.low)
+            .wrapping_add(cin & self.carry_bit);
+        (!cout & self.low) | hi
+    }
+
+    #[inline(always)]
+    fn ext(self) -> u32 {
+        self.ext
+    }
+}
+
+/// The wiring-only kinds AMA4 (`Sum = !A`, `SUM_NOT_A = true`) and AMA5
+/// (`Sum = B`): no carry dependence at all — the low `k` sum bits are
+/// wires and, with `Cout = A` in both, the carry into cell `k` is bit
+/// `k−1` of `A` (`k ≥ 1`: `k = 0` resolves to [`Wrap`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Wired<const SUM_NOT_A: bool> {
+    low: u64,
+    carry_bit: u64,
+    ext: u32,
+}
+
+impl<const SUM_NOT_A: bool> ClosedForm for Wired<SUM_NOT_A> {
+    #[inline(always)]
+    fn raw(self, a: u64, b: u64) -> u64 {
+        let sum = if SUM_NOT_A { !a } else { b };
+        let hi = (a & !self.low)
+            .wrapping_add(b & !self.low)
+            .wrapping_add((a << 1) & self.carry_bit);
+        (sum & self.low) | hi
+    }
+
+    #[inline(always)]
+    fn ext(self) -> u32 {
+        self.ext
+    }
+}
+
+/// Which closed form a [`RippleCarryAdder`] resolves to
+/// ([`RippleCarryAdder::form`]). Matching on it once and handing the
+/// payload to code generic over [`ClosedForm`] moves the cell-kind
+/// dispatch out of the inner loop.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum AdderForm {
+    /// Exact: `k = 0` or accurate cells.
+    Wrap(Wrap),
+    /// AMA1 cells in the low `k` bits.
+    Ama1(Ama1),
+    /// AMA2 cells in the low `k` bits.
+    Ama2(Ama2),
+    /// AMA3 cells in the low `k` bits.
+    Ama3(Ama3),
+    /// AMA4 cells in the low `k` bits.
+    Ama4(Wired<true>),
+    /// AMA5 cells in the low `k` bits.
+    Ama5(Wired<false>),
+}
+
+/// Binds `$form` to the concrete [`ClosedForm`] inside an [`AdderForm`]
+/// value and evaluates `$body` with it: the one match that selects code
+/// monomorphized for a closed form. [`AdderForm::add`] and
+/// [`AdderForm::add_bits`] run it per call; a lane kernel runs it once
+/// around a whole loop generic over the form.
+///
+/// ```
+/// use approx_arith::{with_adder_form, ClosedForm, FullAdderKind, RippleCarryAdder};
+///
+/// let adder = RippleCarryAdder::new(16, 4, FullAdderKind::Ama3);
+/// let sums: Vec<i64> = with_adder_form!(adder.form(), form => {
+///     (0..4).map(|b| form.add(100, b)).collect()
+/// });
+/// assert_eq!(sums, (0..4).map(|b| adder.add(100, b)).collect::<Vec<_>>());
+/// ```
+#[macro_export]
+macro_rules! with_adder_form {
+    ($adder:expr, $form:ident => $body:expr) => {
+        match $adder {
+            $crate::AdderForm::Wrap($form) => $body,
+            $crate::AdderForm::Ama1($form) => $body,
+            $crate::AdderForm::Ama2($form) => $body,
+            $crate::AdderForm::Ama3($form) => $body,
+            $crate::AdderForm::Ama4($form) => $body,
+            $crate::AdderForm::Ama5($form) => $body,
+        }
+    };
+}
+
+impl AdderForm {
+    /// [`ClosedForm::add`] of the resolved form.
+    #[inline]
+    #[must_use]
+    pub fn add(self, a: i64, b: i64) -> i64 {
+        with_adder_form!(self, form => form.add(a, b))
+    }
+
+    /// [`ClosedForm::add_bits`] of the resolved form.
+    #[inline]
+    #[must_use]
+    pub fn add_bits(self, a: u64, b: u64) -> u64 {
+        with_adder_form!(self, form => form.add_bits(a, b))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -325,6 +510,61 @@ mod tests {
                             adder.add_words(wa, wb),
                             adder.add_words_reference(wa, wb),
                             "{kind} k={k} a={a:06b} b={b:06b}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// The resolved closed form — what the lane kernels run per element,
+    /// and what [`RippleCarryAdder::add`] evaluates — against the bit-level
+    /// netlist walk for every cell kind and every depth `k = 0..=32` on the
+    /// 32-bit bus (`k = width` included), at the wrap boundary, and with
+    /// operands outside the bus range, which the kernels pass unwrapped:
+    /// they must wrap exactly like driving the bus.
+    #[test]
+    fn resolved_forms_match_the_netlist_on_the_32_bit_bus() {
+        const W: u32 = 32;
+        let (max, min) = ((1i64 << (W - 1)) - 1, -(1i64 << (W - 1)));
+        let operands = [
+            0,
+            1,
+            -1,
+            2,
+            -2,
+            max,
+            min,
+            max - 1,
+            min + 1,
+            0x5555_5555,
+            -0x5555_5556,
+            0x0F0F_0F0F,
+            12_345,
+            -98_765,
+            // Outside the bus: wrap into it first.
+            max + 1,
+            min - 1,
+            1 << W,
+            (1 << 40) + 7,
+            -(1 << 33) - 3,
+            i64::from(u32::MAX),
+        ];
+        let mask = (1u64 << W) - 1;
+        for kind in FullAdderKind::ALL {
+            for k in 0..=W {
+                let adder = RippleCarryAdder::new(W, k, kind);
+                let form = adder.form();
+                for a in operands {
+                    for b in operands {
+                        let want = adder.add_words_reference(Word::new(a, W), Word::new(b, W));
+                        let ctx = format!("{kind} k={k} a={a} b={b}");
+                        assert_eq!(form.add(a, b), want.value(), "add: {ctx}");
+                        assert_eq!(adder.add(a, b), want.value(), "adder: {ctx}");
+                        assert_eq!(
+                            form.add_bits(a as u64 & mask, b as u64 & mask),
+                            want.bits(),
+                            "add_bits: {ctx}"
                         );
                     }
                 }

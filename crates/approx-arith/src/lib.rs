@@ -57,7 +57,7 @@ pub mod tap;
 pub mod vhdl;
 pub mod word;
 
-pub use adder::RippleCarryAdder;
+pub use adder::{AdderForm, ClosedForm, RippleCarryAdder};
 pub use compiled::CompiledMultiplier;
 pub use config::{ArithConfig, StageArith};
 pub use counters::OpCounter;
@@ -68,5 +68,5 @@ pub use loa::LowerOrAdder;
 pub use mult2x2::Mult2x2Kind;
 pub use multiplier::RecursiveMultiplier;
 pub use signed::SignedMultiplier;
-pub use tap::TapMultiplier;
+pub use tap::{TapMultiplier, TapTable};
 pub use word::Word;

@@ -103,9 +103,11 @@ enum TapRepr {
     Exact,
     Lut {
         table: Arc<Vec<u32>>,
-        /// Whether the (clamped) coefficient is negative — the sign is
-        /// exact in the sign-magnitude core, so it folds into one XOR.
-        negate: bool,
+        /// The table's last index, `2^(width−1)`.
+        last: usize,
+        /// The sign fold of [`TapTable`]: `-1` when the (clamped)
+        /// coefficient is negative, else `0`.
+        sign: i64,
     },
 }
 
@@ -138,7 +140,8 @@ impl TapMultiplier {
         } else {
             TapRepr::Lut {
                 table: shared_tap_lut(multiplier, clamped_coeff.unsigned_abs()),
-                negate: clamped_coeff < 0,
+                last: 1 << (width - 1),
+                sign: -i64::from(clamped_coeff < 0),
             }
         };
         Self {
@@ -207,6 +210,26 @@ impl TapMultiplier {
         }
     }
 
+    /// This tap's shared product table and sign fold, or `None` for an
+    /// exact tap, which multiplies natively by
+    /// [`TapMultiplier::clamped_coeff`]. A lane kernel resolves it once per
+    /// tap and runs [`TapTable::mul_clamped`] over every lane.
+    #[must_use]
+    #[inline]
+    pub fn table(&self) -> Option<TapTable<'_>> {
+        match &self.repr {
+            TapRepr::Exact => None,
+            // The table holds exactly `last + 1` entries. Slicing to that
+            // bound (never failing) makes the slice length a known
+            // `last + 1`, so the compiler drops the per-element bounds
+            // check of `TapTable::mul_clamped`.
+            TapRepr::Lut { table, last, sign } => Some(TapTable {
+                table: &table[..=*last],
+                sign: *sign,
+            }),
+        }
+    }
+
     /// Multiplies a sample the caller has already clamped into
     /// `|a| ≤ 2^(width−1)` by the compiled coefficient — the same contract
     /// as [`CompiledMultiplier::mul_signed_clamped`] with the coefficient
@@ -215,17 +238,48 @@ impl TapMultiplier {
     #[inline]
     pub fn mul_clamped(&self, a: i64) -> i64 {
         debug_assert!(a.abs() <= 1i64 << (self.width - 1));
-        match &self.repr {
-            TapRepr::Exact => a * self.clamped_coeff,
-            TapRepr::Lut { table, negate } => {
-                let mag = i64::from(table[a.unsigned_abs() as usize]);
-                if (a < 0) ^ negate {
-                    -mag
-                } else {
-                    mag
-                }
-            }
-        }
+        self.table()
+            .map_or(a * self.clamped_coeff, |table| table.mul_clamped(a))
+    }
+}
+
+/// One tap's shared magnitude-indexed product table plus its sign fold
+/// ([`TapMultiplier::table`]).
+#[derive(Clone, Copy)]
+pub struct TapTable<'a> {
+    /// Entry `m` is the product magnitude for sample magnitude `m`, for
+    /// every `m ∈ 0..=2^(width−1)` — never empty.
+    table: &'a [u32],
+    /// `-1` when the clamped coefficient is negative, else `0` — the sign
+    /// is exact in the sign-magnitude core, so it folds into one XOR with
+    /// the sample's sign mask.
+    sign: i64,
+}
+
+impl TapTable<'_> {
+    /// The table product, branch-free: [`TapMultiplier::mul_clamped`] of a
+    /// table-backed tap, and what lane kernels run per element. The index
+    /// is clamped to the last entry, which never changes an in-contract
+    /// magnitude but, with the slice length known from
+    /// [`TapMultiplier::table`], lets the compiler drop the bounds check,
+    /// so lane loops over it vectorize into gathers.
+    #[must_use]
+    #[inline(always)]
+    pub fn mul_clamped(self, a: i64) -> i64 {
+        let last = self.table.len() - 1;
+        // WIDTH: |a| ≤ 2^(width−1) ≤ 2^31 by contract, so it fits usize.
+        let mag = i64::from(self.table[(a.unsigned_abs() as usize).min(last)]);
+        let s = (a >> 63) ^ self.sign;
+        (mag ^ s) - s
+    }
+}
+
+impl fmt::Debug for TapTable<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("TapTable")
+            .field("entries", &self.table.len())
+            .field("negate", &(self.sign != 0))
+            .finish()
     }
 }
 
@@ -263,6 +317,7 @@ mod tests {
                     let fast = CompiledMultiplier::from_recursive(&bit);
                     for &c in &STAGE_COEFFS {
                         let tap = TapMultiplier::new(&fast, c);
+                        assert_eq!(tap.table().is_none(), tap.is_exact());
                         for a in -limit..=(limit - 1) {
                             let got = tap.mul_clamped(a);
                             let want_fast = fast.mul_signed_clamped(a, c);
@@ -287,17 +342,12 @@ mod tests {
             let fast = CompiledMultiplier::new(16, k, Mult2x2Kind::V1, FullAdderKind::Ama5);
             for &c in &STAGE_COEFFS {
                 let tap = TapMultiplier::new(&fast, c);
+                assert!(tap.table().is_some(), "approximate taps are table-backed");
                 for mag in 0..=(1i64 << 15) {
-                    assert_eq!(
-                        tap.mul_clamped(mag),
-                        fast.mul_signed_clamped(mag, c),
-                        "k={k} c={c} mag={mag}"
-                    );
-                    assert_eq!(
-                        tap.mul_clamped(-mag),
-                        fast.mul_signed_clamped(-mag, c),
-                        "k={k} c={c} mag=-{mag}"
-                    );
+                    for a in [mag, -mag] {
+                        let want = fast.mul_signed_clamped(a, c);
+                        assert_eq!(tap.mul_clamped(a), want, "k={k} c={c} a={a}");
+                    }
                 }
             }
         }

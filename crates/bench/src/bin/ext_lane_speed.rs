@@ -16,19 +16,21 @@
 //!    bounded ~9.4 KB budget) with the engine and shared tables billed
 //!    once.
 //!
-//! `--check` additionally *gates* on the speedup: the exact pipeline must
-//! reach ≥ 10× aggregate samples/s (vs the scalar baseline) at ≥ 8 lanes
-//! on one core, or the process exits non-zero — CI's bench-smoke job runs
-//! this, with `--json` recording the numbers (`BENCH_pr6.json` at the repo
-//! root holds the committed trajectory). The 10× target assumes AVX-512;
-//! narrower hosts get width-scaled targets (see [`gate_target`]), ratios
-//! are normalized round-adjacent against the scalar baseline so clock
-//! drift cancels, and a failing sweep is remeasured up to
-//! [`GATE_ATTEMPTS`] times before the gate trips.
+//! `--check` additionally *gates* on the speedup: at ≥ 8 lanes on one core
+//! the exact pipeline must reach ≥ 10× and the paper's B9 design ≥ 4×
+//! aggregate samples/s (vs its own scalar baseline), or the process exits
+//! non-zero — CI's bench-smoke job runs this, with `--json` recording the
+//! numbers (`BENCH_pr6.json` at the repo root holds the committed
+//! trajectory). The targets assume AVX-512; narrower hosts get
+//! width-scaled targets (see [`gate_target`]), ratios are normalized
+//! round-adjacent against the scalar baseline so clock drift cancels, and
+//! a failing sweep is remeasured up to [`GATE_ATTEMPTS`] times before the
+//! gate trips.
 
 use std::sync::Arc;
 use std::time::Instant;
 
+use approx_arith::{FullAdderKind, Mult2x2Kind, StageArith};
 use hwmodel::report::fmt_f64;
 use pan_tompkins::{
     DetectionResult, DetectorEngine, Footprint, LaneBank, PipelineConfig, StreamEvent,
@@ -46,15 +48,22 @@ const LANE_COUNTS: [usize; 6] = [1, 2, 4, 8, 16, 32];
 /// way.
 const GATE_SPEEDUP: f64 = 10.0;
 
-/// The machine-appropriate speedup target: the full [`GATE_SPEEDUP`] on
-/// AVX-512 hosts (8 × 64-bit lanes), half on AVX2 (4 lanes), and a sanity
-/// floor on the portable SSE2 baseline (no 64-bit vector multiply at all —
-/// the SoA win there is only the amortized tap dispatch).
-fn gate_target(level: &str) -> f64 {
+/// The B9 ratchet: the same gate for the paper's least-energy design,
+/// whose FIR taps gather from shared product tables and whose squarer
+/// composes four block lookups per lane-sample, so it reaches less of the
+/// vector width than exact arithmetic does.
+const GATE_SPEEDUP_B9: f64 = 4.0;
+
+/// The machine-appropriate speedup target for a `full` AVX-512 target:
+/// all of it on AVX-512 hosts (8 × 64-bit lanes), half on AVX2 (4 lanes),
+/// and a fifth — a sanity floor — on the portable SSE2 baseline (no 64-bit
+/// vector multiply or gather at all; the SoA win there is only the
+/// amortized tap dispatch).
+fn gate_target(level: &str, full: f64) -> f64 {
     match level {
-        "avx512" => GATE_SPEEDUP,
-        "avx2" => GATE_SPEEDUP / 2.0,
-        _ => 2.0,
+        "avx512" => full,
+        "avx2" => full / 2.0,
+        _ => full / 5.0,
     }
 }
 
@@ -65,18 +74,24 @@ fn gate_target(level: &str) -> f64 {
 /// run can only understate it).
 const GATE_ATTEMPTS: usize = 3;
 
-/// Minimum lane count at which [`GATE_SPEEDUP`] must hold.
+/// Minimum lane count at which [`GATE_SPEEDUP`] and [`GATE_SPEEDUP_B9`]
+/// must hold.
 const GATE_LANES: usize = 8;
 
 /// Ticks per push in the throughput runs (an AFE-style block per lane).
 const TICKS_PER_PUSH: usize = 256;
 
 fn gate_configs() -> Vec<PipelineConfig> {
+    // A design off the least-energy family: V2 multipliers and AMA3 adders,
+    // whose carry chain is the one closed form that is neither a wire nor
+    // the exact chain.
+    let v2_ama3 = |k| StageArith::new(k, Mult2x2Kind::V2, FullAdderKind::Ama3);
     vec![
         PipelineConfig::exact(),
         // The paper's B9 design, and a mid point in the bounded footprint.
         PipelineConfig::least_energy([10, 12, 2, 8, 16]),
         PipelineConfig::least_energy([4, 4, 2, 4, 8]).with_footprint(Footprint::Bounded),
+        PipelineConfig::from_stages([v2_ama3(8), v2_ama3(10), v2_ama3(2), v2_ama3(6), v2_ama3(12)]),
     ]
 }
 
@@ -120,11 +135,16 @@ fn run_bank(
 /// configurations × lane counts × push granularities. Returns the checked
 /// `(configurations, bank_runs)`; exits non-zero on any divergence.
 fn equivalence_gate() -> (usize, usize) {
-    // Eight distinct lane workloads: five NSRDB morphology variants plus
-    // three amplitude-doubled repeats (different clamp behavior).
-    let signals: Vec<Vec<i32>> = (0..8)
+    // Sixteen distinct lane workloads: five NSRDB morphology variants at
+    // gains 1, 2 and 3 (different clamp behavior), plus a sign-flipped one.
+    let signals: Vec<Vec<i32>> = (0..16)
         .map(|i| {
-            let gain = if i >= 5 { 2 } else { 1 };
+            let gain = match i {
+                0..=4 => 1,
+                5..=9 => 2,
+                10..=14 => 3,
+                _ => -1,
+            };
             ecg::nsrdb::record(i % 5)
                 .truncated(6_000)
                 .samples()
@@ -143,7 +163,7 @@ fn equivalence_gate() -> (usize, usize) {
             eprintln!("DIVERGENCE: {config}: gate workload produced no events (vacuous check)");
             std::process::exit(1);
         }
-        for lanes in [2usize, 8] {
+        for lanes in [2usize, 8, 16] {
             for ticks in [1usize, 64, 6_000] {
                 bank_runs += 1;
                 for (lane, (events, result)) in run_bank(config, &signals[..lanes], ticks)
@@ -380,23 +400,30 @@ fn main() {
     );
 
     let level = pan_tompkins::simd_level_name();
-    let target = gate_target(level);
-    let mut sweeps = [
-        throughput(PipelineConfig::exact(), "exact"),
-        throughput(PipelineConfig::least_energy([10, 12, 2, 8, 16]), "b9"),
+    let gates = [
+        (PipelineConfig::exact(), "exact", GATE_SPEEDUP),
+        (
+            PipelineConfig::least_energy([10, 12, 2, 8, 16]),
+            "b9",
+            GATE_SPEEDUP_B9,
+        ),
     ];
+    let mut sweeps = gates.map(|(config, label, _)| throughput(config, label));
     if check {
-        for attempt in 1..GATE_ATTEMPTS {
-            if sweeps[0].best_speedup(GATE_LANES) >= target {
-                break;
-            }
-            eprintln!(
-                "gate below target on attempt {attempt} — remeasuring (transient host load \
-                 can only understate the sustained rate)"
-            );
-            let retry = throughput(PipelineConfig::exact(), "exact");
-            if retry.best_speedup(GATE_LANES) > sweeps[0].best_speedup(GATE_LANES) {
-                sweeps[0] = retry;
+        for ((config, label, full), sweep) in gates.iter().zip(&mut sweeps) {
+            let target = gate_target(level, *full);
+            for attempt in 1..GATE_ATTEMPTS {
+                if sweep.best_speedup(GATE_LANES) >= target {
+                    break;
+                }
+                eprintln!(
+                    "{label} gate below target on attempt {attempt} — remeasuring (transient \
+                     host load can only understate the sustained rate)"
+                );
+                let retry = throughput(*config, label);
+                if retry.best_speedup(GATE_LANES) > sweep.best_speedup(GATE_LANES) {
+                    *sweep = retry;
+                }
             }
         }
     }
@@ -405,18 +432,25 @@ fn main() {
     }
     let (lane_state, engine_bytes) = state_accounting();
 
-    let gate = sweeps[0].best_speedup(GATE_LANES);
-    println!(
-        "aggregate speedup gate (exact, >= {GATE_LANES} lanes, 1 core): {}x \
-         (target >= {}x at SIMD level {level})",
-        fmt_f64(gate, 2),
-        fmt_f64(target, 0)
-    );
-    if check && gate < target {
-        eprintln!(
-            "FAIL: aggregate lane speedup {gate:.2}x below the {target}x target at \
-             >= {GATE_LANES} lanes (SIMD level {level})"
+    let mut failed = false;
+    for ((_, label, full), sweep) in gates.iter().zip(&sweeps) {
+        let target = gate_target(level, *full);
+        let gate = sweep.best_speedup(GATE_LANES);
+        println!(
+            "aggregate speedup gate ({label}, >= {GATE_LANES} lanes, 1 core): {}x \
+             (target >= {}x at SIMD level {level})",
+            fmt_f64(gate, 2),
+            fmt_f64(target, 1)
         );
+        if check && gate < target {
+            eprintln!(
+                "FAIL: {label} aggregate lane speedup {gate:.2}x below the {target}x target \
+                 at >= {GATE_LANES} lanes (SIMD level {level})"
+            );
+            failed = true;
+        }
+    }
+    if failed {
         std::process::exit(1);
     }
 

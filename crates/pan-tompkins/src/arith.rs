@@ -18,7 +18,8 @@
 use std::sync::Arc;
 
 use approx_arith::{
-    ArithConfig, CompiledMultiplier, OpCounter, RecursiveMultiplier, StageArith, TapMultiplier,
+    AdderForm, ArithConfig, CompiledMultiplier, OpCounter, RecursiveMultiplier, StageArith,
+    TapMultiplier,
 };
 
 /// Which multiplier evaluation engine a backend instantiates. Both engines
@@ -128,6 +129,18 @@ impl ArithProgram {
         self.multiplier.width()
     }
 
+    /// Whether the multiplier block computes exactly (products are plain
+    /// integer multiplication under either engine).
+    pub(crate) fn mul_is_exact(&self) -> bool {
+        self.multiplier.is_exact()
+    }
+
+    /// The adder block's closed form with its masks and shifts resolved
+    /// (see [`approx_arith::ClosedForm`]).
+    pub(crate) fn adder_form(&self) -> AdderForm {
+        self.adder.form()
+    }
+
     /// The raw adder block: no counting, no overflow bookkeeping.
     #[inline]
     #[must_use]
@@ -156,8 +169,9 @@ impl ArithProgram {
 }
 
 /// Whether the exact sum `a + b` falls outside a `width`-bit signed bus —
-/// the overflow test shared verbatim by the scalar backend and the lane
-/// kernels (branch-free so the lane loops can vectorize).
+/// the scalar backend's overflow test (branch-free). The lane kernels use
+/// an equivalent wrap-compare that needs operands bounded below `i64`
+/// wrap.
 #[inline]
 #[must_use]
 pub(crate) fn sum_overflows(a: i64, b: i64, width: u32) -> bool {

@@ -13,6 +13,13 @@
 //! plain clamp/multiply/add over adjacent memory, which the compiler
 //! auto-vectorizes.
 //!
+//! Approximate stages take the same register-blocked loops as exact ones.
+//! Once per block of ticks, the stage adder resolves to one
+//! [`approx_arith::ClosedForm`] and a FIR program's taps to one
+//! representation (native multiply, shared product table, or the bit-level
+//! program); each stage walk is monomorphized for the pair, so no lane
+//! loop matches on an adder kind or tap representation per element.
+//!
 //! # Bit-identity contract
 //!
 //! Every lane's event stream and final [`DetectionResult`] are **bit
@@ -32,8 +39,10 @@
 //! * per-sample operation counts are data-independent and therefore
 //!   hoisted to per-lane tick counters, while saturation and overflow
 //!   counts are data-dependent and kept in per-lane arrays updated inside
-//!   the lane loops with the same branch-free tests the scalar backend
-//!   uses ([`sum_overflows`] is shared verbatim);
+//!   the lane loops with branch-free tests equal to the scalar backend's
+//!   (the wrap-compare form of `crate::arith::sum_overflows`), and the
+//!   adds go through the same [`approx_arith::ClosedForm`] the scalar
+//!   adder evaluates;
 //! * everything downstream of the stages — classifier, alignment queue,
 //!   event emission — *is* the scalar code: each lane owns the same
 //!   [`DetectorTail`] the scalar facade drives.
@@ -44,9 +53,9 @@
 
 use std::sync::Arc;
 
-use approx_arith::OpCounter;
+use approx_arith::{with_adder_form, AdderForm, ClosedForm, OpCounter, TapMultiplier};
 
-use crate::arith::{div_round, sum_overflows, ArithCounters, ArithProgram};
+use crate::arith::{div_round, ArithCounters, ArithProgram};
 use crate::detector::DetectionResult;
 use crate::engine::DetectorEngine;
 use crate::fir::FirProgram;
@@ -76,7 +85,7 @@ fn op_counter(muls: u64, adds: u64) -> OpCounter {
 /// rustc compiles the crate for the portable x86-64 baseline (SSE2),
 /// which has no 64-bit vector multiply — so the auto-vectorized lane
 /// loops run far below the machine's width. The bank therefore compiles
-/// the *same* tick chain a second and third time under
+/// every stage walk ([`Walk::run`]) a second and third time under
 /// `#[target_feature]` (AVX2, and AVX-512 with the `DQ` 64-bit multiply)
 /// and picks the widest supported instance at runtime. The kernels are
 /// pure two's-complement integer arithmetic, so every instance is
@@ -128,6 +137,290 @@ pub fn simd_level_name() -> &'static str {
     }
 }
 
+/// One stage kernel's per-tick step under its resolved arithmetic `A`: the
+/// adder's closed form (plus the tap representation for a FIR), or `()`
+/// for the adder-free squarer.
+trait Stage<A: Copy> {
+    /// Lanes in the bank.
+    fn lanes(&self) -> usize;
+
+    /// Advances every lane one sample: `x` is the lane row in, `out` the
+    /// lane row of stage outputs.
+    fn tick(&mut self, arith: A, x: &[i64], out: &mut [i64]);
+}
+
+/// A stage whose tick computes its lane row in register blocks.
+trait Blocked<A: Copy> {
+    /// Computes lanes `lane0 .. lane0 + W` of the tick's outputs.
+    fn block<const W: usize>(&mut self, arith: A, lane0: usize, out: &mut [i64]);
+
+    /// Runs [`Blocked::block`] over `lanes` lanes in register blocks of
+    /// 16, 8, 4, then 1 lanes.
+    #[inline(always)]
+    fn blocks(&mut self, arith: A, lanes: usize, out: &mut [i64]) {
+        let mut lane0 = 0;
+        while lane0 + 16 <= lanes {
+            self.block::<16>(arith, lane0, out);
+            lane0 += 16;
+        }
+        while lane0 + 8 <= lanes {
+            self.block::<8>(arith, lane0, out);
+            lane0 += 8;
+        }
+        while lane0 + 4 <= lanes {
+            self.block::<4>(arith, lane0, out);
+            lane0 += 4;
+        }
+        while lane0 < lanes {
+            self.block::<1>(arith, lane0, out);
+            lane0 += 1;
+        }
+    }
+}
+
+/// One stage over a block of lane rows: `x` in, `out` the stage outputs,
+/// both `ticks × lanes` row-major. [`run_at`] compiles [`Walk::run`] once
+/// per SIMD level for each stage type and resolved arithmetic, so the LPF,
+/// HPF and derivative share their instances.
+struct Walk<'a, S, A> {
+    stage: &'a mut S,
+    arith: A,
+    x: &'a [i64],
+    out: &'a mut [i64],
+}
+
+impl<S: Stage<A>, A: Copy> Walk<'_, S, A> {
+    #[inline(always)]
+    fn run(self) {
+        let Self {
+            stage,
+            arith,
+            x,
+            out,
+        } = self;
+        let lanes = stage.lanes();
+        for (x, out) in x.chunks_exact(lanes).zip(out.chunks_exact_mut(lanes)) {
+            stage.tick(arith, x, out);
+        }
+    }
+}
+
+/// [`Walk::run`] compiled with the AVX-512 feature set (`DQ` supplies the
+/// 64-bit vector multiply the baseline lacks).
+///
+/// # Safety
+///
+/// The CPU must support `avx512f`, `avx512dq`, and `avx512vl` —
+/// guaranteed when [`simd_level`] returns [`SimdLevel::Avx512`].
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512dq,avx512vl")]
+#[inline(never)]
+#[allow(unsafe_code)]
+// SAFETY: precondition — the executing CPU supports avx512f, avx512dq
+// and avx512vl; otherwise the vector instructions LLVM emits here are
+// undefined. The body is the safe `Walk::run` (no raw pointers, no
+// intrinsics): the *only* obligation is the CPU-feature check, which
+// `run_at` performs via `simd_level()` before every call.
+unsafe fn run_avx512<S: Stage<A>, A: Copy>(walk: Walk<'_, S, A>) {
+    walk.run();
+}
+
+/// [`Walk::run`] compiled with AVX2 enabled.
+///
+/// # Safety
+///
+/// The CPU must support `avx2` — guaranteed when [`simd_level`] returns
+/// [`SimdLevel::Avx2`].
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[inline(never)]
+#[allow(unsafe_code)]
+// SAFETY: precondition — the executing CPU supports avx2. The body is the
+// safe `Walk::run`, so the feature check is the entire obligation;
+// `run_at` establishes it via `simd_level()` before every call.
+unsafe fn run_avx2<S: Stage<A>, A: Copy>(walk: Walk<'_, S, A>) {
+    walk.run();
+}
+
+/// [`Walk::run`] on the portable baseline, out of line like the vector
+/// instances so every walk is compiled once per level.
+#[inline(never)]
+fn run_baseline<S: Stage<A>, A: Copy>(walk: Walk<'_, S, A>) {
+    walk.run();
+}
+
+/// Runs `walk` compiled for the widest SIMD level this CPU supports.
+#[allow(unsafe_code)]
+fn run_at<S: Stage<A>, A: Copy>(walk: Walk<'_, S, A>) {
+    match simd_level() {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `simd_level()` returns `Avx512` only when
+        // `is_x86_feature_detected!` confirmed avx512f+avx512dq+avx512vl
+        // on the running CPU — exactly the kernel's precondition.
+        SimdLevel::Avx512 => unsafe { run_avx512(walk) },
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `simd_level()` returns `Avx2` only when
+        // `is_x86_feature_detected!("avx2")` held on the running CPU —
+        // exactly the kernel's precondition.
+        SimdLevel::Avx2 => unsafe { run_avx2(walk) },
+        SimdLevel::Baseline => run_baseline(walk),
+    }
+}
+
+/// One register block of `W` lanes: accumulators and data-dependent
+/// counters held in `W`-sized locals, which live in vector registers across
+/// a whole tap or window walk (one memory round-trip per tick, not per
+/// tap). Every lane loop has a compile-time trip count and no per-element
+/// dispatch, so it vectorizes.
+struct Block<const W: usize> {
+    acc: [i64; W],
+    sat: [u64; W],
+    ovf: [u64; W],
+    /// Whether a row has seeded `acc` yet.
+    seeded: bool,
+}
+
+impl<const W: usize> Block<W> {
+    #[inline(always)]
+    fn new() -> Self {
+        Self {
+            acc: [0; W],
+            sat: [0; W],
+            ovf: [0; W],
+            seeded: false,
+        }
+    }
+
+    /// Seeds the accumulators with a first row — no add, no overflow
+    /// test, matching the scalar chain's first operand.
+    #[inline(always)]
+    fn seed(&mut self, row: [i64; W]) {
+        self.acc = row;
+        self.seeded = true;
+    }
+
+    /// Adds one lane row into the seeded accumulators through the closed
+    /// form `form`, counting bus overflows.
+    #[inline(always)]
+    fn accumulate<A: ClosedForm>(&mut self, form: A, row: &[i64; W]) {
+        let ext = form.ext();
+        for ((acc, ovf), &b) in self.acc.iter_mut().zip(&mut self.ovf).zip(row) {
+            let a = *acc;
+            // `s` cannot wrap i64 (operands are bounded well below 2^62 by
+            // the ≤32-bit multiplier and ≤63-bit bus), so `wrapped != s` ⟺
+            // `s` is outside the bus range ⟺
+            // [`crate::arith::sum_overflows`]`(a, b, width)`.
+            let s = a.wrapping_add(b);
+            let wrapped = (s << ext) >> ext;
+            *ovf += u64::from(wrapped != s);
+            *acc = form.add(a, b);
+        }
+    }
+
+    /// One FIR tap over a lane frame: clamps each sample into the
+    /// multiplier range (counting saturations), multiplies it by `mul`,
+    /// then seeds or accumulates the products.
+    #[inline(always)]
+    fn mac<A: ClosedForm>(
+        &mut self,
+        form: A,
+        limit: i64,
+        frame: &[i64; W],
+        mul: impl Fn(i64) -> i64,
+    ) {
+        let mut p = [0i64; W];
+        for k in 0..W {
+            let a = frame[k];
+            // `max`/`min`, not `clamp`: the same value (`limit ≥ 1`) without
+            // `clamp`'s bounds assertion on every tap.
+            let ca = a.max(-limit).min(limit - 1);
+            self.sat[k] += u64::from(ca != a);
+            p[k] = mul(ca);
+        }
+        if self.seeded {
+            self.accumulate(form, &p);
+        } else {
+            self.seed(p);
+        }
+    }
+}
+
+/// The bit-level engine's product, kept out of line: the netlist walk
+/// costs far more than a call, and inlining it into every kernel instance
+/// would multiply the code size for a reference path.
+#[inline(never)]
+fn program_mul(arith: &ArithProgram, ca: i64, cb: i64) -> i64 {
+    arith.mul_raw_clamped(ca, cb)
+}
+
+/// One nonzero FIR tap, as a [`TapMul`] resolves it.
+#[derive(Clone, Copy)]
+struct Tap<'a> {
+    /// The tap's index in the program.
+    t: usize,
+    /// The coefficient, clamped into the multiplier range.
+    cb: i64,
+    /// The program's compiled tap multipliers, if it has tap tables.
+    mults: Option<&'a [TapMultiplier]>,
+    arith: &'a ArithProgram,
+}
+
+/// How every tap of a FIR program multiplies. The multiplier configuration
+/// is per stage, so all of a program's taps share one representation
+/// ([`TapRepr`]) and [`LaneFir::run`] runs the walk monomorphized for it:
+/// no tap loop branches on the representation.
+trait TapMul: Copy {
+    /// One tap's product function, resolved before its lane loop (`None`
+    /// only if the tap lacks the representation, which `LaneFir::new`
+    /// rules out).
+    fn product(tap: Tap<'_>) -> Option<impl Fn(i64) -> i64>;
+}
+
+/// An exact multiplier: `ca * cb`, which LLVM vectorizes with the
+/// machine's 64-bit multiply.
+#[derive(Clone, Copy)]
+struct NativeTaps;
+
+impl TapMul for NativeTaps {
+    #[inline(always)]
+    fn product(tap: Tap<'_>) -> Option<impl Fn(i64) -> i64> {
+        Some(move |ca| ca * tap.cb)
+    }
+}
+
+/// An approximate compiled multiplier: a gather from the tap's shared
+/// product table and the sign fold ([`approx_arith::TapTable`]).
+#[derive(Clone, Copy)]
+struct TableTaps;
+
+impl TapMul for TableTaps {
+    #[inline(always)]
+    fn product(tap: Tap<'_>) -> Option<impl Fn(i64) -> i64> {
+        let table = tap.mults?.get(tap.t)?.table()?;
+        Some(move |ca| table.mul_clamped(ca))
+    }
+}
+
+/// An approximate multiplier without tap tables (the bit-level engine):
+/// the netlist walk, per element.
+#[derive(Clone, Copy)]
+struct BitLevelTaps;
+
+impl TapMul for BitLevelTaps {
+    #[inline(always)]
+    fn product(tap: Tap<'_>) -> Option<impl Fn(i64) -> i64> {
+        Some(move |ca| program_mul(tap.arith, ca, tap.cb))
+    }
+}
+
+/// Which [`TapMul`] a FIR program's taps take, resolved at construction.
+#[derive(Debug, Clone, Copy)]
+enum TapRepr {
+    Native,
+    Table,
+    BitLevel,
+}
+
 /// SoA FIR kernel: one shared program, N lanes of delay-line state laid
 /// out row-major (`delay[pos * lanes + lane]`).
 #[derive(Debug, Clone)]
@@ -140,8 +433,6 @@ struct LaneFir {
     /// Shared lockstep ring cursor (safe across per-lane resets by
     /// rotation invariance; see the module docs).
     cursor: usize,
-    /// Per-lane accumulator scratch.
-    acc: Vec<i64>,
     /// Per-lane multiplier-operand saturation counts (data-dependent).
     sats: Vec<u64>,
     /// Per-lane adder overflow counts (data-dependent).
@@ -152,287 +443,76 @@ struct LaneFir {
     /// Coefficient-side saturations per tick — constant per program.
     coeff_sats_per_tick: u64,
     mul_limit: i64,
-    add_width: u32,
-    /// Whether both arithmetic blocks compute exactly. Exact blocks are
-    /// plain clamp/multiply/wrap arithmetic, so the tick takes a
-    /// branch-free inner loop the compiler auto-vectorizes; the generic
-    /// loop dispatches through the block representations per element and
-    /// cannot. Both loops are bit-identical by construction.
-    exact: bool,
+    /// The taps clamped into the multiplier range (zero taps stay zero),
+    /// so the tap walk loads each coefficient instead of re-clamping it.
+    coeffs: Vec<i64>,
+    /// The stage adder's closed form and the taps' representation: each
+    /// block of ticks matches on them once and runs the walk monomorphized
+    /// for the pair.
+    adder: AdderForm,
+    taps: TapRepr,
 }
 
 impl LaneFir {
     fn new(program: Arc<FirProgram>, lanes: usize) -> Self {
         let rows = program.taps().len();
-        let mul_limit = 1i64 << (program.arith().mul_width() - 1);
-        let add_width = program.arith().adder_width();
+        let arith = program.arith();
+        let mul_limit = 1i64 << (arith.mul_width() - 1);
         let nonzero = program.taps().iter().filter(|&&c| c != 0).count() as u64;
+        let coeffs: Vec<i64> = program
+            .taps()
+            .iter()
+            .map(|&c| c.clamp(-mul_limit, mul_limit - 1))
+            .collect();
         let coeff_sats_per_tick = program
             .taps()
             .iter()
-            .filter(|&&c| c != 0 && c.clamp(-mul_limit, mul_limit - 1) != c)
+            .zip(&coeffs)
+            .filter(|(c, cb)| c != cb)
             .count() as u64;
-        let exact = program.arith().is_exact();
-        // The block-exact wrap-compare overflow test requires that no
-        // operand can wrap i64: products bounded by a ≤32-bit multiplier,
-        // sums by a ≤63-bit bus.
-        debug_assert!(program.arith().mul_width() <= 32 && add_width <= 63);
+        // The wrap-compare overflow test of `Block::accumulate` requires
+        // that no operand can wrap i64: products bounded by a ≤32-bit
+        // multiplier, sums by a ≤63-bit bus.
+        debug_assert!(arith.mul_width() <= 32 && arith.adder_width() <= 63);
+        let adder = arith.adder_form();
+        let taps = if arith.mul_is_exact() {
+            TapRepr::Native
+        } else if program
+            .tap_mults()
+            .is_some_and(|tm| tm.iter().all(|m| m.table().is_some()))
+        {
+            TapRepr::Table
+        } else {
+            TapRepr::BitLevel
+        };
         Self {
             delay: vec![0; rows * lanes],
             cursor: 0,
-            acc: vec![0; lanes],
             sats: vec![0; lanes],
             ovfs: vec![0; lanes],
             muls_per_tick: nonzero,
             adds_per_tick: nonzero.saturating_sub(1),
             coeff_sats_per_tick,
             mul_limit,
-            add_width,
-            exact,
+            coeffs,
+            adder,
+            taps,
             lanes,
             program,
         }
     }
 
-    /// Advances every lane one sample: `x` is the lane row in, `out` the
-    /// lane row of filter outputs.
-    #[inline(always)]
-    fn tick(&mut self, x: &[i64], out: &mut [i64]) {
-        let lanes = self.lanes;
-        let rows = self.program.taps().len();
-        self.cursor = if self.cursor == 0 {
-            rows - 1
-        } else {
-            self.cursor - 1
-        };
-        self.delay[self.cursor * lanes..(self.cursor + 1) * lanes].copy_from_slice(x);
-
-        if self.exact {
-            // Register-blocked exact path: accumulators live in
-            // fixed-width local arrays (vector registers) for the whole
-            // tap walk instead of round-tripping through `self.acc`.
-            let mut lane0 = 0;
-            while lane0 + 16 <= lanes {
-                self.block_exact::<16>(lane0, out);
-                lane0 += 16;
+    /// Runs the stage over a block of lane rows (see [`Walk`]), with the
+    /// adder form and tap representation matched once for the whole block.
+    fn run(&mut self, x: &[i64], out: &mut [i64]) {
+        let taps = self.taps;
+        with_adder_form!(self.adder, form => match taps {
+            TapRepr::Native => run_at(Walk { stage: &mut *self, arith: (form, NativeTaps), x, out }),
+            TapRepr::Table => run_at(Walk { stage: &mut *self, arith: (form, TableTaps), x, out }),
+            TapRepr::BitLevel => {
+                run_at(Walk { stage: &mut *self, arith: (form, BitLevelTaps), x, out });
             }
-            while lane0 + 8 <= lanes {
-                self.block_exact::<8>(lane0, out);
-                lane0 += 8;
-            }
-            while lane0 + 4 <= lanes {
-                self.block_exact::<4>(lane0, out);
-                lane0 += 4;
-            }
-            while lane0 < lanes {
-                self.block_exact::<1>(lane0, out);
-                lane0 += 1;
-            }
-            return;
-        }
-        let seeded = self.accumulate_generic();
-        if !seeded {
-            out.fill(0);
-            return;
-        }
-        // The rescale mode is fixed per program; hoisting the match out
-        // of the lane loop leaves each arm a branch-free (select-only)
-        // loop body. Every arm computes exactly [`FirProgram::rescale`].
-        match self.program.gain_shift() {
-            Some(0) => out.copy_from_slice(&self.acc),
-            Some(shift) => {
-                let half = 1i64 << (shift - 1);
-                for (o, &a) in out.iter_mut().zip(self.acc.iter()) {
-                    *o = if a >= 0 {
-                        (a + half) >> shift
-                    } else {
-                        -((-a + half) >> shift)
-                    };
-                }
-            }
-            None => {
-                for (o, &a) in out.iter_mut().zip(self.acc.iter()) {
-                    *o = self.program.rescale(a);
-                }
-            }
-        }
-    }
-
-    /// The generic tap walk: products and sums go through the arithmetic
-    /// block representations (LUT gathers for approximate multipliers).
-    /// Returns whether any nonzero tap seeded the accumulators.
-    #[inline(always)]
-    fn accumulate_generic(&mut self) -> bool {
-        let lanes = self.lanes;
-        let mul_limit = self.mul_limit;
-        let add_width = self.add_width;
-        let rows = self.program.taps().len();
-        let cursor = self.cursor;
-        let Self {
-            program,
-            delay,
-            acc,
-            sats,
-            ovfs,
-            ..
-        } = self;
-        let taps = program.taps();
-        let tap_mults = program.tap_mults();
-        let arith = program.arith();
-
-        // Wrapping row walk from the newest sample, exactly like the
-        // scalar loop's wrapping index.
-        let mut row = cursor;
-        let mut first = true;
-        for (t, &c) in taps.iter().enumerate() {
-            let frame = &delay[row * lanes..row * lanes + lanes];
-            row += 1;
-            if row == rows {
-                row = 0;
-            }
-            if c == 0 {
-                continue;
-            }
-            let cb = c.clamp(-mul_limit, mul_limit - 1);
-            if first {
-                // The first nonzero tap seeds the accumulator — no add,
-                // no overflow test, matching the scalar `Option` chain.
-                for ((slot, s), &a) in acc.iter_mut().zip(sats.iter_mut()).zip(frame) {
-                    let ca = a.clamp(-mul_limit, mul_limit - 1);
-                    *s += u64::from(ca != a);
-                    *slot = match tap_mults {
-                        Some(tm) => tm[t].mul_clamped(ca),
-                        None => arith.mul_raw_clamped(ca, cb),
-                    };
-                }
-                first = false;
-            } else {
-                for (((slot, s), o), &a) in acc
-                    .iter_mut()
-                    .zip(sats.iter_mut())
-                    .zip(ovfs.iter_mut())
-                    .zip(frame)
-                {
-                    let ca = a.clamp(-mul_limit, mul_limit - 1);
-                    *s += u64::from(ca != a);
-                    let p = match tap_mults {
-                        Some(tm) => tm[t].mul_clamped(ca),
-                        None => arith.mul_raw_clamped(ca, cb),
-                    };
-                    let sum = *slot;
-                    *o += u64::from(sum_overflows(sum, p, add_width));
-                    *slot = arith.add_raw(sum, p);
-                }
-            }
-        }
-        !first
-    }
-
-    /// The exact tap walk for lanes `lane0 .. lane0 + W` — bit-identical
-    /// to [`LaneFir::accumulate_generic`] plus [`FirProgram::rescale`]
-    /// when both blocks are exact, with the per-element block dispatch
-    /// replaced by plain clamp/multiply/wrap arithmetic:
-    ///
-    /// * an exact multiplier computes `ca * cb` (sign-magnitude with an
-    ///   exact product is ordinary multiplication; no i64 overflow, since
-    ///   both operands are clamped to the ≤ 32-bit datapath);
-    /// * an exact adder computes the sum wrapped into the adder width and
-    ///   sign-extended, which `(wrapping_add << k) >> k` reproduces;
-    /// * [`sum_overflows`] is the same branch-free test the scalar backend
-    ///   and the generic loop use.
-    ///
-    /// The accumulator and counter arrays are `W`-sized locals, so they
-    /// live in vector registers across the whole walk (one memory
-    /// round-trip per tick, not per tap) and every lane loop has a
-    /// compile-time trip count — no runtime vector-width or aliasing
-    /// checks inside the tap loop.
-    #[inline(always)]
-    fn block_exact<const W: usize>(&mut self, lane0: usize, out: &mut [i64]) {
-        let lanes = self.lanes;
-        let mul_limit = self.mul_limit;
-        let add_width = self.add_width;
-        let ext = 64 - add_width;
-        let rows = self.program.taps().len();
-        let taps = self.program.taps();
-
-        let mut acc = [0i64; W];
-        let mut sat = [0u64; W];
-        let mut ovf = [0u64; W];
-        let mut row = self.cursor;
-        let mut first = true;
-        for &c in taps {
-            let base = row * lanes + lane0;
-            row += 1;
-            if row == rows {
-                row = 0;
-            }
-            if c == 0 {
-                continue;
-            }
-            // A by-value `[i64; W]` row instead of a fallible `&[i64; W]`
-            // cast: `copy_from_slice` of a W-slice into a W-array has no
-            // failure path, and the locals stay in vector registers.
-            let mut frame = [0i64; W];
-            frame.copy_from_slice(&self.delay[base..base + W]);
-            let cb = c.clamp(-mul_limit, mul_limit - 1);
-            if first {
-                for k in 0..W {
-                    let a = frame[k];
-                    let ca = a.clamp(-mul_limit, mul_limit - 1);
-                    sat[k] += u64::from(ca != a);
-                    acc[k] = ca * cb;
-                }
-                first = false;
-            } else {
-                for k in 0..W {
-                    let a = frame[k];
-                    let ca = a.clamp(-mul_limit, mul_limit - 1);
-                    sat[k] += u64::from(ca != a);
-                    let p = ca * cb;
-                    // `s` cannot wrap i64 (operands are bounded well below
-                    // 2^62 by the ≤32-bit multiplier and ≤63-bit bus), so
-                    // `wrapped != s` ⟺ `s` is outside the bus range ⟺
-                    // [`sum_overflows`]`(acc[k], p, add_width)`.
-                    let s = acc[k].wrapping_add(p);
-                    let wrapped = (s << ext) >> ext;
-                    ovf[k] += u64::from(wrapped != s);
-                    acc[k] = wrapped;
-                }
-            }
-        }
-        // Zip, not indexing: per-element bounds checks force the compiler
-        // to scalarize the register block back out element by element.
-        for (s, v) in self.sats[lane0..lane0 + W].iter_mut().zip(sat) {
-            *s += v;
-        }
-        for (o, v) in self.ovfs[lane0..lane0 + W].iter_mut().zip(ovf) {
-            *o += v;
-        }
-        let out = &mut out[lane0..lane0 + W];
-        if first {
-            out.fill(0);
-            return;
-        }
-        // Rescale straight out of the register block — each arm computes
-        // exactly [`FirProgram::rescale`].
-        match self.program.gain_shift() {
-            Some(0) => out.copy_from_slice(&acc),
-            Some(shift) => {
-                let half = 1i64 << (shift - 1);
-                for (o, &a) in out.iter_mut().zip(acc.iter()) {
-                    *o = if a >= 0 {
-                        (a + half) >> shift
-                    } else {
-                        -((-a + half) >> shift)
-                    };
-                }
-            }
-            None => {
-                for (o, &a) in out.iter_mut().zip(acc.iter()) {
-                    *o = self.program.rescale(a);
-                }
-            }
-        }
+        });
     }
 
     fn reset_lane(&mut self, lane: usize) {
@@ -466,8 +546,126 @@ impl LaneFir {
     }
 
     fn heap_bytes(&self) -> usize {
-        (self.delay.capacity() + self.acc.capacity()) * std::mem::size_of::<i64>()
+        (self.delay.capacity() + self.coeffs.capacity()) * std::mem::size_of::<i64>()
             + (self.sats.capacity() + self.ovfs.capacity()) * std::mem::size_of::<u64>()
+    }
+}
+
+impl<A: ClosedForm, M: TapMul> Stage<(A, M)> for LaneFir {
+    fn lanes(&self) -> usize {
+        self.lanes
+    }
+
+    #[inline(always)]
+    fn tick(&mut self, arith: (A, M), x: &[i64], out: &mut [i64]) {
+        let lanes = self.lanes;
+        let rows = self.program.taps().len();
+        self.cursor = if self.cursor == 0 {
+            rows - 1
+        } else {
+            self.cursor - 1
+        };
+        self.delay[self.cursor * lanes..(self.cursor + 1) * lanes].copy_from_slice(x);
+        self.blocks(arith, lanes, out);
+    }
+}
+
+impl<A: ClosedForm, M: TapMul> Blocked<(A, M)> for LaneFir {
+    /// The tap walk for lanes `lane0 .. lane0 + W` — bit-identical, lane
+    /// by lane, to the scalar [`crate::fir::FirFilter::process`]:
+    ///
+    /// * the row walk wraps from the newest sample exactly like the scalar
+    ///   loop's index, skips zero taps, and sums products left to right
+    ///   through the stage adder's closed form `form`, the first nonzero
+    ///   tap seeding the accumulators;
+    /// * the taps multiply through the representation `M` shared by the
+    ///   whole program — native multiply, shared product table, or the
+    ///   bit-level program — so every lane loop runs one branch-free arm;
+    /// * the exact configuration is the ([`NativeTaps`],
+    ///   [`approx_arith::adder::Wrap`]) instance: `ca * cb` and a
+    ///   sign-extending wrap, which LLVM vectorizes with the machine's
+    ///   64-bit multiply.
+    #[inline(always)]
+    fn block<const W: usize>(&mut self, (form, _): (A, M), lane0: usize, out: &mut [i64]) {
+        let Self {
+            program,
+            lanes,
+            delay,
+            cursor,
+            sats,
+            ovfs,
+            mul_limit,
+            coeffs,
+            ..
+        } = self;
+        let (lanes, limit) = (*lanes, *mul_limit);
+        let tap_mults = program.tap_mults();
+        let arith = program.arith();
+        let rows = coeffs.len();
+
+        let mut block = Block::<W>::new();
+        let mut row = *cursor;
+        for (t, &cb) in coeffs.iter().enumerate() {
+            let base = row * lanes + lane0;
+            row += 1;
+            if row == rows {
+                row = 0;
+            }
+            if cb == 0 {
+                continue;
+            }
+            // A by-value `[i64; W]` row instead of a fallible `&[i64; W]`
+            // cast: `copy_from_slice` of a W-slice into a W-array has no
+            // failure path, and the locals stay in vector registers.
+            let mut frame = [0i64; W];
+            frame.copy_from_slice(&delay[base..base + W]);
+            let tap = Tap {
+                t,
+                cb,
+                mults: tap_mults,
+                arith,
+            };
+            let mul = M::product(tap);
+            // `LaneFir::new` picks `M` only if every tap has it; a `None`
+            // here would drop a nonzero tap from the sum.
+            debug_assert!(mul.is_some(), "tap {t} lacks its representation");
+            if let Some(mul) = mul {
+                block.mac(form, limit, &frame, mul);
+            }
+        }
+        // Zip, not indexing: per-element bounds checks force the compiler
+        // to scalarize the register block back out element by element.
+        for (s, v) in sats[lane0..lane0 + W].iter_mut().zip(block.sat) {
+            *s += v;
+        }
+        for (o, v) in ovfs[lane0..lane0 + W].iter_mut().zip(block.ovf) {
+            *o += v;
+        }
+        let out = &mut out[lane0..lane0 + W];
+        if !block.seeded {
+            out.fill(0);
+            return;
+        }
+        // Rescale straight out of the register block — each arm computes
+        // exactly [`FirProgram::rescale`].
+        match program.gain_shift() {
+            Some(0) => out.copy_from_slice(&block.acc),
+            Some(shift) => {
+                let half = 1i64 << (shift - 1);
+                for (o, &a) in out.iter_mut().zip(block.acc.iter()) {
+                    *o = if a >= 0 {
+                        (a + half) >> shift
+                    } else {
+                        -((-a + half) >> shift)
+                    };
+                }
+            }
+            None => {
+                for (o, &a) in out.iter_mut().zip(block.acc.iter()) {
+                    *o = program.rescale(a);
+                }
+            }
+        }
     }
 }
 
@@ -477,6 +675,9 @@ struct LaneSqr {
     program: Arc<ArithProgram>,
     sats: Vec<u64>,
     mul_limit: i64,
+    /// Whether the multiplier computes exactly: the tick then squares
+    /// natively, in a loop that vectorizes, instead of running the
+    /// composed multiplier per lane-sample.
     exact: bool,
 }
 
@@ -492,12 +693,37 @@ impl LaneSqr {
         }
     }
 
+    /// Runs the stage over a block of lane rows (see [`Walk`]).
+    fn run(&mut self, x: &[i64], out: &mut [i64]) {
+        run_at(Walk {
+            stage: self,
+            arith: (),
+            x,
+            out,
+        });
+    }
+
+    fn reset_lane(&mut self, lane: usize) {
+        self.sats[lane] = 0;
+    }
+
+    fn heap_bytes(&self) -> usize {
+        self.sats.capacity() * std::mem::size_of::<u64>()
+    }
+}
+
+impl Stage<()> for LaneSqr {
+    fn lanes(&self) -> usize {
+        self.sats.len()
+    }
+
     #[inline(always)]
-    fn tick(&mut self, x: &[i64], out: &mut [i64]) {
+    fn tick(&mut self, (): (), x: &[i64], out: &mut [i64]) {
         let limit = self.mul_limit;
         if self.exact {
-            // An exact square is `cv * cv` (see `LaneFir::accumulate_exact`
-            // for the fast-path argument); the loop auto-vectorizes.
+            // An exact square is `cv * cv` (as in [`NativeTaps`]: no i64
+            // overflow, both operands are clamped to the ≤32-bit
+            // datapath); the loop auto-vectorizes.
             for ((o, &v), s) in out.iter_mut().zip(x).zip(self.sats.iter_mut()) {
                 let cv = v.clamp(-limit, limit - 1);
                 *s += 2 * u64::from(cv != v);
@@ -513,14 +739,6 @@ impl LaneSqr {
             *o = self.program.mul_raw_clamped(cv, cv);
         }
     }
-
-    fn reset_lane(&mut self, lane: usize) {
-        self.sats[lane] = 0;
-    }
-
-    fn heap_bytes(&self) -> usize {
-        self.sats.capacity() * std::mem::size_of::<u64>()
-    }
 }
 
 /// SoA moving-window-integrator kernel: slot-major window storage with
@@ -528,127 +746,34 @@ impl LaneSqr {
 /// rotation invariant, so resetting one lane must restart its cursor).
 #[derive(Debug, Clone)]
 struct LaneMwi {
-    program: Arc<ArithProgram>,
     lanes: usize,
     /// Slot-major window: `window[slot * lanes + lane]`.
     window: Vec<i64>,
     cursor: Vec<usize>,
-    acc: Vec<i64>,
     ovfs: Vec<u64>,
-    add_width: u32,
-    exact: bool,
+    /// The stage adder's closed form (see [`LaneFir`]).
+    adder: AdderForm,
 }
 
 impl LaneMwi {
-    fn new(program: Arc<ArithProgram>, lanes: usize) -> Self {
-        let add_width = program.adder_width();
-        let exact = program.is_exact();
+    fn new(program: &ArithProgram, lanes: usize) -> Self {
         // Same operand-width precondition as `LaneFir::new`: the squarer
         // feeding this stage is ≤32-bit, the bus ≤63-bit, so the
-        // block-exact wrap-compare test cannot see an i64 wrap.
-        debug_assert!(program.mul_width() <= 32 && add_width <= 63);
+        // wrap-compare overflow test cannot see an i64 wrap.
+        debug_assert!(program.mul_width() <= 32 && program.adder_width() <= 63);
         Self {
             window: vec![0; WINDOW * lanes],
             cursor: vec![0; lanes],
-            acc: vec![0; lanes],
             ovfs: vec![0; lanes],
-            add_width,
-            exact,
+            adder: program.adder_form(),
             lanes,
-            program,
         }
     }
 
-    #[inline(always)]
-    fn tick(&mut self, x: &[i64], out: &mut [i64]) {
-        let lanes = self.lanes;
-        let add_width = self.add_width;
-        for (lane, (&v, cur)) in x.iter().zip(self.cursor.iter_mut()).enumerate() {
-            self.window[*cur * lanes + lane] = v;
-            *cur = (*cur + 1) % WINDOW;
-        }
-        if self.exact {
-            // Register-blocked exact walk (see `LaneFir::block_exact` for
-            // the pattern and the fast-path argument).
-            let mut lane0 = 0;
-            while lane0 + 16 <= lanes {
-                self.block_exact::<16>(lane0, out);
-                lane0 += 16;
-            }
-            while lane0 + 8 <= lanes {
-                self.block_exact::<8>(lane0, out);
-                lane0 += 8;
-            }
-            while lane0 + 4 <= lanes {
-                self.block_exact::<4>(lane0, out);
-                lane0 += 4;
-            }
-            while lane0 < lanes {
-                self.block_exact::<1>(lane0, out);
-                lane0 += 1;
-            }
-            return;
-        }
-        let Self {
-            program,
-            window,
-            acc,
-            ovfs,
-            ..
-        } = self;
-        // Storage-order 29-adder chain, like the scalar netlist walk.
-        acc.copy_from_slice(&window[..lanes]);
-        for slot in 1..WINDOW {
-            let row = &window[slot * lanes..(slot + 1) * lanes];
-            for ((slot_acc, o), &v) in acc.iter_mut().zip(ovfs.iter_mut()).zip(row) {
-                let sum = *slot_acc;
-                *o += u64::from(sum_overflows(sum, v, add_width));
-                *slot_acc = program.add_raw(sum, v);
-            }
-        }
-        for (o, &a) in out.iter_mut().zip(acc.iter()) {
-            *o = div_round(a, WINDOW as i64);
-        }
-    }
-
-    /// The exact storage-order chain for lanes `lane0 .. lane0 + W`, with
-    /// the accumulator and overflow counter held in `W`-sized locals
-    /// (vector registers) across all [`WINDOW`] slots. Bit-identical to
-    /// the generic walk with an exact adder.
-    #[inline(always)]
-    fn block_exact<const W: usize>(&mut self, lane0: usize, out: &mut [i64]) {
-        let lanes = self.lanes;
-        let add_width = self.add_width;
-        let ext = 64 - add_width;
-        let window = &self.window;
-
-        let mut acc = [0i64; W];
-        acc.copy_from_slice(&window[lane0..lane0 + W]);
-        let mut ovf = [0u64; W];
-        for slot in 1..WINDOW {
-            let base = slot * lanes + lane0;
-            // Same by-value row idiom as `LaneFir::block_exact`: no
-            // fallible cast, contents land in vector registers.
-            let mut row = [0i64; W];
-            row.copy_from_slice(&window[base..base + W]);
-            for k in 0..W {
-                let v = row[k];
-                // Same wrap-compare overflow test as `LaneFir::block_exact`
-                // — equivalent to [`sum_overflows`] because no operand can
-                // wrap i64.
-                let s = acc[k].wrapping_add(v);
-                let wrapped = (s << ext) >> ext;
-                ovf[k] += u64::from(wrapped != s);
-                acc[k] = wrapped;
-            }
-        }
-        // Zip, not indexing — see `LaneFir::block_exact`.
-        for (o, v) in self.ovfs[lane0..lane0 + W].iter_mut().zip(ovf) {
-            *o += v;
-        }
-        for (o, &a) in out[lane0..lane0 + W].iter_mut().zip(acc.iter()) {
-            *o = div_round(a, WINDOW as i64);
-        }
+    /// Runs the stage over a block of lane rows (see [`Walk`]), with the
+    /// adder form matched once for the whole block.
+    fn run(&mut self, x: &[i64], out: &mut [i64]) {
+        with_adder_form!(self.adder, form => run_at(Walk { stage: &mut *self, arith: form, x, out }));
     }
 
     fn reset_lane(&mut self, lane: usize) {
@@ -681,9 +806,56 @@ impl LaneMwi {
     }
 
     fn heap_bytes(&self) -> usize {
-        (self.window.capacity() + self.acc.capacity()) * std::mem::size_of::<i64>()
+        self.window.capacity() * std::mem::size_of::<i64>()
             + self.cursor.capacity() * std::mem::size_of::<usize>()
             + self.ovfs.capacity() * std::mem::size_of::<u64>()
+    }
+}
+
+impl<A: ClosedForm> Stage<A> for LaneMwi {
+    fn lanes(&self) -> usize {
+        self.lanes
+    }
+
+    #[inline(always)]
+    fn tick(&mut self, form: A, x: &[i64], out: &mut [i64]) {
+        let lanes = self.lanes;
+        for (lane, (&v, cur)) in x.iter().zip(self.cursor.iter_mut()).enumerate() {
+            self.window[*cur * lanes + lane] = v;
+            *cur = (*cur + 1) % WINDOW;
+        }
+        self.blocks(form, lanes, out);
+    }
+}
+
+impl<A: ClosedForm> Blocked<A> for LaneMwi {
+    /// The storage-order chain for lanes `lane0 .. lane0 + W`, like the
+    /// scalar netlist walk: slot 0 seeds the accumulators and the other
+    /// [`WINDOW`]` − 1` slots add through the closed form `form`, with
+    /// the accumulators and overflow counters in a register [`Block`].
+    #[inline(always)]
+    fn block<const W: usize>(&mut self, form: A, lane0: usize, out: &mut [i64]) {
+        let lanes = self.lanes;
+        let window = &self.window;
+
+        let mut block = Block::<W>::new();
+        let mut row = [0i64; W];
+        row.copy_from_slice(&window[lane0..lane0 + W]);
+        block.seed(row);
+        for slot in 1..WINDOW {
+            let base = slot * lanes + lane0;
+            // Same by-value row idiom as `LaneFir::block`: no fallible
+            // cast, contents land in vector registers.
+            row.copy_from_slice(&window[base..base + W]);
+            block.accumulate(form, &row);
+        }
+        // Zip, not indexing — see `LaneFir::block`.
+        for (o, v) in self.ovfs[lane0..lane0 + W].iter_mut().zip(block.ovf) {
+            *o += v;
+        }
+        for (o, &a) in out[lane0..lane0 + W].iter_mut().zip(block.acc.iter()) {
+            *o = div_round(a, WINDOW as i64);
+        }
     }
 }
 
@@ -774,7 +946,7 @@ impl LaneBank {
             hpf: LaneFir::new(Arc::clone(engine.hpf_program()), lanes),
             der: LaneFir::new(Arc::clone(engine.der_program()), lanes),
             sqr: LaneSqr::new(Arc::clone(engine.sqr_program()), lanes),
-            mwi: LaneMwi::new(Arc::clone(engine.mwi_program()), lanes),
+            mwi: LaneMwi::new(engine.mwi_program(), lanes),
             tails: (0..lanes).map(|_| DetectorTail::new(&config)).collect(),
             ticks: vec![0; lanes],
             m_x0: Vec::new(),
@@ -833,76 +1005,17 @@ impl LaneBank {
         self.push_impl(frames, Some(hpf_out))
     }
 
-    /// Runs all five stage kernels over `ticks` rows of the scratch
-    /// matrices, one tick at a time (each stage's delay line must advance
-    /// before its next input row exists). The single definition every
-    /// [`SimdLevel`] instance inlines — the multiversions below differ only
-    /// in the vector features LLVM may use.
-    #[inline(always)]
-    fn stage_block(&mut self, ticks: usize) {
-        let lanes = self.lanes;
-        for t in 0..ticks {
-            let (lo, hi) = (t * lanes, (t + 1) * lanes);
-            self.lpf.tick(&self.m_x0[lo..hi], &mut self.m_a[lo..hi]);
-            self.hpf.tick(&self.m_a[lo..hi], &mut self.m_b[lo..hi]);
-            self.der.tick(&self.m_b[lo..hi], &mut self.m_c[lo..hi]);
-            self.sqr.tick(&self.m_c[lo..hi], &mut self.m_d[lo..hi]);
-            self.mwi.tick(&self.m_d[lo..hi], &mut self.m_e[lo..hi]);
-        }
-    }
-
-    /// [`LaneBank::stage_block`] compiled with the AVX-512 feature set
-    /// (`DQ` supplies the 64-bit vector multiply the baseline lacks).
-    ///
-    /// # Safety
-    ///
-    /// The CPU must support `avx512f`, `avx512dq`, and `avx512vl` —
-    /// guaranteed when [`simd_level`] returns [`SimdLevel::Avx512`].
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx512f,avx512dq,avx512vl")]
-    #[allow(unsafe_code)]
-    // SAFETY: precondition — the executing CPU supports avx512f, avx512dq
-    // and avx512vl; otherwise the vector instructions LLVM emits here are
-    // undefined. The body is the safe `stage_block` (no raw pointers, no
-    // intrinsics): the *only* obligation is the CPU-feature check, which
-    // `stage_block_dispatch` performs via `simd_level()` before every call.
-    unsafe fn stage_block_avx512(&mut self, ticks: usize) {
-        self.stage_block(ticks);
-    }
-
-    /// [`LaneBank::stage_block`] compiled with AVX2 enabled.
-    ///
-    /// # Safety
-    ///
-    /// The CPU must support `avx2` — guaranteed when [`simd_level`]
-    /// returns [`SimdLevel::Avx2`].
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2")]
-    #[allow(unsafe_code)]
-    // SAFETY: precondition — the executing CPU supports avx2. The body is
-    // the safe `stage_block`, so the feature check is the entire
-    // obligation; `stage_block_dispatch` establishes it via `simd_level()`
-    // before every call.
-    unsafe fn stage_block_avx2(&mut self, ticks: usize) {
-        self.stage_block(ticks);
-    }
-
-    #[inline]
-    #[allow(unsafe_code)]
-    fn stage_block_dispatch(&mut self, ticks: usize, level: SimdLevel) {
-        match level {
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: `simd_level()` returns `Avx512` only when
-            // `is_x86_feature_detected!` confirmed avx512f+avx512dq+avx512vl
-            // on the running CPU — exactly the kernel's precondition.
-            SimdLevel::Avx512 => unsafe { self.stage_block_avx512(ticks) },
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: `simd_level()` returns `Avx2` only when
-            // `is_x86_feature_detected!("avx2")` held on the running CPU —
-            // exactly the kernel's precondition.
-            SimdLevel::Avx2 => unsafe { self.stage_block_avx2(ticks) },
-            SimdLevel::Baseline => self.stage_block(ticks),
-        }
+    /// Runs the five stage kernels over the scratch matrices, stage by
+    /// stage: each stage reads only its input rows and its own state, so
+    /// walking one stage over the whole block before the next is a pure
+    /// reordering of the tick-by-tick chain, and each stage matches its
+    /// adder form and SIMD level once per block (see [`run_at`]).
+    fn stage_block(&mut self) {
+        self.lpf.run(&self.m_x0, &mut self.m_a);
+        self.hpf.run(&self.m_a, &mut self.m_b);
+        self.der.run(&self.m_b, &mut self.m_c);
+        self.sqr.run(&self.m_c, &mut self.m_d);
+        self.mwi.run(&self.m_d, &mut self.m_e);
     }
 
     fn push_impl(&mut self, frames: &[i32], mut taps: Option<&mut [Vec<i64>]>) -> Vec<LaneEvent> {
@@ -915,7 +1028,6 @@ impl LaneBank {
         );
         let config = *self.engine.config();
         let shift = config.input_shift;
-        let level = simd_level();
         for block in frames.chunks(BLOCK_TICKS * lanes) {
             let ticks = block.len() / lanes;
             let len = ticks * lanes;
@@ -927,7 +1039,7 @@ impl LaneBank {
             self.m_c.resize(len, 0);
             self.m_d.resize(len, 0);
             self.m_e.resize(len, 0);
-            self.stage_block_dispatch(ticks, level);
+            self.stage_block();
             for (lane, tail) in self.tails.iter_mut().enumerate() {
                 let tap = taps.as_mut().map(|t| &mut t[lane]);
                 tail.ingest_batch(
@@ -1293,14 +1405,20 @@ mod tests {
             .collect()
     }
 
+    /// 29 = 16 + 8 + 4 + 1 lanes, so one bank runs every register-block
+    /// width. Every fourth lane is a flat lead.
+    fn every_block_width(n: usize) -> Vec<Vec<i32>> {
+        (0..29)
+            .map(|lane| match lane % 4 {
+                3 => vec![25 + lane as i32; n],
+                _ => pulse_train(n, 160 + 3 * lane, 200 + 10 * lane),
+            })
+            .collect()
+    }
+
     #[test]
     fn every_lane_matches_its_solo_run_in_both_footprints() {
-        let signals = vec![
-            pulse_train(3000, 170, 200),
-            pulse_train(3000, 160, 230),
-            pulse_train(3000, 181, 260),
-            vec![25i32; 3000],
-        ];
+        let signals = every_block_width(3000);
         for footprint in [Footprint::Retain, Footprint::Bounded] {
             let config = PipelineConfig::least_energy([10, 12, 2, 8, 16]).with_footprint(footprint);
             for lane_results in [
@@ -1320,7 +1438,7 @@ mod tests {
 
     #[test]
     fn bit_level_engine_lanes_match_solo_runs_too() {
-        let signals = vec![pulse_train(1500, 170, 200), pulse_train(1500, 160, 230)];
+        let signals = every_block_width(1500);
         let config =
             PipelineConfig::least_energy([8, 10, 2, 8, 16]).with_engine(MulEngine::BitLevel);
         for (lane, (events, result)) in run_bank(config, &signals, 50).into_iter().enumerate() {

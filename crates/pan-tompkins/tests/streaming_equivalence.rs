@@ -170,7 +170,7 @@ proptest! {
     fn lane_bank_lanes_match_their_solo_runs(
         seed in 0u64..10_000,
         len in 600usize..2200,
-        lanes in 1usize..9,
+        lanes in 1usize..=17,
         k0 in 0u32..=16, k1 in 0u32..=16, k2 in 0u32..=16, k3 in 0u32..=16, k4 in 0u32..=16,
         mult_idx in 0usize..3,
         adder_idx in 0usize..6,
