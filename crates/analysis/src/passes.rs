@@ -112,6 +112,20 @@ impl CheckConfig {
                 (format!("{HOT}lane.rs"), "mac"),
                 (format!("{HOT}lane.rs"), "accumulate"),
                 (format!("{HOT}lane.rs"), "product"),
+                // The time walks of one-lane banks and the helpers both
+                // walks share. Their scratch is stage-owned and reused
+                // across blocks (audited allow regions).
+                (format!("{HOT}lane.rs"), "run_walk"),
+                (format!("{HOT}lane.rs"), "time_walk"),
+                (format!("{HOT}lane.rs"), "fill_rows"),
+                (format!("{HOT}lane.rs"), "chain"),
+                (format!("{HOT}lane.rs"), "window_chain"),
+                (format!("{HOT}lane.rs"), "count_saturations"),
+                (format!("{HOT}lane.rs"), "add_counts"),
+                (format!("{HOT}lane.rs"), "rescale_block"),
+                (format!("{HOT}lane.rs"), "square"),
+                (format!("{HOT}lane.rs"), "square_lane"),
+                (format!("{HOT}lane.rs"), "square_row"),
                 ("crates/service/src/shard.rs".to_string(), "tick"),
                 ("crates/service/src/shard.rs".to_string(), "tick_bank"),
                 ("crates/service/src/shard.rs".to_string(), "tick_solos"),

@@ -239,7 +239,7 @@ impl Evaluator {
     /// Creates an evaluator whose reference run uses a custom (normally
     /// exact) pipeline configuration — e.g. to match a non-default
     /// `input_shift`. Configurations later passed to
-    /// [`Evaluator::evaluate`] should use the same datapath scaling.
+    /// [`Evaluator::evaluate_with`] should use the same datapath scaling.
     #[must_use]
     pub fn with_reference(record: &EcgRecord, reference: PipelineConfig) -> Self {
         let mut exact = QrsDetector::new(reference);
@@ -316,12 +316,6 @@ impl Evaluator {
         })
     }
 
-    /// Runs the pipeline under `config` and scores it.
-    #[deprecated(note = "use `evaluate_with(config, &EvalOptions::batch())`")]
-    pub fn evaluate(&self, config: &PipelineConfig) -> QualityReport {
-        self.run_batch(config)
-    }
-
     fn run_batch(&self, config: &PipelineConfig) -> QualityReport {
         self.evaluations.fetch_add(1, Ordering::Relaxed);
         let mut detector = QrsDetector::new(*config);
@@ -329,23 +323,9 @@ impl Evaluator {
         self.score(config, &result)
     }
 
-    /// Runs the pipeline under `config` through the *streaming* detector —
-    /// feeding the record in `chunk_size`-sample pushes the way an AFE
-    /// would deliver it — and scores the run. Streaming is bit-identical
-    /// to batch for every chunking (see [`pan_tompkins::streaming`]), so
-    /// the report equals [`Evaluator::evaluate`] exactly; grid searches
-    /// can therefore score designs via the deployment-shaped path at no
-    /// accuracy cost.
-    ///
-    /// The run is scored from the event stream and the HPF tap, so it
-    /// honors the configuration's [`Footprint`]: under
-    /// [`Footprint::Bounded`] the detector never materialises stage
-    /// signals, and the report is *still* identical to the batch one.
-    #[deprecated(note = "use `evaluate_with(config, &EvalOptions::streaming(chunk_size))`")]
-    pub fn evaluate_streaming(&self, config: &PipelineConfig, chunk_size: usize) -> QualityReport {
-        self.run_streaming(config, chunk_size)
-    }
-
+    /// Scores a run of the streaming detector fed in `chunk_size`-sample
+    /// pushes, from its event stream and HPF tap — so it honors the
+    /// configuration's [`Footprint`] and still equals the batch report.
     fn run_streaming(&self, config: &PipelineConfig, chunk_size: usize) -> QualityReport {
         self.evaluations.fetch_add(1, Ordering::Relaxed);
         let mut detector = StreamingQrsDetector::new(*config);
@@ -360,32 +340,9 @@ impl Evaluator {
         self.score_parts(config, &hpf, &run)
     }
 
-    /// Like [`Evaluator::evaluate_streaming`], but interrupting the run at
-    /// each of `checkpoints` (sample offsets, applied at the nearest push
-    /// boundary at or after the offset): the live session is serialized
-    /// with [`StreamingQrsDetector::snapshot`], dropped, and thawed from
-    /// the blob before the stream continues — the shape of an edge node
-    /// persisting its session across power cycles. Snapshot/restore is
-    /// bit-invisible, so the report equals [`Evaluator::evaluate`] and
-    /// [`Evaluator::evaluate_streaming`] exactly.
-    ///
-    /// # Errors
-    ///
-    /// Any [`SnapshotError`] surfaced by the codec round-trip (none occur
-    /// for a live in-process session; the path exists so callers exercise
-    /// exactly what a persisted deployment would run).
-    #[deprecated(
-        note = "use `evaluate_with(config, &EvalOptions::streaming(chunk_size).with_checkpoints(checkpoints))`"
-    )]
-    pub fn evaluate_streaming_checkpointed(
-        &self,
-        config: &PipelineConfig,
-        chunk_size: usize,
-        checkpoints: &[usize],
-    ) -> Result<QualityReport, SnapshotError> {
-        self.run_checkpointed(config, chunk_size, checkpoints)
-    }
-
+    /// [`Evaluator::run_streaming`], with the live session serialized,
+    /// dropped and thawed at each of `checkpoints` (sample offsets,
+    /// applied at the nearest push boundary at or after the offset).
     fn run_checkpointed(
         &self,
         config: &PipelineConfig,
@@ -437,33 +394,6 @@ impl Evaluator {
             &self.matcher,
             &self.ssim,
         )
-    }
-
-    /// Scores many records × many configurations through *bounded*
-    /// streaming detectors — the record-batched evaluation path.
-    ///
-    /// One detector per configuration is built once and driven through
-    /// every record via [`StreamingQrsDetector::finish_reset`], so the
-    /// compiled LUT/tap-table handles, delay lines, ring buffers, and the
-    /// HPF scratch are reused across the whole corpus instead of being
-    /// reallocated per record (what
-    /// [`evaluate_across_records`] + per-record [`Evaluator::evaluate`]
-    /// do). Configurations fan out across the worker pool.
-    ///
-    /// Returns reports in `[record][config]` order, each bit-for-bit equal
-    /// to the report a per-record [`Evaluator`] produces — bounded
-    /// streaming is event- and tap-identical to batch detection, and the
-    /// scoring arithmetic is shared.
-    #[must_use]
-    #[deprecated(
-        note = "use `evaluate_records_with(records, configs, &EvalOptions::streaming(chunk_size))`"
-    )]
-    pub fn evaluate_records_streaming(
-        records: &[EcgRecord],
-        configs: &[PipelineConfig],
-        chunk_size: usize,
-    ) -> Vec<Vec<QualityReport>> {
-        Self::records_streaming(records, configs, chunk_size, None)
     }
 
     /// Scores many records × many configurations the way `options`
@@ -583,7 +513,7 @@ impl Evaluator {
     /// `configs × lanes` concurrent sessions on `configs` engines.
     ///
     /// Returns reports in `[record][config]` order, each bit-for-bit equal
-    /// to [`Evaluator::evaluate_records_streaming`]'s (and therefore to the
+    /// to the bounded streaming path's (and therefore to the
     /// per-record evaluators'): every lane of a bank is bit-identical to a
     /// solo scalar run (see [`pan_tompkins::lane`]), and the scoring
     /// arithmetic is shared.
@@ -796,7 +726,7 @@ impl StreamRun {
 }
 
 /// The shared scoring arithmetic: one detection run (HPF signal + peaks +
-/// omissions) against one record's references. Both [`Evaluator::evaluate`]
+/// omissions) against one record's references. Both batch evaluation
 /// and the streaming/record-batched paths funnel through this, which is
 /// what makes their reports bit-for-bit comparable.
 #[allow(clippy::too_many_arguments)]
@@ -1044,37 +974,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    /// The deprecated entry points are thin wrappers over
-    /// [`Evaluator::evaluate_with`]: every legacy call produces the
-    /// bit-identical report of its `EvalOptions` spelling.
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_wrappers_match_evaluate_with() {
-        let record = short_record();
-        let ev = Evaluator::new(&record);
-        let config = PipelineConfig::least_energy([10, 12, 2, 8, 16]);
-        assert_eq!(ev.evaluate(&config), eval_batch(&ev, &config));
-        assert_eq!(
-            ev.evaluate_streaming(&config, 64),
-            eval_streaming(&ev, &config, 64)
-        );
-        assert_eq!(
-            ev.evaluate_streaming_checkpointed(&config, 20, &[1500])
-                .expect("in-process checkpoint round-trip"),
-            ev.evaluate_with(
-                &config,
-                &EvalOptions::streaming(20).with_checkpoints(&[1500])
-            )
-            .expect("in-process checkpoint round-trip"),
-        );
-        let records = vec![record];
-        let configs = [config];
-        assert_eq!(
-            Evaluator::evaluate_records_streaming(&records, &configs, 64),
-            Evaluator::evaluate_records_with(&records, &configs, &EvalOptions::streaming(64)),
-        );
     }
 
     #[test]

@@ -7,13 +7,14 @@
 //! more than a preset threshold, the beat is *omitted* — which is exactly
 //! how design B10 loses <1 % of beats.
 
+use std::sync::Arc;
+
 use approx_arith::OpCounter;
 
-use crate::config::{PipelineConfig, StageKind};
-use crate::stages::{
-    Derivative, HighPassFilter, LowPassFilter, MovingWindowIntegrator, Squarer, Stage,
-};
-use crate::threshold::{AdaptiveThreshold, PeakClass, PeakDecision, ThresholdConfig};
+use crate::config::{Footprint, PipelineConfig};
+use crate::engine::DetectorEngine;
+use crate::lane::LaneBank;
+use crate::threshold::PeakDecision;
 
 /// Delay from the HPF output to the MWI output (derivative + integrator
 /// group delays) — where an MWI peak should sit relative to its HPF peak.
@@ -196,119 +197,26 @@ impl QrsDetector {
         Self { config }
     }
 
-    /// Overrides the thresholding parameters.
-    #[deprecated(note = "configure via `PipelineConfig::with_threshold`")]
-    #[must_use]
-    pub fn with_threshold(mut self, threshold: ThresholdConfig) -> Self {
-        self.config = self.config.with_threshold(threshold);
-        self
-    }
-
-    /// Overrides the maximum tolerated HPF↔MWI misalignment (samples).
-    #[deprecated(note = "configure via `PipelineConfig::with_max_misalignment`")]
-    #[must_use]
-    pub fn with_max_misalignment(mut self, samples: usize) -> Self {
-        self.config = self.config.with_max_misalignment(samples);
-        self
-    }
-
     /// The pipeline configuration.
     #[must_use]
     pub fn config(&self) -> &PipelineConfig {
         &self.config
     }
 
-    /// Runs the full pipeline and detection over a record's samples.
+    /// Runs the full pipeline and detection over a record's samples: one
+    /// push of the whole record into a one-lane [`LaneBank`] under
+    /// [`Footprint::Retain`] (a one-lane bank runs its stage kernels in
+    /// register blocks across time), then that lane's result.
     #[must_use]
     pub fn detect(&mut self, samples: &[i32]) -> DetectionResult {
-        let engine = self.config.engine();
-        let mut lpf = LowPassFilter::with_engine(self.config.stage(StageKind::Lpf), engine);
-        let mut hpf = HighPassFilter::with_engine(self.config.stage(StageKind::Hpf), engine);
-        let mut der = Derivative::with_engine(self.config.stage(StageKind::Derivative), engine);
-        let mut sqr = Squarer::with_engine(self.config.stage(StageKind::Squarer), engine);
-        let mut mwi =
-            MovingWindowIntegrator::with_engine(self.config.stage(StageKind::Mwi), engine);
-
-        let shift = self.config.input_shift;
-        let n = samples.len();
-        let mut signals = StageSignals {
-            lpf: Vec::with_capacity(n),
-            hpf: Vec::with_capacity(n),
-            der: Vec::with_capacity(n),
-            sqr: Vec::with_capacity(n),
-            mwi: Vec::with_capacity(n),
-        };
-        for &x in samples {
-            let x = i64::from(x) << shift;
-            let a = lpf.process(x);
-            let b = hpf.process(a);
-            let c = der.process(b);
-            let d = sqr.process(c);
-            let e = mwi.process(d);
-            signals.lpf.push(a);
-            signals.hpf.push(b);
-            signals.der.push(c);
-            signals.sqr.push(d);
-            signals.mwi.push(e);
-        }
-
-        let total_delay = lpf.group_delay()
-            + hpf.group_delay()
-            + der.group_delay()
-            + sqr.group_delay()
-            + mwi.group_delay();
-
-        let classifier = AdaptiveThreshold::for_config(&self.config);
-        let decisions = classifier.classify(&signals.mwi);
-
-        let mut r_peaks = Vec::new();
-        let mut omitted = Vec::new();
-        for d in &decisions {
-            if !matches!(d.class, PeakClass::Qrs | PeakClass::SearchBack) {
-                continue;
-            }
-            match check_alignment(&signals.hpf, d.index, self.config.max_misalignment()) {
-                Alignment::Ok { hpf_index } => {
-                    // Map the HPF peak back to raw coordinates via the
-                    // LPF+HPF group delay.
-                    let raw = hpf_index.saturating_sub(PRE_PROCESSING_DELAY);
-                    r_peaks.push(raw);
-                }
-                Alignment::Misaligned {
-                    hpf_index,
-                    misalignment,
-                } => omitted.push(OmittedBeat {
-                    mwi_index: d.index,
-                    hpf_index,
-                    misalignment,
-                }),
-            }
-        }
-        r_peaks.sort_unstable();
-        r_peaks.dedup();
-
-        DetectionResult {
-            r_peaks,
-            omitted,
-            decisions,
-            ops: [lpf.ops(), hpf.ops(), der.ops(), sqr.ops(), mwi.ops()],
-            saturations: [
-                lpf.saturations(),
-                hpf.saturations(),
-                der.saturations(),
-                sqr.saturations(),
-                mwi.saturations(),
-            ],
-            add_overflows: [
-                lpf.add_overflows(),
-                hpf.add_overflows(),
-                der.add_overflows(),
-                sqr.add_overflows(),
-                mwi.add_overflows(),
-            ],
-            signals: Some(signals),
-            total_delay,
-        }
+        let config = self.config.with_footprint(Footprint::Retain);
+        let mut bank = LaneBank::new(Arc::new(DetectorEngine::new(config)), 1);
+        bank.reserve_retained(samples.len());
+        // The retained result carries every peak and omission the events
+        // report.
+        let _ = bank.push(samples);
+        let (_, result) = bank.finish_lane(0);
+        result
     }
 }
 

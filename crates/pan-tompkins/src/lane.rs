@@ -20,6 +20,12 @@
 //! program); each stage walk is monomorphized for the pair, so no lane
 //! loop matches on an adder kind or tap representation per element.
 //!
+//! A one-lane bank has no lanes to block across, so each stage has a
+//! second walk that runs the same register blocks across *time*: a block
+//! of consecutive ticks of the one lane (see `Stage::time_walk`). Batch
+//! detection ([`crate::QrsDetector::detect`]) is one push into such a
+//! bank.
+//!
 //! # Bit-identity contract
 //!
 //! Every lane's event stream and final [`DetectionResult`] are **bit
@@ -48,8 +54,9 @@
 //!   [`DetectorTail`] the scalar facade drives.
 //!
 //! The contract is enforced by the lane-axis cases in
-//! `tests/streaming_equivalence.rs`, the pinned 4-lane golden fixture,
-//! and CI's `ext_lane_speed --check` gate.
+//! `tests/streaming_equivalence.rs`, the one-lane sweep in
+//! `tests/one_lane_time_walk.rs`, the pinned 4-lane golden fixture, and
+//! CI's `ext_lane_speed --check` gate.
 
 use std::sync::Arc;
 
@@ -137,9 +144,11 @@ pub fn simd_level_name() -> &'static str {
     }
 }
 
-/// One stage kernel's per-tick step under its resolved arithmetic `A`: the
-/// adder's closed form (plus the tap representation for a FIR), or `()`
-/// for the adder-free squarer.
+/// One stage kernel under its resolved arithmetic `A`: the adder's closed
+/// form (plus the tap representation for a FIR), or `()` for the
+/// adder-free squarer. Each stage has two walks over a block of ticks: the
+/// lane walk, tick by tick in register blocks across lanes, and the time
+/// walk of a one-lane bank, in register blocks across ticks.
 trait Stage<A: Copy> {
     /// Lanes in the bank.
     fn lanes(&self) -> usize;
@@ -147,41 +156,79 @@ trait Stage<A: Copy> {
     /// Advances every lane one sample: `x` is the lane row in, `out` the
     /// lane row of stage outputs.
     fn tick(&mut self, arith: A, x: &[i64], out: &mut [i64]);
+
+    /// Advances a one-lane bank over a whole block of ticks: `x` is the
+    /// lane's samples in, `out` its stage outputs.
+    fn time_walk(&mut self, arith: A, x: &[i64], out: &mut [i64]);
 }
 
-/// A stage whose tick computes its lane row in register blocks.
-trait Blocked<A: Copy> {
-    /// Computes lanes `lane0 .. lane0 + W` of the tick's outputs.
-    fn block<const W: usize>(&mut self, arith: A, lane0: usize, out: &mut [i64]);
+/// The axis a register block spans.
+trait Axis {
+    /// Adds a finished block's per-element counts into the bank's
+    /// per-lane totals.
+    fn add_counts<const W: usize>(totals: &mut [u64], i0: usize, counts: [u64; W]);
+}
 
-    /// Runs [`Blocked::block`] over `lanes` lanes in register blocks of
-    /// 16, 8, 4, then 1 lanes.
+/// Register blocks across lanes (the lane walk): element `k` of a block at
+/// `i0` is lane `i0 + k` of one tick.
+struct Lanes;
+
+impl Axis for Lanes {
     #[inline(always)]
-    fn blocks(&mut self, arith: A, lanes: usize, out: &mut [i64]) {
-        let mut lane0 = 0;
-        while lane0 + 16 <= lanes {
-            self.block::<16>(arith, lane0, out);
-            lane0 += 16;
+    fn add_counts<const W: usize>(totals: &mut [u64], i0: usize, counts: [u64; W]) {
+        // Zip, not indexing: per-element bounds checks force the compiler
+        // to scalarize the register block back out element by element.
+        for (t, c) in totals[i0..i0 + W].iter_mut().zip(counts) {
+            *t += c;
         }
-        while lane0 + 8 <= lanes {
-            self.block::<8>(arith, lane0, out);
-            lane0 += 8;
+    }
+}
+
+/// Register blocks across time (the time walk): element `k` of a block at
+/// `i0` is tick `i0 + k` of a one-lane bank's only lane.
+struct Ticks;
+
+impl Axis for Ticks {
+    #[inline(always)]
+    fn add_counts<const W: usize>(totals: &mut [u64], _: usize, counts: [u64; W]) {
+        totals[0] += counts.iter().sum::<u64>();
+    }
+}
+
+/// A stage that computes its outputs in register blocks along axis `X`.
+trait Blocked<A: Copy, X: Axis> {
+    /// Computes outputs `i0 .. i0 + W` along the axis; `x` is the walk's
+    /// input (the tick's lane row, or the block's samples).
+    fn block<const W: usize>(&mut self, arith: A, x: &[i64], i0: usize, out: &mut [i64]);
+
+    /// Runs [`Blocked::block`] over `n` outputs in register blocks of 16,
+    /// 8, 4, then 1.
+    #[inline(always)]
+    fn blocks(&mut self, arith: A, x: &[i64], n: usize, out: &mut [i64]) {
+        let mut i0 = 0;
+        while i0 + 16 <= n {
+            self.block::<16>(arith, x, i0, out);
+            i0 += 16;
         }
-        while lane0 + 4 <= lanes {
-            self.block::<4>(arith, lane0, out);
-            lane0 += 4;
+        while i0 + 8 <= n {
+            self.block::<8>(arith, x, i0, out);
+            i0 += 8;
         }
-        while lane0 < lanes {
-            self.block::<1>(arith, lane0, out);
-            lane0 += 1;
+        while i0 + 4 <= n {
+            self.block::<4>(arith, x, i0, out);
+            i0 += 4;
+        }
+        while i0 < n {
+            self.block::<1>(arith, x, i0, out);
+            i0 += 1;
         }
     }
 }
 
 /// One stage over a block of lane rows: `x` in, `out` the stage outputs,
 /// both `ticks × lanes` row-major. [`run_at`] compiles [`Walk::run`] once
-/// per SIMD level for each stage type and resolved arithmetic, so the LPF,
-/// HPF and derivative share their instances.
+/// per SIMD level for each stage type, resolved arithmetic and walk, so the
+/// LPF, HPF and derivative share their instances.
 struct Walk<'a, S, A> {
     stage: &'a mut S,
     arith: A,
@@ -190,14 +237,20 @@ struct Walk<'a, S, A> {
 }
 
 impl<S: Stage<A>, A: Copy> Walk<'_, S, A> {
+    /// The time walk of a one-lane bank when `TIME`, else the lane walk,
+    /// tick by tick.
     #[inline(always)]
-    fn run(self) {
+    fn run<const TIME: bool>(self) {
         let Self {
             stage,
             arith,
             x,
             out,
         } = self;
+        if TIME {
+            stage.time_walk(arith, x, out);
+            return;
+        }
         let lanes = stage.lanes();
         for (x, out) in x.chunks_exact(lanes).zip(out.chunks_exact_mut(lanes)) {
             stage.tick(arith, x, out);
@@ -221,8 +274,8 @@ impl<S: Stage<A>, A: Copy> Walk<'_, S, A> {
 // undefined. The body is the safe `Walk::run` (no raw pointers, no
 // intrinsics): the *only* obligation is the CPU-feature check, which
 // `run_at` performs via `simd_level()` before every call.
-unsafe fn run_avx512<S: Stage<A>, A: Copy>(walk: Walk<'_, S, A>) {
-    walk.run();
+unsafe fn run_avx512<S: Stage<A>, A: Copy, const TIME: bool>(walk: Walk<'_, S, A>) {
+    walk.run::<TIME>();
 }
 
 /// [`Walk::run`] compiled with AVX2 enabled.
@@ -238,32 +291,43 @@ unsafe fn run_avx512<S: Stage<A>, A: Copy>(walk: Walk<'_, S, A>) {
 // SAFETY: precondition — the executing CPU supports avx2. The body is the
 // safe `Walk::run`, so the feature check is the entire obligation;
 // `run_at` establishes it via `simd_level()` before every call.
-unsafe fn run_avx2<S: Stage<A>, A: Copy>(walk: Walk<'_, S, A>) {
-    walk.run();
+unsafe fn run_avx2<S: Stage<A>, A: Copy, const TIME: bool>(walk: Walk<'_, S, A>) {
+    walk.run::<TIME>();
 }
 
 /// [`Walk::run`] on the portable baseline, out of line like the vector
 /// instances so every walk is compiled once per level.
 #[inline(never)]
-fn run_baseline<S: Stage<A>, A: Copy>(walk: Walk<'_, S, A>) {
-    walk.run();
+fn run_baseline<S: Stage<A>, A: Copy, const TIME: bool>(walk: Walk<'_, S, A>) {
+    walk.run::<TIME>();
 }
 
 /// Runs `walk` compiled for the widest SIMD level this CPU supports.
 #[allow(unsafe_code)]
-fn run_at<S: Stage<A>, A: Copy>(walk: Walk<'_, S, A>) {
+fn run_at<S: Stage<A>, A: Copy, const TIME: bool>(walk: Walk<'_, S, A>) {
     match simd_level() {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: `simd_level()` returns `Avx512` only when
         // `is_x86_feature_detected!` confirmed avx512f+avx512dq+avx512vl
         // on the running CPU — exactly the kernel's precondition.
-        SimdLevel::Avx512 => unsafe { run_avx512(walk) },
+        SimdLevel::Avx512 => unsafe { run_avx512::<S, A, TIME>(walk) },
         #[cfg(target_arch = "x86_64")]
         // SAFETY: `simd_level()` returns `Avx2` only when
         // `is_x86_feature_detected!("avx2")` held on the running CPU —
         // exactly the kernel's precondition.
-        SimdLevel::Avx2 => unsafe { run_avx2(walk) },
-        SimdLevel::Baseline => run_baseline(walk),
+        SimdLevel::Avx2 => unsafe { run_avx2::<S, A, TIME>(walk) },
+        SimdLevel::Baseline => run_baseline::<S, A, TIME>(walk),
+    }
+}
+
+/// Runs `walk` in the walk the bank width picks: one lane leaves nothing
+/// to block across but time, wider banks block across lanes. Each walk is
+/// its own [`run_at`] instance, so neither carries the other's code.
+fn run_walk<S: Stage<A>, A: Copy>(walk: Walk<'_, S, A>) {
+    if walk.stage.lanes() == 1 {
+        run_at::<S, A, true>(walk);
+    } else {
+        run_at::<S, A, false>(walk);
     }
 }
 
@@ -317,9 +381,20 @@ impl<const W: usize> Block<W> {
         }
     }
 
-    /// One FIR tap over a lane frame: clamps each sample into the
-    /// multiplier range (counting saturations), multiplies it by `mul`,
-    /// then seeds or accumulates the products.
+    /// Adds one row of products into the adder chain: the first row seeds
+    /// it, later rows accumulate through `form`.
+    #[inline(always)]
+    fn chain<A: ClosedForm>(&mut self, form: A, row: [i64; W]) {
+        if self.seeded {
+            self.accumulate(form, &row);
+        } else {
+            self.seed(row);
+        }
+    }
+
+    /// One FIR tap over a frame: clamps each sample into the multiplier
+    /// range (counting saturations), multiplies it by `mul`, then chains
+    /// the products.
     #[inline(always)]
     fn mac<A: ClosedForm>(
         &mut self,
@@ -337,10 +412,45 @@ impl<const W: usize> Block<W> {
             self.sat[k] += u64::from(ca != a);
             p[k] = mul(ca);
         }
-        if self.seeded {
-            self.accumulate(form, &p);
-        } else {
-            self.seed(p);
+        self.chain(form, p);
+    }
+
+    /// Counts the frame's multiplier-operand saturations without
+    /// multiplying — for taps whose products were taken ahead of the walk.
+    #[inline(always)]
+    fn count_saturations(&mut self, limit: i64, frame: &[i64; W]) {
+        for (s, &a) in self.sat.iter_mut().zip(frame) {
+            *s += u64::from(a.max(-limit).min(limit - 1) != a);
+        }
+    }
+}
+
+/// Writes a finished FIR register block's accumulators into its `W`
+/// outputs, rescaled straight out of the block — each arm computes exactly
+/// [`FirProgram::rescale`]. A block no tap seeded (an all-zero program)
+/// writes zeros.
+#[inline(always)]
+fn rescale_block<const W: usize>(program: &FirProgram, block: &Block<W>, out: &mut [i64]) {
+    if !block.seeded {
+        out.fill(0);
+        return;
+    }
+    match program.gain_shift() {
+        Some(0) => out.copy_from_slice(&block.acc),
+        Some(shift) => {
+            let half = 1i64 << (shift - 1);
+            for (o, &a) in out.iter_mut().zip(block.acc.iter()) {
+                *o = if a >= 0 {
+                    (a + half) >> shift
+                } else {
+                    -((-a + half) >> shift)
+                };
+            }
+        }
+        None => {
+            for (o, &a) in out.iter_mut().zip(block.acc.iter()) {
+                *o = program.rescale(a);
+            }
         }
     }
 }
@@ -370,6 +480,11 @@ struct Tap<'a> {
 /// ([`TapRepr`]) and [`LaneFir::run`] runs the walk monomorphized for it:
 /// no tap loop branches on the representation.
 trait TapMul: Copy {
+    /// Whether the time walk takes this representation's products once
+    /// per sample and distinct coefficient magnitude, into rows the taps
+    /// then read ([`LaneFir::fill_rows`]), instead of once per tap.
+    const SHARED_ROWS: bool = false;
+
     /// One tap's product function, resolved before its lane loop (`None`
     /// only if the tap lacks the representation, which `LaneFir::new`
     /// rules out).
@@ -394,6 +509,10 @@ impl TapMul for NativeTaps {
 struct TableTaps;
 
 impl TapMul for TableTaps {
+    /// A gather per tap and sample is what the lane walk pays; across time
+    /// the taps of one magnitude share the lookups.
+    const SHARED_ROWS: bool = true;
+
     #[inline(always)]
     fn product(tap: Tap<'_>) -> Option<impl Fn(i64) -> i64> {
         let table = tap.mults?.get(tap.t)?.table()?;
@@ -451,6 +570,18 @@ struct LaneFir {
     /// for the pair.
     adder: AdderForm,
     taps: TapRepr,
+    /// Time walk: the first tap of each distinct nonzero coefficient
+    /// magnitude, whose products fill that magnitude's row.
+    row_taps: Vec<usize>,
+    /// Time walk, per tap: its magnitude's row and sign flip (`-1` when
+    /// its sign differs from the row tap's, else `0`; unused for zero
+    /// taps).
+    tap_rows: Vec<(usize, i64)>,
+    /// Time-walk scratch, reused across blocks: the linear history (the
+    /// ring's `rows − 1` newest samples, oldest first, then the block)
+    /// and the per-magnitude product rows over it.
+    hist: Vec<i64>,
+    prods: Vec<i64>,
 }
 
 impl LaneFir {
@@ -463,6 +594,27 @@ impl LaneFir {
             .taps()
             .iter()
             .map(|&c| c.clamp(-mul_limit, mul_limit - 1))
+            .collect();
+        // A tap of coefficient `c` and one of `−c` read the same product
+        // table under opposite sign folds, so their products are exact
+        // negations of each other.
+        let mut row_taps: Vec<usize> = Vec::new();
+        let tap_rows = coeffs
+            .iter()
+            .enumerate()
+            .map(|(t, &cb)| {
+                if cb == 0 {
+                    return (0, 0);
+                }
+                let found = row_taps
+                    .iter()
+                    .position(|&r| coeffs[r].unsigned_abs() == cb.unsigned_abs());
+                let row = found.unwrap_or_else(|| {
+                    row_taps.push(t);
+                    row_taps.len() - 1
+                });
+                (row, -i64::from((coeffs[row_taps[row]] < 0) != (cb < 0)))
+            })
             .collect();
         let coeff_sats_per_tick = program
             .taps()
@@ -497,6 +649,10 @@ impl LaneFir {
             coeffs,
             adder,
             taps,
+            row_taps,
+            tap_rows,
+            hist: Vec::new(),
+            prods: Vec::new(),
             lanes,
             program,
         }
@@ -507,10 +663,10 @@ impl LaneFir {
     fn run(&mut self, x: &[i64], out: &mut [i64]) {
         let taps = self.taps;
         with_adder_form!(self.adder, form => match taps {
-            TapRepr::Native => run_at(Walk { stage: &mut *self, arith: (form, NativeTaps), x, out }),
-            TapRepr::Table => run_at(Walk { stage: &mut *self, arith: (form, TableTaps), x, out }),
+            TapRepr::Native => run_walk(Walk { stage: &mut *self, arith: (form, NativeTaps), x, out }),
+            TapRepr::Table => run_walk(Walk { stage: &mut *self, arith: (form, TableTaps), x, out }),
             TapRepr::BitLevel => {
-                run_at(Walk { stage: &mut *self, arith: (form, BitLevelTaps), x, out });
+                run_walk(Walk { stage: &mut *self, arith: (form, BitLevelTaps), x, out });
             }
         });
     }
@@ -546,8 +702,56 @@ impl LaneFir {
     }
 
     fn heap_bytes(&self) -> usize {
-        (self.delay.capacity() + self.coeffs.capacity()) * std::mem::size_of::<i64>()
+        (self.delay.capacity()
+            + self.coeffs.capacity()
+            + self.hist.capacity()
+            + self.prods.capacity())
+            * std::mem::size_of::<i64>()
             + (self.sats.capacity() + self.ovfs.capacity()) * std::mem::size_of::<u64>()
+            + self.row_taps.capacity() * std::mem::size_of::<usize>()
+            + self.tap_rows.capacity() * std::mem::size_of::<(usize, i64)>()
+    }
+
+    /// Fills the time walk's product rows over the history: row `g` holds
+    /// the products of its row tap ([`LaneFir::row_taps`]) with every
+    /// clamped history sample — one table lookup per sample and distinct
+    /// coefficient magnitude.
+    #[inline(always)]
+    fn fill_rows<M: TapMul>(&mut self) {
+        let Self {
+            program,
+            mul_limit,
+            coeffs,
+            row_taps,
+            hist,
+            prods,
+            ..
+        } = self;
+        let limit = *mul_limit;
+        let len = hist.len();
+        // xanalyze: begin-allow(alloc) — stage-owned scratch: cleared, not
+        // dropped, each block, so it reaches its high-water size (rows ×
+        // history length) on the first block and never grows after.
+        prods.clear();
+        prods.resize(row_taps.len() * len, 0);
+        // xanalyze: end-allow(alloc)
+        for (row, &t) in prods.chunks_exact_mut(len.max(1)).zip(row_taps.iter()) {
+            let tap = Tap {
+                t,
+                cb: coeffs[t],
+                mults: program.tap_mults(),
+                arith: program.arith(),
+            };
+            let mul = M::product(tap);
+            // Same contract as the lane walk: `LaneFir::new` picks `M` only
+            // if every tap has it.
+            debug_assert!(mul.is_some(), "tap {t} lacks its representation");
+            if let Some(mul) = mul {
+                for (p, &a) in row.iter_mut().zip(hist.iter()) {
+                    *p = mul(a.max(-limit).min(limit - 1));
+                }
+            }
+        }
     }
 }
 
@@ -566,11 +770,47 @@ impl<A: ClosedForm, M: TapMul> Stage<(A, M)> for LaneFir {
             self.cursor - 1
         };
         self.delay[self.cursor * lanes..(self.cursor + 1) * lanes].copy_from_slice(x);
-        self.blocks(arith, lanes, out);
+        Blocked::<_, Lanes>::blocks(self, arith, x, lanes, out);
+    }
+
+    /// Lays the ring's `rows − 1` newest samples and the block out as one
+    /// linear history, so every tap's frame of `W` consecutive ticks is a
+    /// contiguous slice of it; then walks the block and rewrites the ring
+    /// from the history's newest `rows` samples, at cursor 0 (legal by
+    /// rotation invariance).
+    #[inline(always)]
+    fn time_walk(&mut self, arith: (A, M), x: &[i64], out: &mut [i64]) {
+        if x.is_empty() {
+            return;
+        }
+        let rows = self.coeffs.len();
+        let Self {
+            delay,
+            cursor,
+            hist,
+            ..
+        } = self;
+        // xanalyze: begin-allow(alloc) — stage-owned scratch: cleared, not
+        // dropped, each block, so it reaches its high-water size
+        // (`rows − 1 + BLOCK_TICKS`) on the first block and never grows
+        // after.
+        hist.clear();
+        hist.extend((0..rows - 1).rev().map(|t| delay[(*cursor + t) % rows]));
+        hist.extend_from_slice(x);
+        // xanalyze: end-allow(alloc)
+        if M::SHARED_ROWS {
+            self.fill_rows::<M>();
+        }
+        Blocked::<_, Ticks>::blocks(self, arith, x, x.len(), out);
+        let newest = &self.hist[self.hist.len() - rows..];
+        for (d, &v) in self.delay.iter_mut().zip(newest.iter().rev()) {
+            *d = v;
+        }
+        self.cursor = 0;
     }
 }
 
-impl<A: ClosedForm, M: TapMul> Blocked<(A, M)> for LaneFir {
+impl<A: ClosedForm, M: TapMul> Blocked<(A, M), Lanes> for LaneFir {
     /// The tap walk for lanes `lane0 .. lane0 + W` — bit-identical, lane
     /// by lane, to the scalar [`crate::fir::FirFilter::process`]:
     ///
@@ -586,7 +826,13 @@ impl<A: ClosedForm, M: TapMul> Blocked<(A, M)> for LaneFir {
     ///   sign-extending wrap, which LLVM vectorizes with the machine's
     ///   64-bit multiply.
     #[inline(always)]
-    fn block<const W: usize>(&mut self, (form, _): (A, M), lane0: usize, out: &mut [i64]) {
+    fn block<const W: usize>(
+        &mut self,
+        (form, _): (A, M),
+        _: &[i64],
+        lane0: usize,
+        out: &mut [i64],
+    ) {
         let Self {
             program,
             lanes,
@@ -633,39 +879,72 @@ impl<A: ClosedForm, M: TapMul> Blocked<(A, M)> for LaneFir {
                 block.mac(form, limit, &frame, mul);
             }
         }
-        // Zip, not indexing: per-element bounds checks force the compiler
-        // to scalarize the register block back out element by element.
-        for (s, v) in sats[lane0..lane0 + W].iter_mut().zip(block.sat) {
-            *s += v;
-        }
-        for (o, v) in ovfs[lane0..lane0 + W].iter_mut().zip(block.ovf) {
-            *o += v;
-        }
-        let out = &mut out[lane0..lane0 + W];
-        if !block.seeded {
-            out.fill(0);
-            return;
-        }
-        // Rescale straight out of the register block — each arm computes
-        // exactly [`FirProgram::rescale`].
-        match program.gain_shift() {
-            Some(0) => out.copy_from_slice(&block.acc),
-            Some(shift) => {
-                let half = 1i64 << (shift - 1);
-                for (o, &a) in out.iter_mut().zip(block.acc.iter()) {
-                    *o = if a >= 0 {
-                        (a + half) >> shift
-                    } else {
-                        -((-a + half) >> shift)
-                    };
-                }
+        Lanes::add_counts(sats, lane0, block.sat);
+        Lanes::add_counts(ovfs, lane0, block.ovf);
+        rescale_block(program, &block, &mut out[lane0..lane0 + W]);
+    }
+}
+
+impl<A: ClosedForm, M: TapMul> Blocked<(A, M), Ticks> for LaneFir {
+    /// The tap walk for ticks `k0 .. k0 + W` of a one-lane bank — the
+    /// lane walk's sum over the same operands in the same order: tap `t`'s
+    /// frame is the history slice starting `t` samples before the block's
+    /// first tick. Table taps read their magnitude's product row, negated
+    /// when their sign differs from the row tap's (the sign fold is exact:
+    /// `c` and `−c` read one table), and count saturations from the raw
+    /// frame like every other tap.
+    #[inline(always)]
+    fn block<const W: usize>(&mut self, (form, _): (A, M), _: &[i64], k0: usize, out: &mut [i64]) {
+        let Self {
+            program,
+            sats,
+            ovfs,
+            mul_limit,
+            coeffs,
+            tap_rows,
+            hist,
+            prods,
+            ..
+        } = self;
+        let limit = *mul_limit;
+        let tap_mults = program.tap_mults();
+        let arith = program.arith();
+        let rows = coeffs.len();
+        let len = hist.len();
+
+        let mut block = Block::<W>::new();
+        for (t, (&cb, &(row, flip))) in coeffs.iter().zip(tap_rows.iter()).enumerate() {
+            if cb == 0 {
+                continue;
             }
-            None => {
-                for (o, &a) in out.iter_mut().zip(block.acc.iter()) {
-                    *o = program.rescale(a);
+            let at = rows - 1 + k0 - t;
+            let mut frame = [0i64; W];
+            frame.copy_from_slice(&hist[at..at + W]);
+            if M::SHARED_ROWS {
+                block.count_saturations(limit, &frame);
+                let mut p = [0i64; W];
+                p.copy_from_slice(&prods[row * len + at..row * len + at + W]);
+                for v in &mut p {
+                    *v = (*v ^ flip) - flip;
                 }
+                block.chain(form, p);
+                continue;
+            }
+            let tap = Tap {
+                t,
+                cb,
+                mults: tap_mults,
+                arith,
+            };
+            let mul = M::product(tap);
+            debug_assert!(mul.is_some(), "tap {t} lacks its representation");
+            if let Some(mul) = mul {
+                block.mac(form, limit, &frame, mul);
             }
         }
+        Ticks::add_counts(sats, k0, block.sat);
+        Ticks::add_counts(ovfs, k0, block.ovf);
+        rescale_block(program, &block, &mut out[k0..k0 + W]);
     }
 }
 
@@ -695,7 +974,7 @@ impl LaneSqr {
 
     /// Runs the stage over a block of lane rows (see [`Walk`]).
     fn run(&mut self, x: &[i64], out: &mut [i64]) {
-        run_at(Walk {
+        run_walk(Walk {
             stage: self,
             arith: (),
             x,
@@ -712,6 +991,52 @@ impl LaneSqr {
     }
 }
 
+impl LaneSqr {
+    /// One square and its saturation count. Both operands clamp together,
+    /// counting two saturation events like the scalar backend. An `EXACT`
+    /// square is `cv * cv` (as in [`NativeTaps`]: no i64 overflow, both
+    /// operands are clamped to the ≤32-bit datapath), so loops over it
+    /// auto-vectorize.
+    #[inline(always)]
+    fn square<const EXACT: bool>(program: &ArithProgram, limit: i64, v: i64) -> (i64, u64) {
+        let cv = v.clamp(-limit, limit - 1);
+        let p = if EXACT {
+            cv * cv
+        } else {
+            program.mul_raw_clamped(cv, cv)
+        };
+        (p, 2 * u64::from(cv != v))
+    }
+
+    /// The time walk's flat pointwise loop: every element is lane 0's.
+    #[inline(always)]
+    fn square_lane<const EXACT: bool>(&mut self, x: &[i64], out: &mut [i64]) {
+        let mut sats = 0;
+        for (o, &v) in out.iter_mut().zip(x) {
+            let (p, s) = Self::square::<EXACT>(&self.program, self.mul_limit, v);
+            *o = p;
+            sats += s;
+        }
+        self.sats[0] += sats;
+    }
+
+    /// The lane walk's tick: element `k` is lane `k`'s.
+    #[inline(always)]
+    fn square_row<const EXACT: bool>(&mut self, x: &[i64], out: &mut [i64]) {
+        let Self {
+            program,
+            sats,
+            mul_limit,
+            ..
+        } = self;
+        for ((o, &v), s) in out.iter_mut().zip(x).zip(sats.iter_mut()) {
+            let (p, n) = Self::square::<EXACT>(program, *mul_limit, v);
+            *o = p;
+            *s += n;
+        }
+    }
+}
+
 impl Stage<()> for LaneSqr {
     fn lanes(&self) -> usize {
         self.sats.len()
@@ -719,24 +1044,19 @@ impl Stage<()> for LaneSqr {
 
     #[inline(always)]
     fn tick(&mut self, (): (), x: &[i64], out: &mut [i64]) {
-        let limit = self.mul_limit;
         if self.exact {
-            // An exact square is `cv * cv` (as in [`NativeTaps`]: no i64
-            // overflow, both operands are clamped to the ≤32-bit
-            // datapath); the loop auto-vectorizes.
-            for ((o, &v), s) in out.iter_mut().zip(x).zip(self.sats.iter_mut()) {
-                let cv = v.clamp(-limit, limit - 1);
-                *s += 2 * u64::from(cv != v);
-                *o = cv * cv;
-            }
-            return;
+            self.square_row::<true>(x, out);
+        } else {
+            self.square_row::<false>(x, out);
         }
-        for ((o, &v), s) in out.iter_mut().zip(x).zip(self.sats.iter_mut()) {
-            let cv = v.clamp(-limit, limit - 1);
-            // Both operands of the square clamp together, counting two
-            // saturation events like the scalar backend.
-            *s += 2 * u64::from(cv != v);
-            *o = self.program.mul_raw_clamped(cv, cv);
+    }
+
+    #[inline(always)]
+    fn time_walk(&mut self, (): (), x: &[i64], out: &mut [i64]) {
+        if self.exact {
+            self.square_lane::<true>(x, out);
+        } else {
+            self.square_lane::<false>(x, out);
         }
     }
 }
@@ -773,7 +1093,7 @@ impl LaneMwi {
     /// Runs the stage over a block of lane rows (see [`Walk`]), with the
     /// adder form matched once for the whole block.
     fn run(&mut self, x: &[i64], out: &mut [i64]) {
-        with_adder_form!(self.adder, form => run_at(Walk { stage: &mut *self, arith: form, x, out }));
+        with_adder_form!(self.adder, form => run_walk(Walk { stage: &mut *self, arith: form, x, out }));
     }
 
     fn reset_lane(&mut self, lane: usize) {
@@ -824,38 +1144,84 @@ impl<A: ClosedForm> Stage<A> for LaneMwi {
             self.window[*cur * lanes + lane] = v;
             *cur = (*cur + 1) % WINDOW;
         }
-        self.blocks(form, lanes, out);
+        Blocked::<_, Lanes>::blocks(self, form, x, lanes, out);
+    }
+
+    #[inline(always)]
+    fn time_walk(&mut self, form: A, x: &[i64], out: &mut [i64]) {
+        Blocked::<_, Ticks>::blocks(self, form, x, x.len(), out);
     }
 }
 
-impl<A: ClosedForm> Blocked<A> for LaneMwi {
-    /// The storage-order chain for lanes `lane0 .. lane0 + W`, like the
-    /// scalar netlist walk: slot 0 seeds the accumulators and the other
-    /// [`WINDOW`]` − 1` slots add through the closed form `form`, with
-    /// the accumulators and overflow counters in a register [`Block`].
+impl LaneMwi {
+    /// The storage-order chain over one register block, like the scalar
+    /// netlist walk: slot 0's row seeds the accumulators and the other
+    /// [`WINDOW`]` − 1` slots' rows add through the closed form `form`.
+    /// Then writes the block back: overflow counts into the lane totals
+    /// along axis `X`, window means into outputs `i0 .. i0 + W`.
     #[inline(always)]
-    fn block<const W: usize>(&mut self, form: A, lane0: usize, out: &mut [i64]) {
-        let lanes = self.lanes;
-        let window = &self.window;
-
+    fn window_chain<A: ClosedForm, X: Axis, const W: usize>(
+        &mut self,
+        form: A,
+        i0: usize,
+        out: &mut [i64],
+        mut row: impl FnMut(&mut Self, usize) -> [i64; W],
+    ) {
         let mut block = Block::<W>::new();
-        let mut row = [0i64; W];
-        row.copy_from_slice(&window[lane0..lane0 + W]);
-        block.seed(row);
+        block.seed(row(self, 0));
         for slot in 1..WINDOW {
+            block.accumulate(form, &row(self, slot));
+        }
+        X::add_counts(&mut self.ovfs, i0, block.ovf);
+        for (o, &a) in out[i0..i0 + W].iter_mut().zip(block.acc.iter()) {
+            *o = div_round(a, WINDOW as i64);
+        }
+    }
+}
+
+impl<A: ClosedForm> Blocked<A, Lanes> for LaneMwi {
+    /// The chain for lanes `lane0 .. lane0 + W`: each slot's row is the
+    /// lanes' stored samples.
+    #[inline(always)]
+    fn block<const W: usize>(&mut self, form: A, _: &[i64], lane0: usize, out: &mut [i64]) {
+        let lanes = self.lanes;
+        self.window_chain::<A, Lanes, W>(form, lane0, out, |mwi, slot| {
             let base = slot * lanes + lane0;
             // Same by-value row idiom as `LaneFir::block`: no fallible
             // cast, contents land in vector registers.
-            row.copy_from_slice(&window[base..base + W]);
-            block.accumulate(form, &row);
-        }
-        // Zip, not indexing — see `LaneFir::block`.
-        for (o, v) in self.ovfs[lane0..lane0 + W].iter_mut().zip(block.ovf) {
-            *o += v;
-        }
-        for (o, &a) in out[lane0..lane0 + W].iter_mut().zip(block.acc.iter()) {
-            *o = div_round(a, WINDOW as i64);
-        }
+            let mut row = [0i64; W];
+            row.copy_from_slice(&mwi.window[base..base + W]);
+            row
+        });
+    }
+}
+
+impl<A: ClosedForm> Blocked<A, Ticks> for LaneMwi {
+    /// The chain for ticks `k0 .. k0 + W` of a one-lane bank. With the
+    /// write cursor at `c` before the block, tick `k0 + d` writes slot
+    /// `(c + d) mod WINDOW`, so slot `s` feeds output `k` the block sample
+    /// `d = (s − c) mod WINDOW` when `d ≤ k`, and its stored sample
+    /// otherwise: a blend of two broadcasts. `W ≤ WINDOW` writes each slot
+    /// at most once per block, so the slot then takes its last value
+    /// straight away and the cursor advances by `W`.
+    #[inline(always)]
+    fn block<const W: usize>(&mut self, form: A, x: &[i64], k0: usize, out: &mut [i64]) {
+        const { assert!(W <= WINDOW) };
+        let c = self.cursor[0];
+        let mut fresh = [0i64; W];
+        fresh.copy_from_slice(&x[k0..k0 + W]);
+        self.window_chain::<A, Ticks, W>(form, k0, out, |mwi, slot| {
+            let d = (slot + WINDOW - c) % WINDOW;
+            let stored = mwi.window[slot];
+            let written = if d < W { fresh[d] } else { stored };
+            mwi.window[slot] = written;
+            let mut row = [0i64; W];
+            for (k, r) in row.iter_mut().enumerate() {
+                *r = if k >= d { written } else { stored };
+            }
+            row
+        });
+        self.cursor[0] = (c + W) % WINDOW;
     }
 }
 
@@ -977,6 +1343,14 @@ impl LaneBank {
     #[must_use]
     pub fn samples_seen(&self, lane: usize) -> usize {
         self.tails[lane].samples_seen()
+    }
+
+    /// Reserves room for `samples` more samples in every lane's retained
+    /// stage signals (see [`DetectorTail::reserve_retained`]).
+    pub(crate) fn reserve_retained(&mut self, samples: usize) {
+        for tail in &mut self.tails {
+            tail.reserve_retained(samples);
+        }
     }
 
     /// Feeds interleaved frames — `frames[t * lanes + lane]` is lane

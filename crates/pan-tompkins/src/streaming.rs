@@ -71,7 +71,7 @@
 //!
 //! # Latency bounds
 //!
-//! With the default [`ThresholdConfig`] (see
+//! With the default [`crate::ThresholdConfig`] (see
 //! [`StreamingQrsDetector::max_event_lag`]):
 //!
 //! * no event before `max(learning, 2·peak_spacing + 1)` = **400 samples**
@@ -127,7 +127,7 @@ use crate::snapshot::{self, Reader, SnapshotError, Writer};
 use crate::stages::{
     Derivative, HighPassFilter, LowPassFilter, MovingWindowIntegrator, Squarer, Stage,
 };
-use crate::threshold::{OnlineClassifier, PeakClass, PeakDecision, ThresholdConfig};
+use crate::threshold::{OnlineClassifier, PeakClass, PeakDecision};
 
 /// One incremental detection outcome emitted by
 /// [`StreamingQrsDetector::push`].
@@ -280,6 +280,17 @@ impl DetectorTail {
     /// Samples ingested so far.
     pub(crate) fn samples_seen(&self) -> usize {
         self.n
+    }
+
+    /// Reserves room for `samples` more samples in each retained stage
+    /// signal, so a caller that knows its record length skips the
+    /// vectors' doubling growth (a no-op under bounded retention).
+    pub(crate) fn reserve_retained(&mut self, samples: usize) {
+        if let SignalStore::Retained(s) = &mut self.store {
+            for signal in [&mut s.lpf, &mut s.hpf, &mut s.der, &mut s.sqr, &mut s.mwi] {
+                signal.reserve_exact(samples);
+            }
+        }
     }
 
     /// Feeds one tick's five stage outputs: stores what the footprint
@@ -926,13 +937,6 @@ impl StreamingQrsDetector {
         Self::from_engine(Arc::new(DetectorEngine::new(config)))
     }
 
-    /// Creates a streaming detector with explicit thresholding parameters.
-    #[deprecated(note = "configure via `PipelineConfig::with_threshold`")]
-    #[must_use]
-    pub fn with_threshold(config: PipelineConfig, threshold: ThresholdConfig) -> Self {
-        Self::new(config.with_threshold(threshold))
-    }
-
     /// Creates a session over an already-compiled shared engine. This is
     /// the fleet shape: one [`DetectorEngine`] (configuration + tap
     /// tables, billed once) drives any number of sessions, each paying
@@ -947,13 +951,6 @@ impl StreamingQrsDetector {
     #[must_use]
     pub fn engine(&self) -> &Arc<DetectorEngine> {
         &self.engine
-    }
-
-    /// Overrides the maximum tolerated HPF↔MWI misalignment (samples).
-    #[deprecated(note = "configure via `PipelineConfig::with_max_misalignment`")]
-    #[must_use]
-    pub fn with_max_misalignment(self, samples: usize) -> Self {
-        Self::new(self.engine.config().with_max_misalignment(samples))
     }
 
     /// The pipeline configuration.

@@ -203,15 +203,6 @@ impl AdaptiveThreshold {
         }
     }
 
-    /// Selects the decision arithmetic (see [`crate::decision`]).
-    #[deprecated(note = "configure via `PipelineConfig::with_decision` and build with \
-                `AdaptiveThreshold::for_config`")]
-    #[must_use]
-    pub fn with_decision(mut self, decision: DecisionArith) -> Self {
-        self.decision = decision;
-        self
-    }
-
     /// The configuration.
     #[must_use]
     pub fn config(&self) -> &ThresholdConfig {
@@ -388,31 +379,6 @@ impl OnlineClassifier {
     #[must_use]
     pub fn for_config(config: &PipelineConfig) -> Self {
         Self::build(config.threshold(), config.footprint(), config.decision())
-    }
-
-    /// Creates an incremental classifier with an explicit retention policy.
-    #[deprecated(
-        note = "configure via `PipelineConfig::with_footprint` and build with \
-                `OnlineClassifier::for_config`"
-    )]
-    #[must_use]
-    pub fn with_retention(config: ThresholdConfig, retention: Footprint) -> Self {
-        Self::build(config, retention, DecisionArith::default())
-    }
-
-    /// Creates an incremental classifier with an explicit retention policy
-    /// *and* decision arithmetic.
-    #[deprecated(
-        note = "configure via `PipelineConfig::with_footprint`/`with_decision` \
-                and build with `OnlineClassifier::for_config`"
-    )]
-    #[must_use]
-    pub fn with_options(
-        config: ThresholdConfig,
-        retention: Footprint,
-        decision: DecisionArith,
-    ) -> Self {
-        Self::build(config, retention, decision)
     }
 
     /// The one real constructor every public entry point delegates to.
@@ -1061,9 +1027,7 @@ mod tests {
 
     use reference::local_maxima;
 
-    /// Classifier with explicit decision arithmetic, via the config path
-    /// (the deprecated `with_decision` builder is exercised only in
-    /// `deprecated_builders_delegate_to_config_paths`).
+    /// Classifier with explicit decision arithmetic, via the config path.
     fn thresh(cfg: ThresholdConfig, arith: DecisionArith) -> AdaptiveThreshold {
         AdaptiveThreshold::for_config(
             &PipelineConfig::exact()
@@ -1548,34 +1512,6 @@ mod tests {
             bounded_high_water < 8 * 1024,
             "bounded classifier state hit {bounded_high_water} bytes"
         );
-    }
-
-    /// The deprecated builders still delegate to the config-driven paths
-    /// bit-for-bit — the compatibility contract of the consolidation.
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_builders_delegate_to_config_paths() {
-        let cfg = ThresholdConfig::for_fs(360.0);
-        let s = fuzz_signal(5, 1500);
-        assert_eq!(
-            AdaptiveThreshold::new(cfg)
-                .with_decision(DecisionArith::Float)
-                .classify(&s),
-            thresh(cfg, DecisionArith::Float).classify(&s)
-        );
-        let mut old = OnlineClassifier::with_options(cfg, Footprint::Bounded, DecisionArith::Fixed);
-        let mut new = bounded_classifier(cfg);
-        let (mut out_old, mut out_new) = (Vec::new(), Vec::new());
-        for &x in &s {
-            old.push(x, &mut out_old);
-            new.push(x, &mut out_new);
-        }
-        old.finish(&mut out_old);
-        new.finish(&mut out_new);
-        assert_eq!(out_old, out_new);
-        // `with_retention` routes through the same `build`.
-        let retained = OnlineClassifier::with_retention(cfg, Footprint::Retain);
-        assert_eq!(retained.decision(), DecisionArith::Fixed);
     }
 
     #[test]
