@@ -93,13 +93,14 @@ impl CheckConfig {
             dispatch_sites: vec![(format!("{HOT}lane.rs"), "run_at".to_string())],
             design_doc: "DESIGN.md".into(),
             // PR 10: the per-sample loops of the service era. Streaming
-            // push + ingest, the decision tail, the lane stage kernels,
-            // and the shard workers' tick path may not allocate.
+            // push (a one-lane bank push) + the per-sample tail ingest,
+            // the decision tail, the lane stage kernels, and the shard
+            // workers' tick path may not allocate.
             alloc_scopes: [
                 (format!("{HOT}streaming.rs"), "push"),
-                (format!("{HOT}streaming.rs"), "push_impl"),
                 (format!("{HOT}streaming.rs"), "ingest"),
                 (format!("{HOT}threshold.rs"), "push"),
+                (format!("{HOT}lane.rs"), "push_impl"),
                 (format!("{HOT}lane.rs"), "stage_block"),
                 (format!("{HOT}lane.rs"), "run"),
                 (format!("{HOT}lane.rs"), "run_at"),

@@ -72,8 +72,9 @@ fn record_of_len(len: usize) -> EcgRecord {
 }
 
 /// Allowance for live-state bytes that legitimately do not appear in a
-/// snapshot blob: struct sizes (`size_of::<DetectorState>` and friends),
-/// scratch queues, and the slack between `Vec`/`VecDeque` *capacity*
+/// snapshot blob: struct sizes (`size_of::<LaneBank>` and friends), the
+/// bank's block scratch and scratch queues (sized by the push, dead
+/// between pushes), and the slack between `Vec`/`VecDeque` *capacity*
 /// (what [`StreamingQrsDetector::state_bytes`] bills) and *length* (what
 /// the codec serializes) for the fixed-size containers. The growth-
 /// proportional capacity slack of the retained signals is covered

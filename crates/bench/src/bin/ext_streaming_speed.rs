@@ -5,10 +5,12 @@
 //!
 //! 1. **Equivalence gate** — several pipeline configurations × chunk sizes
 //!    (single samples up to whole-record) over the synthetic paper record;
-//!    the streaming [`StreamingQrsDetector`] must equal batch
-//!    [`QrsDetector::detect`] in every `DetectionResult` field, and the
-//!    event stream must be identical for every chunking. Any divergence
-//!    exits non-zero — CI's bench-smoke job runs this via `--check`.
+//!    batch [`QrsDetector::detect`] must equal the scalar reference
+//!    pipeline ([`pan_tompkins::oracle`], the stage objects one sample at
+//!    a time) in every `DetectionResult` field, the streaming
+//!    [`StreamingQrsDetector`] must equal both, and the event stream must
+//!    be the reference's for every chunking. Any divergence exits non-zero
+//!    — CI's bench-smoke job runs this via `--check`.
 //! 2. **Per-tap table throughput** — the FIR hot-loop multiply through the
 //!    generic compiled 16×16 engine vs the per-tap product table
 //!    ([`approx_arith::TapMultiplier`]).
@@ -23,7 +25,7 @@ use std::time::Instant;
 
 use approx_arith::{CompiledMultiplier, TapMultiplier};
 use hwmodel::report::fmt_f64;
-use pan_tompkins::{PipelineConfig, QrsDetector, StreamEvent, StreamingQrsDetector};
+use pan_tompkins::{oracle, PipelineConfig, QrsDetector, StreamingQrsDetector};
 
 /// Chunk sizes exercised by the gate: single samples, a small prime, an
 /// AFE-style 100 ms block, a large odd block, and the whole record.
@@ -46,6 +48,11 @@ fn equivalence_gate() -> (usize, usize) {
     let record = xbiosip_bench::quick_record();
     for config in gate_configs() {
         let batch = QrsDetector::new(config).detect(record.samples());
+        let (reference_events, scalar) = oracle::detect_chunked(config, record.samples(), 20);
+        if batch != scalar {
+            eprintln!("DIVERGENCE: {config}: batch detect != scalar reference");
+            std::process::exit(1);
+        }
         // The heaviest design point legitimately destroys detection (the
         // paper's LPF breaks past 14 LSBs) — it stays in the gate to prove
         // equivalence in the degraded regime, but only viable designs must
@@ -54,7 +61,6 @@ fn equivalence_gate() -> (usize, usize) {
             eprintln!("DIVERGENCE: {config}: gate workload produced no beats (vacuous check)");
             std::process::exit(1);
         }
-        let mut reference_events: Option<Vec<StreamEvent>> = None;
         for chunk in GATE_CHUNKS {
             let (events, streamed) =
                 StreamingQrsDetector::detect_chunked(config, record.samples(), chunk);
@@ -62,15 +68,9 @@ fn equivalence_gate() -> (usize, usize) {
                 eprintln!("DIVERGENCE: {config} chunk {chunk}: streaming result != batch detect");
                 std::process::exit(1);
             }
-            match &reference_events {
-                None => reference_events = Some(events),
-                Some(reference) if *reference != events => {
-                    eprintln!(
-                        "DIVERGENCE: {config} chunk {chunk}: event stream not chunk-invariant"
-                    );
-                    std::process::exit(1);
-                }
-                Some(_) => {}
+            if events != reference_events {
+                eprintln!("DIVERGENCE: {config} chunk {chunk}: event stream != scalar reference's");
+                std::process::exit(1);
             }
         }
     }
@@ -181,8 +181,8 @@ fn main() {
     let t0 = Instant::now();
     let (configs, chunkings) = equivalence_gate();
     println!(
-        "equivalence gate: {configs} configurations x {chunkings} chunkings — streaming == batch, \
-         events chunk-invariant ({:.2?})\n",
+        "equivalence gate: {configs} configurations x {chunkings} chunkings — streaming == batch \
+         == scalar reference, events chunk-invariant ({:.2?})\n",
         t0.elapsed()
     );
     if check_only {

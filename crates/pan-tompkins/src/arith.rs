@@ -355,11 +355,6 @@ impl ArithBackend {
         self.counters.reset();
     }
 
-    /// Overwrites the activity counters (restore support).
-    pub(crate) fn set_counters(&mut self, counters: ArithCounters) {
-        self.counters = counters;
-    }
-
     /// Whether this backend computes exactly.
     #[must_use]
     pub fn is_exact(&self) -> bool {

@@ -4,11 +4,11 @@
 //! does not change while samples flow: the [`PipelineConfig`] and the five
 //! stages' compiled programs — FIR taps, per-tap product-table handles, and
 //! arithmetic blocks. Construct it **once** and share it behind an [`Arc`]
-//! across any number of sessions: each [`crate::DetectorState`] (one
-//! streaming session) or lane of a [`crate::LaneBank`] carries only the
+//! across any number of sessions: each lane of a [`crate::LaneBank`] (a
+//! [`crate::StreamingQrsDetector`] is a one-lane bank) carries only the
 //! mutable per-session state (delay lines, classifier, counters), so the
-//! per-session cost stays at the bounded ~9.4 KB footprint while tap
-//! compilation and configuration are billed once per engine — see
+//! per-session cost stays at the bounded footprint while tap compilation
+//! and configuration are billed once per engine — see
 //! [`DetectorEngine::engine_bytes`].
 
 use std::sync::Arc;
@@ -111,7 +111,8 @@ impl DetectorEngine {
     /// Bytes owned by this engine: the struct plus the five stage programs
     /// (taps, tap-table handles, arithmetic blocks). Billed once per
     /// configuration, no matter how many sessions/lanes share the engine —
-    /// the per-session cost is [`crate::DetectorState::state_bytes`].
+    /// the per-session cost is [`crate::StreamingQrsDetector::state_bytes`]
+    /// or [`crate::LaneBank::lane_state_bytes`].
     /// Excludes the process-wide shared product tables
     /// ([`DetectorEngine::shared_table_bytes`]).
     #[must_use]

@@ -229,7 +229,6 @@ pub struct FirFilter {
     backend: ArithBackend,
     delay_line: Vec<i64>,
     cursor: usize,
-    primed: usize,
 }
 
 impl FirFilter {
@@ -278,7 +277,6 @@ impl FirFilter {
             backend,
             delay_line,
             cursor: 0,
-            primed: 0,
         }
     }
 
@@ -341,7 +339,6 @@ impl FirFilter {
             self.cursor - 1
         };
         self.delay_line[self.cursor] = x;
-        self.primed = (self.primed + 1).min(len);
 
         // Walk the delay line with a wrapping index (a conditional reset is
         // markedly cheaper than a modulo per tap in this hot loop).
@@ -378,37 +375,6 @@ impl FirFilter {
     pub fn reset(&mut self) {
         self.delay_line.fill(0);
         self.cursor = 0;
-        self.primed = 0;
-    }
-
-    /// Copies the delay line out rotation-normalized, newest sample first —
-    /// the canonical snapshot order, independent of where the circular
-    /// cursor happens to point.
-    pub(crate) fn delay_snapshot(&self) -> Vec<i64> {
-        let len = self.delay_line.len();
-        (0..len)
-            .map(|r| self.delay_line[(self.cursor + r) % len])
-            .collect()
-    }
-
-    /// Loads a rotation-normalized (newest-first) delay snapshot taken by
-    /// [`FirFilter::delay_snapshot`]. `samples_seen` re-derives the priming
-    /// level. Returns `false` (leaving the filter untouched) on a length
-    /// mismatch.
-    pub(crate) fn load_delay_snapshot(&mut self, snap: &[i64], samples_seen: usize) -> bool {
-        let len = self.delay_line.len();
-        if snap.len() != len {
-            return false;
-        }
-        self.delay_line.copy_from_slice(snap);
-        self.cursor = 0;
-        self.primed = samples_seen.min(len);
-        true
-    }
-
-    /// Mutable backend access for counter restore.
-    pub(crate) fn backend_mut(&mut self) -> &mut ArithBackend {
-        &mut self.backend
     }
 
     /// Resets the backend activity counters (ops, saturations, overflows),

@@ -22,16 +22,18 @@
 //!
 //! A one-lane bank has no lanes to block across, so each stage has a
 //! second walk that runs the same register blocks across *time*: a block
-//! of consecutive ticks of the one lane (see `Stage::time_walk`). Batch
-//! detection ([`crate::QrsDetector::detect`]) is one push into such a
-//! bank.
+//! of consecutive ticks of the one lane (see `Stage::time_walk`). Every
+//! single-session path is such a bank: batch detection
+//! ([`crate::QrsDetector::detect`]) is one push into one, and the
+//! streaming detector ([`crate::StreamingQrsDetector`]) wraps one.
 //!
 //! # Bit-identity contract
 //!
 //! Every lane's event stream and final [`DetectionResult`] are **bit
-//! identical** to a solo [`crate::StreamingQrsDetector`] run over that
-//! lane's samples — for every chunking, decision arithmetic, footprint,
-//! and multiplier engine. The kernels guarantee this by construction:
+//! identical** to the scalar reference pipeline ([`crate::oracle`]: the
+//! public stage objects, one sample at a time) over that lane's samples —
+//! for every chunking, bank width, decision arithmetic, footprint, and
+//! multiplier engine. The kernels guarantee this by construction:
 //!
 //! * FIR products are taken in tap order and accumulated left-to-right
 //!   exactly like the scalar hot loop, so non-associative approximate
@@ -51,12 +53,12 @@
 //!   adder evaluates;
 //! * everything downstream of the stages — classifier, alignment queue,
 //!   event emission — *is* the scalar code: each lane owns the same
-//!   [`DetectorTail`] the scalar facade drives.
+//!   [`DetectorTail`] the scalar reference drives.
 //!
-//! The contract is enforced by the lane-axis cases in
+//! The contract is enforced against that reference by
 //! `tests/streaming_equivalence.rs`, the one-lane sweep in
-//! `tests/one_lane_time_walk.rs`, the pinned 4-lane golden fixture, and
-//! CI's `ext_lane_speed --check` gate.
+//! `tests/one_lane_time_walk.rs`, the pinned golden trace and 4-lane
+//! fixture, and CI's `ext_lane_speed --check` gate.
 
 use std::sync::Arc;
 
@@ -75,8 +77,15 @@ use crate::streaming::{DetectorTail, StreamEvent};
 pub struct LaneEvent {
     /// The emitting lane (column index in the pushed frames).
     pub lane: usize,
-    /// The event — identical to what the lane's solo scalar run emits.
+    /// The event — identical to what the scalar reference emits over the
+    /// lane's samples.
     pub event: StreamEvent,
+}
+
+impl LaneEvent {
+    fn at(lane: usize, event: StreamEvent) -> Self {
+        Self { lane, event }
+    }
 }
 
 fn op_counter(muls: u64, adds: u64) -> OpCounter {
@@ -480,9 +489,10 @@ struct Tap<'a> {
 /// ([`TapRepr`]) and [`LaneFir::run`] runs the walk monomorphized for it:
 /// no tap loop branches on the representation.
 trait TapMul: Copy {
-    /// Whether the time walk takes this representation's products once
+    /// Whether the time walk may take this representation's products once
     /// per sample and distinct coefficient magnitude, into rows the taps
-    /// then read ([`LaneFir::fill_rows`]), instead of once per tap.
+    /// then read ([`LaneFir::fill_rows`]), instead of once per tap — it
+    /// does when the block is long enough ([`LaneFir::rows_pay`]).
     const SHARED_ROWS: bool = false;
 
     /// One tap's product function, resolved before its lane loop (`None`
@@ -582,6 +592,9 @@ struct LaneFir {
     /// and the per-magnitude product rows over it.
     hist: Vec<i64>,
     prods: Vec<i64>,
+    /// Whether `prods` holds the current block's rows (see
+    /// [`LaneFir::rows_pay`]); otherwise each tap takes its own products.
+    rows_filled: bool,
 }
 
 impl LaneFir {
@@ -653,9 +666,20 @@ impl LaneFir {
             tap_rows,
             hist: Vec::new(),
             prods: Vec::new(),
+            rows_filled: false,
             lanes,
             program,
         }
+    }
+
+    /// Whether a time-walk block of `len` ticks should fill the product
+    /// rows: that costs one lookup per row and history sample (`rows − 1 +
+    /// len` samples), per-tap products one per nonzero tap and tick. Short
+    /// blocks, single-sample pushes above all, pay more for the history
+    /// than the rows save.
+    fn rows_pay(&self, len: usize) -> bool {
+        let history = self.coeffs.len() - 1 + len;
+        self.row_taps.len() * history < self.muls_per_tick as usize * len
     }
 
     /// Runs the stage over a block of lane rows (see [`Walk`]), with the
@@ -680,8 +704,8 @@ impl LaneFir {
     }
 
     /// One lane's delay column, rotation-normalized newest sample first —
-    /// the same canonical order [`crate::fir::FirFilter::delay_snapshot`]
-    /// emits, so lane and solo snapshots interchange freely.
+    /// the canonical order of the codec, independent of the shared cursor,
+    /// so snapshots interchange between banks of any width.
     fn lane_delay_snapshot(&self, lane: usize) -> Vec<i64> {
         let rows = self.program.taps().len();
         (0..rows)
@@ -790,15 +814,22 @@ impl<A: ClosedForm, M: TapMul> Stage<(A, M)> for LaneFir {
             hist,
             ..
         } = self;
+        // The walk leaves the ring at cursor 0 and a restore loads it at
+        // the current cursor, so a one-lane ring stays at 0; rotating
+        // first keeps the history copy free of a divide per sample should
+        // it ever sit elsewhere.
+        delay.rotate_left(*cursor);
+        *cursor = 0;
         // xanalyze: begin-allow(alloc) — stage-owned scratch: cleared, not
         // dropped, each block, so it reaches its high-water size
         // (`rows − 1 + BLOCK_TICKS`) on the first block and never grows
         // after.
         hist.clear();
-        hist.extend((0..rows - 1).rev().map(|t| delay[(*cursor + t) % rows]));
+        hist.extend(delay[..rows - 1].iter().rev());
         hist.extend_from_slice(x);
         // xanalyze: end-allow(alloc)
-        if M::SHARED_ROWS {
+        self.rows_filled = M::SHARED_ROWS && self.rows_pay(x.len());
+        if self.rows_filled {
             self.fill_rows::<M>();
         }
         Blocked::<_, Ticks>::blocks(self, arith, x, x.len(), out);
@@ -889,10 +920,10 @@ impl<A: ClosedForm, M: TapMul> Blocked<(A, M), Ticks> for LaneFir {
     /// The tap walk for ticks `k0 .. k0 + W` of a one-lane bank — the
     /// lane walk's sum over the same operands in the same order: tap `t`'s
     /// frame is the history slice starting `t` samples before the block's
-    /// first tick. Table taps read their magnitude's product row, negated
-    /// when their sign differs from the row tap's (the sign fold is exact:
-    /// `c` and `−c` read one table), and count saturations from the raw
-    /// frame like every other tap.
+    /// first tick. When the block filled its product rows, table taps read
+    /// their magnitude's row, negated when their sign differs from the row
+    /// tap's (the sign fold is exact: `c` and `−c` read one table), and
+    /// count saturations from the raw frame like every other tap.
     #[inline(always)]
     fn block<const W: usize>(&mut self, (form, _): (A, M), _: &[i64], k0: usize, out: &mut [i64]) {
         let Self {
@@ -904,6 +935,7 @@ impl<A: ClosedForm, M: TapMul> Blocked<(A, M), Ticks> for LaneFir {
             tap_rows,
             hist,
             prods,
+            rows_filled,
             ..
         } = self;
         let limit = *mul_limit;
@@ -920,7 +952,7 @@ impl<A: ClosedForm, M: TapMul> Blocked<(A, M), Ticks> for LaneFir {
             let at = rows - 1 + k0 - t;
             let mut frame = [0i64; W];
             frame.copy_from_slice(&hist[at..at + W]);
-            if M::SHARED_ROWS {
+            if M::SHARED_ROWS && *rows_filled {
                 block.count_saturations(limit, &frame);
                 let mut p = [0i64; W];
                 p.copy_from_slice(&prods[row * len + at..row * len + at + W]);
@@ -1104,9 +1136,8 @@ impl LaneMwi {
         self.ovfs[lane] = 0;
     }
 
-    /// One lane's window column in storage (slot) order — identical to the
-    /// scalar [`crate::stages::MovingWindowIntegrator`] snapshot order, so
-    /// the storage-order adder chain resumes bit-identically.
+    /// One lane's window column in storage (slot) order — the order the
+    /// storage-order adder chain sums, so it resumes bit-identically.
     fn lane_window_snapshot(&self, lane: usize) -> Vec<i64> {
         (0..WINDOW)
             .map(|slot| self.window[slot * self.lanes + lane])
@@ -1227,14 +1258,14 @@ impl<A: ClosedForm> Blocked<A, Ticks> for LaneMwi {
 
 /// N independent streaming detector sessions advanced in lockstep through
 /// one shared [`DetectorEngine`] — the fleet-throughput shape of
-/// [`crate::StreamingQrsDetector`].
+/// [`crate::StreamingQrsDetector`], which is a one-lane bank.
 ///
 /// Feed interleaved frames (`frames[tick * lanes + lane]`) with
 /// [`LaneBank::push`]; harvest a finished lane with
 /// [`LaneBank::finish_lane`], which returns its trailing events and
 /// [`DetectionResult`] and leaves the lane reset, ready for its next
-/// record. Every lane is bit-identical to a solo scalar run (see the
-/// [module docs](self)).
+/// record. Every lane is bit-identical to the scalar reference run over
+/// its samples (see the [module docs](self)).
 ///
 /// # Example
 ///
@@ -1362,7 +1393,7 @@ impl LaneBank {
     ///
     /// Panics if `frames.len()` is not a multiple of the lane count.
     pub fn push(&mut self, frames: &[i32]) -> Vec<LaneEvent> {
-        self.push_impl(frames, None)
+        self.push_impl(frames, None, LaneEvent::at)
     }
 
     /// Like [`LaneBank::push`], additionally appending each lane's HPF
@@ -1376,7 +1407,7 @@ impl LaneBank {
     /// `hpf_out.len()` differs from it.
     pub fn push_tapped(&mut self, frames: &[i32], hpf_out: &mut [Vec<i64>]) -> Vec<LaneEvent> {
         assert_eq!(hpf_out.len(), self.lanes, "one HPF tap buffer per lane");
-        self.push_impl(frames, Some(hpf_out))
+        self.push_impl(frames, Some(hpf_out), LaneEvent::at)
     }
 
     /// Runs the five stage kernels over the scratch matrices, stage by
@@ -1392,7 +1423,17 @@ impl LaneBank {
         self.mwi.run(&self.m_d, &mut self.m_e);
     }
 
-    fn push_impl(&mut self, frames: &[i32], mut taps: Option<&mut [Vec<i64>]>) -> Vec<LaneEvent> {
+    /// The push of the bank and of the one-lane solo facade
+    /// ([`crate::StreamingQrsDetector::push`]): runs the stage kernels over
+    /// `frames` in blocks of up to [`BLOCK_TICKS`] ticks, hands each block
+    /// to the lanes' tails, then settles every lane and returns its events,
+    /// lane by lane, as `event(lane, event)` builds them.
+    pub(crate) fn push_impl<E>(
+        &mut self,
+        frames: &[i32],
+        mut taps: Option<&mut [Vec<i64>]>,
+        event: impl Fn(usize, StreamEvent) -> E,
+    ) -> Vec<E> {
         let lanes = self.lanes;
         assert_eq!(
             frames.len() % lanes,
@@ -1405,6 +1446,10 @@ impl LaneBank {
         for block in frames.chunks(BLOCK_TICKS * lanes) {
             let ticks = block.len() / lanes;
             let len = ticks * lanes;
+            // xanalyze: begin-allow(alloc) — amortized block scratch: the
+            // six bank-owned matrices are cleared or resized in place, never
+            // dropped, so they reach their high-water size (`BLOCK_TICKS ×
+            // lanes`) on the first full block and never grow after.
             self.m_x0.clear();
             self.m_x0
                 .extend(block.iter().map(|&v| i64::from(v) << shift));
@@ -1413,6 +1458,7 @@ impl LaneBank {
             self.m_c.resize(len, 0);
             self.m_d.resize(len, 0);
             self.m_e.resize(len, 0);
+            // xanalyze: end-allow(alloc)
             self.stage_block();
             for (lane, tail) in self.tails.iter_mut().enumerate() {
                 let tap = taps.as_mut().map(|t| &mut t[lane]);
@@ -1431,11 +1477,11 @@ impl LaneBank {
         let max_misalignment = config.max_misalignment();
         for (lane, tail) in self.tails.iter_mut().enumerate() {
             tail.settle(false, max_misalignment, &mut self.scratch_events);
-            events.extend(
-                self.scratch_events
-                    .drain(..)
-                    .map(|event| LaneEvent { lane, event }),
-            );
+            // xanalyze: begin-allow(alloc) — the returned events: an empty
+            // `Vec` owns no heap, so a push allocates here only when it
+            // confirms a beat (about one per lane per second of signal).
+            events.extend(self.scratch_events.drain(..).map(|e| event(lane, e)));
+            // xanalyze: end-allow(alloc)
         }
         events
     }
@@ -1490,13 +1536,13 @@ impl LaneBank {
         (events, result)
     }
 
-    /// Serializes one lane's live session into a versioned blob with the
-    /// **same body format** as [`crate::StreamingQrsDetector::snapshot`]:
-    /// a lane snapshot restores into a solo detector, a solo snapshot into
-    /// any bank lane, and lanes migrate between banks of different widths
-    /// and SIMD levels — always resuming bit-identically. The lane's
-    /// hoisted per-tick op counts are materialized into the solo per-stage
-    /// counter form on the way out.
+    /// Serializes one lane's live session into a versioned blob — the one
+    /// session codec, which [`crate::StreamingQrsDetector::snapshot`] also
+    /// writes (a solo detector is a one-lane bank): a lane snapshot
+    /// restores into a solo detector, a solo snapshot into any bank lane,
+    /// and lanes migrate between banks of different widths and SIMD levels
+    /// — always resuming bit-identically. The lane's hoisted per-tick op
+    /// counts are materialized into per-stage counters on the way out.
     ///
     /// # Errors
     ///
@@ -1552,7 +1598,7 @@ impl LaneBank {
     }
 
     /// Rebuilds one lane from a snapshot blob — taken from a solo
-    /// [`crate::StreamingQrsDetector`] or any bank's [`LaneBank::snapshot_lane`]
+    /// [`crate::StreamingQrsDetector`] (a one-lane bank) or any bank's [`LaneBank::snapshot_lane`]
     /// under the same configuration — replacing whatever session the lane
     /// was running. Sibling lanes are untouched (the delay column is
     /// rewritten relative to the shared ring cursor, which is legal by
@@ -1704,8 +1750,8 @@ impl LaneBank {
 
     /// One lane's share of the live state: its slice of the SoA stage
     /// state and scratch matrices plus its own tail — the marginal cost of
-    /// one more session on the shared engine (~9.3 KB high-water under
-    /// [`crate::Footprint::Bounded`], matching the scalar detector).
+    /// one more session on the shared engine, flat in the record length
+    /// under [`crate::Footprint::Bounded`].
     #[must_use]
     pub fn lane_state_bytes(&self, lane: usize) -> usize {
         self.soa_heap_bytes() / self.lanes
@@ -1713,9 +1759,8 @@ impl LaneBank {
             + self.tails[lane].heap_bytes()
     }
 
-    /// Bytes of the distinct process-wide shared per-tap product tables —
-    /// identical to the scalar detector's accounting, billed once however
-    /// many lanes run. See [`DetectorEngine::shared_table_bytes`].
+    /// Bytes of the distinct process-wide shared per-tap product tables,
+    /// billed once however many lanes run. See [`DetectorEngine::shared_table_bytes`].
     #[must_use]
     pub fn shared_table_bytes(&self) -> usize {
         self.engine.shared_table_bytes()
@@ -1727,6 +1772,7 @@ mod tests {
     use super::*;
     use crate::arith::MulEngine;
     use crate::config::{Footprint, PipelineConfig};
+    use crate::oracle;
     use crate::streaming::StreamingQrsDetector;
 
     fn pulse_train(n: usize, period: usize, first: usize) -> Vec<i32> {
@@ -1802,7 +1848,7 @@ mod tests {
             ] {
                 for (lane, (events, result)) in lane_results.into_iter().enumerate() {
                     let (solo_events, solo_result) =
-                        StreamingQrsDetector::detect_chunked(config, &signals[lane], 64);
+                        oracle::detect_chunked(config, &signals[lane], 64);
                     assert_eq!(events, solo_events, "{footprint:?} lane {lane} events");
                     assert_eq!(result, solo_result, "{footprint:?} lane {lane} result");
                 }
@@ -1816,8 +1862,7 @@ mod tests {
         let config =
             PipelineConfig::least_energy([8, 10, 2, 8, 16]).with_engine(MulEngine::BitLevel);
         for (lane, (events, result)) in run_bank(config, &signals, 50).into_iter().enumerate() {
-            let (solo_events, solo_result) =
-                StreamingQrsDetector::detect_chunked(config, &signals[lane], 50);
+            let (solo_events, solo_result) = oracle::detect_chunked(config, &signals[lane], 50);
             assert_eq!(events, solo_events, "lane {lane} events");
             assert_eq!(result, solo_result, "lane {lane} result");
         }
@@ -1865,11 +1910,11 @@ mod tests {
         let (trailing, result_long) = bank.finish_lane(1);
         lane1.extend(trailing);
 
-        let (e, r) = StreamingQrsDetector::detect_chunked(config, &first, 500);
+        let (e, r) = oracle::detect_chunked(config, &first, 500);
         assert_eq!((lane0_first, result_first), (e, r), "first record");
-        let (e, r) = StreamingQrsDetector::detect_chunked(config, &second, 500);
+        let (e, r) = oracle::detect_chunked(config, &second, 500);
         assert_eq!((lane0_second, result_second), (e, r), "reused lane");
-        let (e, r) = StreamingQrsDetector::detect_chunked(config, &long, 500);
+        let (e, r) = oracle::detect_chunked(config, &long, 500);
         assert_eq!((lane1, result_long), (e, r), "neighbour lane");
     }
 
@@ -1886,10 +1931,17 @@ mod tests {
             let _ = bank.push_tapped(chunk, &mut taps);
         }
         for (lane, signal) in signals.iter().enumerate() {
+            let retain = config.with_footprint(Footprint::Retain);
+            let (_, scalar) = oracle::detect_chunked(retain, signal, 64);
+            assert_eq!(
+                taps[lane],
+                scalar.expect_signals().hpf,
+                "lane {lane} HPF tap"
+            );
             let mut det = StreamingQrsDetector::new(config);
             let mut solo_tap = Vec::new();
             let _ = det.push_tapped(signal, &mut solo_tap);
-            assert_eq!(taps[lane], solo_tap, "lane {lane} HPF tap");
+            assert_eq!(taps[lane], solo_tap, "lane {lane} solo HPF tap");
         }
     }
 
@@ -1945,8 +1997,7 @@ mod tests {
         ] {
             let signal = pulse_train(3000, 170, 200);
             let sibling = pulse_train(3000, 160, 230);
-            let (ref_events, ref_result) =
-                StreamingQrsDetector::detect_chunked(config, &signal, 64);
+            let (ref_events, ref_result) = oracle::detect_chunked(config, &signal, 64);
 
             // Lane → solo at sample 1100.
             let engine = Arc::new(DetectorEngine::new(config));
@@ -2040,11 +2091,11 @@ mod tests {
         let (trailing, result_long) = bank.finish_lane(1);
         lane1.extend(trailing);
 
-        let (e, r) = StreamingQrsDetector::detect_chunked(config, &first, 64);
+        let (e, r) = oracle::detect_chunked(config, &first, 64);
         assert_eq!((lane0_first, result_first), (e, r), "first record");
-        let (e, r) = StreamingQrsDetector::detect_chunked(config, &second, 64);
+        let (e, r) = oracle::detect_chunked(config, &second, 64);
         assert_eq!((lane0_second, result_second), (e, r), "restored re-seed");
-        let (e, r) = StreamingQrsDetector::detect_chunked(config, &long, 64);
+        let (e, r) = oracle::detect_chunked(config, &long, 64);
         assert_eq!((lane1, result_long), (e, r), "sibling lane");
     }
 
@@ -2100,8 +2151,24 @@ mod tests {
         }
         let (trailing, result) = bank.finish_lane(0);
         events.extend(trailing);
-        let (ref_events, ref_result) = StreamingQrsDetector::detect_chunked(config, &signal, 64);
+        let (ref_events, ref_result) = oracle::detect_chunked(config, &signal, 64);
         assert_eq!(events, ref_events, "events after failed restores");
         assert_eq!(result, ref_result, "result after failed restores");
+    }
+
+    /// A lane whose tail was flushed without the reset `finish_lane`
+    /// performs has no live session left: snapshots refuse it, typed.
+    #[test]
+    fn finished_tail_refuses_to_snapshot() {
+        let config = PipelineConfig::exact();
+        let mut bank = LaneBank::new(Arc::new(DetectorEngine::new(config)), 2);
+        let _ = bank.push(&interleave(&[pulse_train(900, 170, 200), vec![0; 900]]));
+        let mut events = Vec::new();
+        bank.tails[1].finish(config.max_misalignment(), &mut events);
+        assert!(matches!(
+            bank.snapshot_lane(1),
+            Err(SnapshotError::Finished)
+        ));
+        assert!(bank.snapshot_lane(0).is_ok(), "the sibling lane is live");
     }
 }

@@ -51,6 +51,8 @@ pub mod detector;
 pub mod engine;
 pub mod fir;
 pub mod lane;
+#[doc(hidden)]
+pub mod oracle;
 pub mod snapshot;
 pub mod stages;
 pub mod streaming;
@@ -64,5 +66,5 @@ pub use engine::DetectorEngine;
 pub use fir::FirFilter;
 pub use lane::{simd_level_name, LaneBank};
 pub use snapshot::SnapshotError;
-pub use streaming::{DetectorState, StreamEvent, StreamingQrsDetector};
+pub use streaming::{StreamEvent, StreamingQrsDetector};
 pub use threshold::{AdaptiveThreshold, OnlineClassifier, ThresholdConfig};

@@ -69,16 +69,6 @@ impl Derivative {
             fir: FirFilter::from_program(program),
         }
     }
-
-    /// Inner FIR access for the snapshot codec.
-    pub(crate) fn fir(&self) -> &FirFilter {
-        &self.fir
-    }
-
-    /// Mutable inner FIR access for the snapshot codec.
-    pub(crate) fn fir_mut(&mut self) -> &mut FirFilter {
-        &mut self.fir
-    }
 }
 
 impl Stage for Derivative {

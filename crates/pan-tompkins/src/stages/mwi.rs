@@ -63,29 +63,6 @@ impl MovingWindowIntegrator {
             cursor: 0,
         }
     }
-
-    /// The window contents in storage order (snapshot support). The cursor
-    /// is not exposed: it is always `samples_seen % WINDOW` because
-    /// [`Stage::process`] writes then increments.
-    pub(crate) fn window(&self) -> &[i64] {
-        &self.window
-    }
-
-    /// Loads a storage-order window snapshot and re-derives the cursor from
-    /// `samples_seen`. Returns `false` (untouched) on a length mismatch.
-    pub(crate) fn load_window(&mut self, snap: &[i64], samples_seen: usize) -> bool {
-        if snap.len() != self.window.len() {
-            return false;
-        }
-        self.window.copy_from_slice(snap);
-        self.cursor = samples_seen % WINDOW;
-        true
-    }
-
-    /// Mutable backend access for the snapshot codec.
-    pub(crate) fn backend_mut(&mut self) -> &mut ArithBackend {
-        &mut self.backend
-    }
 }
 
 impl Stage for MovingWindowIntegrator {

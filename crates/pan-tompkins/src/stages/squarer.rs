@@ -53,11 +53,6 @@ impl Squarer {
             backend: ArithBackend::from_program(program),
         }
     }
-
-    /// Mutable backend access for the snapshot codec.
-    pub(crate) fn backend_mut(&mut self) -> &mut ArithBackend {
-        &mut self.backend
-    }
 }
 
 impl Stage for Squarer {

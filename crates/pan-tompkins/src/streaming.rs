@@ -8,27 +8,34 @@
 //! record through any sequence of `push` calls followed by `finish`
 //! produces exactly the [`DetectionResult`] — peaks, decisions, stage
 //! signals, operation/saturation/overflow counters — that one `detect`
-//! call over the whole record produces. The equivalence is enforced by
+//! call over the whole record produces, and the scalar reference pipeline
+//! ([`crate::oracle`]) produces too. The equivalence is enforced by
 //! `tests/streaming_equivalence.rs` and by CI's `ext_streaming_speed
 //! --check` gate.
 //!
-//! # The state/engine split
+//! # One pipeline
 //!
 //! A detector session is two halves:
 //!
 //! * a [`DetectorEngine`] (see [`crate::engine`]) — the configuration and
 //!   the five compiled stage programs, immutable while samples flow,
 //!   constructed once and shared behind an [`Arc`];
-//! * a [`DetectorState`] — the per-session mutable state: stage delay
-//!   lines, the MWI window, the classifier, and the alignment/event
-//!   bookkeeping (the [`DetectorTail`]).
+//! * the per-session mutable state — stage delay lines, the MWI window,
+//!   the classifier, and the alignment/event bookkeeping (the
+//!   [`DetectorTail`]).
 //!
-//! [`StreamingQrsDetector`] is a thin facade bundling one `Arc`'d engine
-//! with one state, so existing call sites keep working; fleet deployments
-//! (many sessions, one configuration) build the engine once and call
+//! [`StreamingQrsDetector`] keeps that state in the only lane of a
+//! one-lane [`LaneBank`]: a push is a bank push, whose stage kernels run
+//! in register blocks across time (see [`crate::lane`]). Solo streaming,
+//! batch [`crate::QrsDetector::detect`], every lane of a wider bank and the
+//! service hub's solo sessions therefore run one implementation of the
+//! five stages, and one session codec ([`LaneBank::snapshot_lane`]) moves
+//! sessions between them. Fleet deployments (many sessions, one
+//! configuration) build the engine once and call
 //! [`StreamingQrsDetector::from_engine`] — or batch whole groups of
-//! sessions through [`crate::LaneBank`], which drives many states across
-//! the shared programs in lockstep.
+//! sessions through a wider [`LaneBank`]. The scalar stage objects of
+//! [`crate::stages`] survive as the reference the equivalence suites
+//! compare every path with ([`crate::oracle`]).
 //!
 //! # How the pipeline streams
 //!
@@ -55,6 +62,9 @@
 //! [`PipelineConfig::with_footprint`]) keeps only:
 //!
 //! * the stage delay lines and the MWI window (fixed),
+//! * the bank's block scratch — inter-stage rows and the FIR history and
+//!   product rows, sized by the longest push up to the 64-tick kernel
+//!   block (fixed, and dead between pushes),
 //! * a pruned HPF ring covering the oldest still-confirmable alignment
 //!   window (`O(longest RR interval)` samples),
 //! * the classifier's still-revisitable candidates (see
@@ -123,10 +133,8 @@ use crate::detector::{
     ALIGNMENT_SEARCH, HPF_TO_MWI_DELAY, PRE_PROCESSING_DELAY,
 };
 use crate::engine::DetectorEngine;
-use crate::snapshot::{self, Reader, SnapshotError, Writer};
-use crate::stages::{
-    Derivative, HighPassFilter, LowPassFilter, MovingWindowIntegrator, Squarer, Stage,
-};
+use crate::lane::LaneBank;
+use crate::snapshot::{Reader, SnapshotError, Writer};
 use crate::threshold::{OnlineClassifier, PeakClass, PeakDecision};
 
 /// One incremental detection outcome emitted by
@@ -235,9 +243,10 @@ enum SignalStore {
 
 /// The decision-side state of one detector session: the classifier, the
 /// signal store, the alignment queue, and the event bookkeeping —
-/// everything downstream of the five stages. Shared verbatim by the scalar
-/// [`StreamingQrsDetector`] and every lane of a [`crate::LaneBank`], so
-/// the two paths cannot drift.
+/// everything downstream of the five stages. Shared verbatim by every lane
+/// of a [`LaneBank`] (the one lane of a [`StreamingQrsDetector`] included)
+/// and the scalar reference pipeline ([`crate::oracle`]), so the paths
+/// cannot drift.
 #[derive(Debug, Clone)]
 pub(crate) struct DetectorTail {
     classifier: OnlineClassifier,
@@ -293,23 +302,15 @@ impl DetectorTail {
         }
     }
 
-    /// Feeds one tick's five stage outputs: stores what the footprint
-    /// retains, mirrors the HPF output into `tap` when requested, and runs
-    /// the classifier on the MWI value.
+    /// Feeds one tick's five stage outputs — the scalar reference's
+    /// per-sample hand-off: stores what the footprint retains and runs the
+    /// classifier on the MWI value.
     #[inline]
-    pub(crate) fn ingest(
-        &mut self,
-        a: i64,
-        b: i64,
-        c: i64,
-        d: i64,
-        e: i64,
-        tap: Option<&mut Vec<i64>>,
-    ) {
+    pub(crate) fn ingest(&mut self, a: i64, b: i64, c: i64, d: i64, e: i64) {
         // xanalyze: begin-allow(alloc) — the retained-mode store appends by
-        // contract (it *is* the batch-result shape); the bounded ring and
-        // the HPF tap are pruned/cleared by the caller to a constant
-        // window, so growth is amortized to warm-up only.
+        // contract (it *is* the batch-result shape); the bounded ring is
+        // pruned by `settle` to a constant window, so growth is amortized
+        // to warm-up only.
         match &mut self.store {
             SignalStore::Retained(signals) => {
                 signals.lpf.push(a);
@@ -319,9 +320,6 @@ impl DetectorTail {
                 signals.mwi.push(e);
             }
             SignalStore::Bounded { hpf: ring } => ring.push(b),
-        }
-        if let Some(out) = tap {
-            out.push(b);
         }
         // xanalyze: end-allow(alloc)
         self.n += 1;
@@ -732,198 +730,15 @@ fn take_decision(r: &mut Reader<'_>) -> Result<PeakDecision, SnapshotError> {
     })
 }
 
-/// The mutable half of the state/engine split: one session's stage delay
-/// lines, MWI window, classifier, and alignment/event bookkeeping.
-///
-/// Constructed from a shared [`DetectorEngine`]; the per-session cost is
-/// [`DetectorState::state_bytes`] (~9.4 KB high-water under
-/// [`Footprint::Bounded`]), while configuration and compiled tap tables
-/// are billed once to the engine ([`DetectorEngine::engine_bytes`]).
-#[derive(Debug, Clone)]
-pub struct DetectorState {
-    pub(crate) lpf: LowPassFilter,
-    pub(crate) hpf: HighPassFilter,
-    pub(crate) der: Derivative,
-    pub(crate) sqr: Squarer,
-    pub(crate) mwi: MovingWindowIntegrator,
-    pub(crate) tail: DetectorTail,
-}
-
-impl DetectorState {
-    /// Fresh session state over an engine's compiled programs.
-    #[must_use]
-    pub fn new(engine: &DetectorEngine) -> Self {
-        Self {
-            lpf: LowPassFilter::from_program(Arc::clone(engine.lpf_program())),
-            hpf: HighPassFilter::from_program(Arc::clone(engine.hpf_program())),
-            der: Derivative::from_program(Arc::clone(engine.der_program())),
-            sqr: Squarer::from_program(Arc::clone(engine.sqr_program())),
-            mwi: MovingWindowIntegrator::from_program(Arc::clone(engine.mwi_program())),
-            tail: DetectorTail::new(engine.config()),
-        }
-    }
-
-    /// Samples ingested so far.
-    #[must_use]
-    pub fn samples_seen(&self) -> usize {
-        self.tail.samples_seen()
-    }
-
-    /// Heap bytes owned by this session right now: stage delay lines, the
-    /// signal store (full vectors when retaining, the pruned HPF ring when
-    /// bounded), the classifier's candidate state, and the event queues.
-    /// Excludes everything shared: the engine's programs and the
-    /// process-wide per-tap product tables.
-    #[must_use]
-    pub fn heap_bytes(&self) -> usize {
-        fn heap_of<S: Stage>(stage: &S) -> usize {
-            stage.state_bytes().saturating_sub(std::mem::size_of::<S>())
-        }
-        heap_of(&self.lpf)
-            + heap_of(&self.hpf)
-            + heap_of(&self.der)
-            + heap_of(&self.sqr)
-            + heap_of(&self.mwi)
-            + self.tail.heap_bytes()
-    }
-
-    /// Total live per-session state in bytes: the struct plus
-    /// [`DetectorState::heap_bytes`]. Under [`Footprint::Bounded`] this
-    /// stays flat in the record length.
-    #[must_use]
-    pub fn state_bytes(&self) -> usize {
-        std::mem::size_of::<Self>() + self.heap_bytes()
-    }
-
-    /// Resets all per-record state (stages, counters, tail), keeping the
-    /// shared programs.
-    pub(crate) fn reset(&mut self, config: &PipelineConfig) {
-        for stage in [
-            &mut self.lpf as &mut dyn Stage,
-            &mut self.hpf,
-            &mut self.der,
-            &mut self.sqr,
-            &mut self.mwi,
-        ] {
-            stage.reset();
-            stage.reset_counters();
-        }
-        self.tail.reset(config);
-    }
-
-    /// Serializes the full session state: the four stage delay rings
-    /// (rotation-normalized, newest sample first; the squarer is
-    /// stateless), per-stage activity counters, and the decision tail.
-    pub(crate) fn encode(&self, w: &mut Writer) {
-        w.put_seq_i64(&self.lpf.fir().delay_snapshot());
-        w.put_seq_i64(&self.hpf.fir().delay_snapshot());
-        w.put_seq_i64(&self.der.fir().delay_snapshot());
-        w.put_seq_i64(self.mwi.window());
-        for stage in [
-            &self.lpf as &dyn Stage,
-            &self.hpf,
-            &self.der,
-            &self.sqr,
-            &self.mwi,
-        ] {
-            w.put_u64(stage.ops().adds());
-            w.put_u64(stage.ops().muls());
-            w.put_u64(stage.saturations());
-            w.put_u64(stage.add_overflows());
-        }
-        self.tail.encode(w);
-    }
-
-    /// Inverse of [`DetectorState::encode`]: builds a fresh state over the
-    /// engine and loads every serialized field into it. Ring lengths are
-    /// validated against the engine's programs; the priming level and MWI
-    /// cursor are re-derived from the tail's sample count.
-    pub(crate) fn decode(
-        engine: &DetectorEngine,
-        r: &mut Reader<'_>,
-    ) -> Result<Self, SnapshotError> {
-        let lpf_ring = r.take_seq_i64()?;
-        let hpf_ring = r.take_seq_i64()?;
-        let der_ring = r.take_seq_i64()?;
-        let mwi_window = r.take_seq_i64()?;
-        let mut counters = [crate::arith::ArithCounters::default(); 5];
-        for c in &mut counters {
-            let adds = r.take_u64()?;
-            let muls = r.take_u64()?;
-            c.ops.count_adds(adds);
-            c.ops.count_muls(muls);
-            c.mul_saturations = r.take_u64()?;
-            c.add_overflows = r.take_u64()?;
-        }
-        let tail = DetectorTail::decode(engine.config(), r)?;
-        let n = tail.samples_seen();
-
-        let mut state = Self::new(engine);
-        if !state.lpf.fir_mut().load_delay_snapshot(&lpf_ring, n) {
-            return Err(SnapshotError::Corrupt(
-                "LPF delay ring has the wrong length",
-            ));
-        }
-        if !state.hpf.fir_mut().load_delay_snapshot(&hpf_ring, n) {
-            return Err(SnapshotError::Corrupt(
-                "HPF delay ring has the wrong length",
-            ));
-        }
-        if !state.der.fir_mut().load_delay_snapshot(&der_ring, n) {
-            return Err(SnapshotError::Corrupt(
-                "derivative delay ring has the wrong length",
-            ));
-        }
-        if !state.mwi.load_window(&mwi_window, n) {
-            return Err(SnapshotError::Corrupt("MWI window has the wrong length"));
-        }
-        state.lpf.fir_mut().backend_mut().set_counters(counters[0]);
-        state.hpf.fir_mut().backend_mut().set_counters(counters[1]);
-        state.der.fir_mut().backend_mut().set_counters(counters[2]);
-        state.sqr.backend_mut().set_counters(counters[3]);
-        state.mwi.backend_mut().set_counters(counters[4]);
-        state.tail = tail;
-        Ok(state)
-    }
-
-    /// Gathers the stage counters and drains the tail into a final result.
-    pub(crate) fn take_result(&mut self, total_delay: usize) -> DetectionResult {
-        let ops = [
-            self.lpf.ops(),
-            self.hpf.ops(),
-            self.der.ops(),
-            self.sqr.ops(),
-            self.mwi.ops(),
-        ];
-        let saturations = [
-            self.lpf.saturations(),
-            self.hpf.saturations(),
-            self.der.saturations(),
-            self.sqr.saturations(),
-            self.mwi.saturations(),
-        ];
-        let add_overflows = [
-            self.lpf.add_overflows(),
-            self.hpf.add_overflows(),
-            self.der.add_overflows(),
-            self.sqr.add_overflows(),
-            self.mwi.add_overflows(),
-        ];
-        self.tail
-            .take_result(ops, saturations, add_overflows, total_delay)
-    }
-}
-
-/// The push-based five-stage QRS detector: a thin facade over one shared
-/// [`DetectorEngine`] and one [`DetectorState`].
+/// The push-based five-stage QRS detector: a thin facade over a one-lane
+/// [`LaneBank`] on one shared [`DetectorEngine`].
 ///
 /// See the [module docs](self) for the equivalence contract, the memory
 /// policies, and latency bounds, and [`crate::QrsDetector`] for the batch
 /// counterpart.
 #[derive(Debug, Clone)]
 pub struct StreamingQrsDetector {
-    engine: Arc<DetectorEngine>,
-    state: DetectorState,
+    bank: LaneBank,
 }
 
 impl StreamingQrsDetector {
@@ -940,42 +755,43 @@ impl StreamingQrsDetector {
     /// Creates a session over an already-compiled shared engine. This is
     /// the fleet shape: one [`DetectorEngine`] (configuration + tap
     /// tables, billed once) drives any number of sessions, each paying
-    /// only [`DetectorState::state_bytes`].
+    /// only [`StreamingQrsDetector::state_bytes`].
     #[must_use]
     pub fn from_engine(engine: Arc<DetectorEngine>) -> Self {
-        let state = DetectorState::new(&engine);
-        Self { engine, state }
+        Self {
+            bank: LaneBank::new(engine, 1),
+        }
     }
 
     /// The shared engine this session runs on.
     #[must_use]
     pub fn engine(&self) -> &Arc<DetectorEngine> {
-        &self.engine
+        self.bank.engine()
     }
 
     /// The pipeline configuration.
     #[must_use]
     pub fn config(&self) -> &PipelineConfig {
-        self.engine.config()
+        self.engine().config()
     }
 
     /// The memory-retention policy this detector runs under.
     #[must_use]
     pub fn footprint(&self) -> Footprint {
-        self.engine.config().footprint()
+        self.config().footprint()
     }
 
     /// Samples pushed so far.
     #[must_use]
     pub fn samples_seen(&self) -> usize {
-        self.state.samples_seen()
+        self.bank.samples_seen(0)
     }
 
     /// Total pipeline group delay in samples (MWI coordinates − raw
     /// coordinates); 37 for the paper's stages.
     #[must_use]
     pub fn total_delay(&self) -> usize {
-        self.engine.total_delay()
+        self.engine().total_delay()
     }
 
     /// Worst-case samples between an R-peak's MWI-signal position and the
@@ -989,7 +805,7 @@ impl StreamingQrsDetector {
     pub fn max_event_lag(&self) -> usize {
         // Candidate finality vs. alignment-window completion — whichever
         // bound binds.
-        let finality = self.engine.config().threshold().peak_spacing + 1;
+        let finality = self.config().threshold().peak_spacing + 1;
         let alignment = (ALIGNMENT_SEARCH + 1).saturating_sub(HPF_TO_MWI_DELAY);
         finality.max(alignment)
     }
@@ -998,22 +814,26 @@ impl StreamingQrsDetector {
     /// window plus the classifier's minimum-signal-length gate.
     #[must_use]
     pub fn startup_samples(&self) -> usize {
-        let threshold = self.engine.config().threshold();
+        let threshold = self.config().threshold();
         threshold.learning.max(2 * threshold.peak_spacing + 1)
     }
 
-    /// Heap bytes owned by this detector right now — see
-    /// [`DetectorState::heap_bytes`]. Excludes the shared engine and the
-    /// process-wide per-tap product tables; see
-    /// [`StreamingQrsDetector::shared_table_bytes`].
+    /// Heap bytes owned by this detector right now: stage delay lines, the
+    /// signal store (full vectors when retaining, the pruned HPF ring when
+    /// bounded), the classifier's candidate state, the event queues, and
+    /// the bank's block scratch (inter-stage rows, FIR history and product
+    /// rows — sized by the longest push, up to 64 samples, and dead between
+    /// pushes). Excludes the shared engine and the process-wide per-tap
+    /// product tables; see [`StreamingQrsDetector::shared_table_bytes`].
     #[must_use]
     pub fn heap_bytes(&self) -> usize {
-        self.state.heap_bytes()
+        self.bank.state_bytes() - std::mem::size_of::<LaneBank>()
     }
 
     /// Total live per-session state in bytes: the facade struct plus
-    /// [`StreamingQrsDetector::heap_bytes`]. Under [`Footprint::Bounded`]
-    /// this stays flat in the record length (the CI budget gate
+    /// [`StreamingQrsDetector::heap_bytes`] — the one-lane bank's
+    /// [`LaneBank::state_bytes`]. Under [`Footprint::Bounded`] this stays
+    /// flat in the record length (the CI budget gate
     /// `ext_memory_footprint --check` measures exactly this); under
     /// [`Footprint::Retain`] it grows linearly. The shared engine is
     /// reported separately by [`DetectorEngine::engine_bytes`] — billed
@@ -1032,15 +852,14 @@ impl StreamingQrsDetector {
     /// [`StreamingQrsDetector::state_bytes`] for honesty.
     #[must_use]
     pub fn shared_table_bytes(&self) -> usize {
-        self.engine.shared_table_bytes()
+        self.engine().shared_table_bytes()
     }
 
     /// Convenience driver: streams a whole record through a fresh detector
     /// in `chunk_size`-sample pushes and returns the full event sequence
     /// plus the final result. One-stop equivalent of
     /// `new(config)` + repeated [`StreamingQrsDetector::push`] +
-    /// [`StreamingQrsDetector::finish`] — used by the evaluator, the bench
-    /// gate, and the equivalence tests so the drive loop exists once.
+    /// [`StreamingQrsDetector::finish`].
     #[must_use]
     pub fn detect_chunked(
         config: PipelineConfig,
@@ -1060,7 +879,7 @@ impl StreamingQrsDetector {
     /// Feeds a chunk of raw samples (any size, down to one) and returns
     /// the events that became final.
     pub fn push(&mut self, chunk: &[i32]) -> Vec<StreamEvent> {
-        self.push_impl(chunk, None)
+        self.bank.push_impl(chunk, None, |_, event| event)
     }
 
     /// Like [`StreamingQrsDetector::push`], additionally appending the
@@ -1071,32 +890,8 @@ impl StreamingQrsDetector {
     /// record-batched path streams the HPF tap into a reusable scratch
     /// buffer instead of retaining five full signals per detector.
     pub fn push_tapped(&mut self, chunk: &[i32], hpf_out: &mut Vec<i64>) -> Vec<StreamEvent> {
-        self.push_impl(chunk, Some(hpf_out))
-    }
-
-    fn push_impl(&mut self, chunk: &[i32], mut tap: Option<&mut Vec<i64>>) -> Vec<StreamEvent> {
-        let shift = self.engine.config().input_shift;
-        let max_misalignment = self.engine.config().max_misalignment();
-        let DetectorState {
-            lpf,
-            hpf,
-            der,
-            sqr,
-            mwi,
-            tail,
-        } = &mut self.state;
-        for &x in chunk {
-            let x = i64::from(x) << shift;
-            let a = lpf.process(x);
-            let b = hpf.process(a);
-            let c = der.process(b);
-            let d = sqr.process(c);
-            let e = mwi.process(d);
-            tail.ingest(a, b, c, d, e, tap.as_deref_mut());
-        }
-        let mut events = Vec::new();
-        tail.settle(false, max_misalignment, &mut events);
-        events
+        let taps = Some(std::slice::from_mut(hpf_out));
+        self.bank.push_impl(chunk, taps, |_, event| event)
     }
 
     /// Ends the stream: flushes the classifier and the alignment queue
@@ -1112,7 +907,7 @@ impl StreamingQrsDetector {
     /// identical to the retaining mode's, carries the beats).
     #[must_use]
     pub fn finish(mut self) -> (Vec<StreamEvent>, DetectionResult) {
-        self.finish_in_place()
+        self.bank.finish_lane(0)
     }
 
     /// Like [`StreamingQrsDetector::finish`], but leaves the detector
@@ -1125,71 +920,46 @@ impl StreamingQrsDetector {
     /// buffers) drives an entire corpus.
     #[must_use]
     pub fn finish_reset(&mut self) -> (Vec<StreamEvent>, DetectionResult) {
-        let out = self.finish_in_place();
-        self.reset();
-        out
-    }
-
-    /// Resets all per-record state (stages, counters, classifier, stores,
-    /// queues), keeping the shared engine.
-    fn reset(&mut self) {
-        let config = *self.engine.config();
-        self.state.reset(&config);
-    }
-
-    fn finish_in_place(&mut self) -> (Vec<StreamEvent>, DetectionResult) {
-        let mut events = Vec::new();
-        let max_misalignment = self.engine.config().max_misalignment();
-        self.state.tail.finish(max_misalignment, &mut events);
-        let result = self.state.take_result(self.engine.total_delay());
-        (events, result)
+        self.bank.finish_lane(0)
     }
 
     /// Serializes the complete live session state into a versioned,
-    /// endian-fixed blob (see [`crate::snapshot`] for the format). The
-    /// blob captures everything [`StreamingQrsDetector::state_bytes`]
-    /// accounts for — delay rings, the classifier's adaptive state,
-    /// the footprint's signal store, per-stage counters — so that
-    /// [`StreamingQrsDetector::restore`] on any host resumes the stream
-    /// bit-identically: same future events, same decisions, same final
-    /// counters as the uninterrupted run.
+    /// endian-fixed blob (see [`crate::snapshot`] for the format) — the
+    /// one session codec, [`LaneBank::snapshot_lane`] of the bank's only
+    /// lane. The blob captures all live session state — delay rings, the
+    /// classifier's adaptive state, the footprint's signal store,
+    /// per-stage counters — so that [`StreamingQrsDetector::restore`] on
+    /// any host, or [`LaneBank::restore_lane`] into any bank, resumes the
+    /// stream bit-identically: same future events, same decisions, same
+    /// final counters as the uninterrupted run.
     ///
     /// Snapshots may be taken at any `push` boundary, including inside the
     /// warmup/learning window.
     ///
     /// # Errors
     ///
-    /// [`SnapshotError::Finished`] if the session was already finished.
+    /// A [`SnapshotError`] if the lane has no live state to capture.
     pub fn snapshot(&self) -> Result<Vec<u8>, SnapshotError> {
-        if self.state.tail.is_finished() {
-            return Err(SnapshotError::Finished);
-        }
-        let mut w = Writer::new();
-        self.state.encode(&mut w);
-        Ok(snapshot::seal(
-            self.engine.config().fingerprint(),
-            &w.into_body(),
-        ))
+        self.bank.snapshot_lane(0)
     }
 
-    /// Rebuilds a live session from a [`StreamingQrsDetector::snapshot`]
-    /// blob over a shared engine. The engine's configuration must be the
-    /// one the blob was taken under (checked via
+    /// Rebuilds a live session from a snapshot blob — this detector's or
+    /// any bank lane's — over a shared engine. The engine's configuration
+    /// must be the one the blob was taken under (checked via
     /// [`crate::PipelineConfig::fingerprint`]); the restored session then
     /// continues exactly where the source left off.
     ///
     /// # Errors
     ///
-    /// Any [`SnapshotError`]: truncated or tampered blobs, wrong codec
-    /// version, wrong configuration, or a structurally invalid body. On
-    /// error nothing is constructed; corrupt input can never produce a
-    /// silently-diverging detector.
+    /// Any [`SnapshotError`] [`LaneBank::restore_lane`] reports: truncated
+    /// or tampered blobs, wrong codec version, wrong configuration, or a
+    /// structurally invalid body (including counters that contradict the
+    /// sample count). On error nothing is constructed; corrupt input can
+    /// never produce a silently-diverging detector.
     pub fn restore(engine: Arc<DetectorEngine>, blob: &[u8]) -> Result<Self, SnapshotError> {
-        let body = snapshot::open(blob, engine.config().fingerprint())?;
-        let mut r = Reader::new(body);
-        let state = DetectorState::decode(&engine, &mut r)?;
-        r.finish()?;
-        Ok(Self { engine, state })
+        let mut bank = LaneBank::new(engine, 1);
+        bank.restore_lane(0, blob)?;
+        Ok(Self { bank })
     }
 }
 
@@ -1197,6 +967,7 @@ impl StreamingQrsDetector {
 mod tests {
     use super::*;
     use crate::detector::QrsDetector;
+    use crate::oracle;
 
     fn pulse_train(n: usize, period: usize, first: usize) -> Vec<i32> {
         let mut signal = vec![0i32; n];
@@ -1220,6 +991,12 @@ mod tests {
         StreamingQrsDetector::detect_chunked(config, signal, chunk)
     }
 
+    /// The scalar reference run every test here anchors on: the stage
+    /// objects, one sample at a time, never the lane kernels.
+    fn reference(config: PipelineConfig, signal: &[i32]) -> (Vec<StreamEvent>, DetectionResult) {
+        oracle::detect_chunked(config, signal, 64)
+    }
+
     #[test]
     fn streaming_equals_batch_for_basic_chunkings() {
         let signal = pulse_train(3000, 170, 200);
@@ -1228,6 +1005,11 @@ mod tests {
             PipelineConfig::least_energy([8, 10, 2, 8, 16]),
         ] {
             let batch = QrsDetector::new(config).detect(&signal);
+            assert_eq!(
+                batch,
+                reference(config, &signal).1,
+                "config {config}: batch"
+            );
             for chunk in [1usize, 7, 64, 997, signal.len()] {
                 let (_, streamed) = run_streaming(config, &signal, chunk);
                 assert_eq!(streamed, batch, "config {config} chunk {chunk}");
@@ -1239,9 +1021,9 @@ mod tests {
     fn event_sequence_is_chunking_invariant() {
         let signal = pulse_train(2600, 160, 180);
         let config = PipelineConfig::least_energy([4, 4, 2, 4, 8]);
-        let (reference, _) = run_streaming(config, &signal, 1);
+        let (reference, _) = reference(config, &signal);
         assert!(!reference.is_empty(), "no events at all");
-        for chunk in [3usize, 50, 311, signal.len()] {
+        for chunk in [1usize, 3, 50, 311, signal.len()] {
             let (events, _) = run_streaming(config, &signal, chunk);
             assert_eq!(events, reference, "chunk {chunk}");
         }
@@ -1298,6 +1080,11 @@ mod tests {
             let batch = QrsDetector::new(PipelineConfig::exact()).detect(&signal);
             let (events, streamed) = run_streaming(PipelineConfig::exact(), &signal, 1);
             assert_eq!(streamed, batch, "len {len}");
+            assert_eq!(
+                batch,
+                reference(PipelineConfig::exact(), &signal).1,
+                "len {len}"
+            );
             assert!(events.is_empty());
         }
     }
@@ -1311,6 +1098,7 @@ mod tests {
         let batch = QrsDetector::new(config).detect(&signal);
         let (_, streamed) = run_streaming(config, &signal, 13);
         assert_eq!(streamed, batch);
+        assert_eq!(batch, reference(config, &signal).1);
     }
 
     /// Sessions built from one shared engine behave exactly like fresh
@@ -1353,7 +1141,7 @@ mod tests {
             PipelineConfig::least_energy([10, 12, 2, 8, 16]),
         ] {
             let bounded_cfg = config.with_footprint(Footprint::Bounded);
-            let (reference_events, retained) = run_streaming(config, &signal, 17);
+            let (reference_events, retained) = reference(config, &signal);
             for chunk in [1usize, 17, 499, signal.len()] {
                 let (events, slim) = run_streaming(bounded_cfg, &signal, chunk);
                 assert_eq!(events, reference_events, "{config} chunk {chunk}");
@@ -1392,7 +1180,7 @@ mod tests {
                 .any(|d| d.class == PeakClass::SearchBack),
             "workload failed to trigger search-back"
         );
-        let (reference_events, _) = run_streaming(config, &signal, 13);
+        let (reference_events, _) = reference(config, &signal);
         for chunk in [1usize, 13, 999] {
             let (events, _) =
                 run_streaming(config.with_footprint(Footprint::Bounded), &signal, chunk);
@@ -1457,7 +1245,7 @@ mod tests {
     fn hpf_tap_matches_retained_signal() {
         let signal = pulse_train(2200, 170, 200);
         let config = PipelineConfig::least_energy([4, 4, 2, 4, 8]);
-        let (_, retained) = run_streaming(config, &signal, 33);
+        let (_, retained) = reference(config, &signal);
         let mut det = StreamingQrsDetector::new(config.with_footprint(Footprint::Bounded));
         let mut tap = Vec::new();
         for chunk in signal.chunks(33) {
@@ -1493,8 +1281,8 @@ mod tests {
             let (trailing, result_second) = reused.finish_reset();
             events_second.extend(trailing);
 
-            let (fresh_events_first, fresh_first) = run_streaming(config, &first, 19);
-            let (fresh_events_second, fresh_second) = run_streaming(config, &second, 19);
+            let (fresh_events_first, fresh_first) = reference(config, &first);
+            let (fresh_events_second, fresh_second) = reference(config, &second);
             assert_eq!(result_first, fresh_first, "{footprint:?}: first record");
             assert_eq!(result_second, fresh_second, "{footprint:?}: second record");
             assert_eq!(events_second, fresh_events_second, "{footprint:?}: events");
@@ -1530,7 +1318,7 @@ mod tests {
                 let config = PipelineConfig::least_energy([10, 12, 2, 8, 16])
                     .with_footprint(footprint)
                     .with_decision(decision);
-                let reference = run_streaming(config, &signal, 64);
+                let reference = reference(config, &signal);
                 for cut in [1usize, 137, 1024, 2999] {
                     let resumed = run_with_snapshot(config, &signal, cut);
                     assert_eq!(resumed, reference, "{footprint:?}/{decision:?} cut {cut}");
@@ -1564,7 +1352,7 @@ mod tests {
             PipelineConfig::exact(),
             PipelineConfig::least_energy([10, 12, 2, 8, 16]).with_footprint(Footprint::Bounded),
         ] {
-            let reference = run_streaming(config, &signal, 64);
+            let reference = reference(config, &signal);
             for cut in [37usize, 150, 399, 400] {
                 let resumed = run_with_snapshot(config, &signal, cut);
                 assert_eq!(resumed, reference, "warmup cut {cut}");
@@ -1596,7 +1384,7 @@ mod tests {
         );
         for footprint in [Footprint::Retain, Footprint::Bounded] {
             let config = config.with_footprint(footprint);
-            let reference = run_streaming(config, &signal, 64);
+            let reference = reference(config, &signal);
             for cut in [
                 misses[0] - 1,
                 misses[0] + 40,
@@ -1660,12 +1448,61 @@ mod tests {
         padded.push(0);
         assert!(StreamingQrsDetector::restore(Arc::clone(&engine), &padded).is_err());
 
-        // A finished session refuses to snapshot; after `finish_reset` the
-        // fresh session snapshots again.
+        // After `finish_reset` the fresh session snapshots again (a lane
+        // finished without the reset refuses: see lane.rs's
+        // `finished_tail_refuses_to_snapshot`).
         let (_, _) = det.finish_reset();
         let _ = det.push(&signal[..64]);
         assert!(det.snapshot().is_ok(), "reset session must snapshot again");
-        let _ = det.finish_in_place();
-        assert!(matches!(det.snapshot(), Err(SnapshotError::Finished)));
+    }
+
+    /// A re-sealed blob whose LPF multiply count is off by one passes every
+    /// container check (its checksum is fresh) but contradicts its sample
+    /// count: the solo and the lane restore both refuse it, with the same
+    /// typed error, because they are one decoder.
+    #[test]
+    fn tampered_op_counts_fail_solo_and_lane_restores_alike() {
+        use crate::stages::mwi::WINDOW;
+        let signal = pulse_train(1400, 170, 200);
+        let config =
+            PipelineConfig::least_energy([10, 12, 2, 8, 16]).with_footprint(Footprint::Bounded);
+        let engine = Arc::new(DetectorEngine::new(config));
+        let mut det = StreamingQrsDetector::from_engine(Arc::clone(&engine));
+        let _ = det.push(&signal);
+        let blob = det.snapshot().expect("snapshot");
+
+        // The body opens with four length-prefixed i64 sequences (LPF, HPF
+        // and derivative rings, MWI window), then per stage: adds, muls,
+        // saturations, overflows.
+        let seq = |n: usize| 8 + 8 * n;
+        let rings = seq(engine.lpf_program().taps().len())
+            + seq(engine.hpf_program().taps().len())
+            + seq(engine.der_program().taps().len())
+            + seq(WINDOW);
+        let at = crate::snapshot::HEADER_BYTES + rings + 8;
+        let mut muls = [0u8; 8];
+        muls.copy_from_slice(&blob[at..at + 8]);
+        let muls = u64::from_le_bytes(muls);
+        assert_eq!(
+            muls,
+            11 * 1400,
+            "offset must land on the LPF multiply count"
+        );
+        let mut body = blob[crate::snapshot::HEADER_BYTES..].to_vec();
+        let at = at - crate::snapshot::HEADER_BYTES;
+        body[at..at + 8].copy_from_slice(&(muls + 1).to_le_bytes());
+        let tampered = crate::snapshot::seal(config.fingerprint(), &body);
+
+        let expected = Some(SnapshotError::Corrupt(
+            "stage operation counts do not match the sample count",
+        ));
+        assert_eq!(
+            StreamingQrsDetector::restore(Arc::clone(&engine), &tampered).err(),
+            expected,
+            "solo restore accepted tampered op counts"
+        );
+        let mut bank = LaneBank::new(Arc::clone(&engine), 2);
+        assert_eq!(bank.restore_lane(1, &tampered).err(), expected);
+        assert!(StreamingQrsDetector::restore(engine, &blob).is_ok());
     }
 }

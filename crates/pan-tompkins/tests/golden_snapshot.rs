@@ -6,9 +6,9 @@
 //!
 //! Each check thaws the committed blob, streams the remainder of the
 //! paper workload, and demands the stitched run equal the uninterrupted
-//! one — peaks, decisions, and every per-stage counter — and that
-//! re-encoding the thawed session reproduces the blob byte for byte
-//! (the codec is canonical).
+//! scalar reference run (`oracle`) — peaks, decisions, and every
+//! per-stage counter — and that re-encoding the thawed session
+//! reproduces the blob byte for byte (the codec is canonical).
 //!
 //! If a deliberate codec version bump invalidates the fixtures,
 //! regenerate them with `cargo test -p pan-tompkins --test
@@ -21,6 +21,7 @@
 
 use std::sync::Arc;
 
+use pan_tompkins::oracle::ScalarDetector;
 use pan_tompkins::{
     DecisionArith, DetectorEngine, Footprint, PipelineConfig, StreamingQrsDetector,
 };
@@ -67,9 +68,9 @@ fn committed_snapshots_restore_and_resume_bit_identically() {
     for ((label, config), blob) in fixture_configs().into_iter().zip(FIXTURES) {
         let engine = Arc::new(DetectorEngine::new(config));
 
-        // The uninterrupted reference run under the same chunking the
-        // resumed leg uses.
-        let mut reference = StreamingQrsDetector::from_engine(Arc::clone(&engine));
+        // The uninterrupted scalar reference run under the same chunking
+        // the resumed leg uses.
+        let mut reference = ScalarDetector::new(config);
         let mut ref_events = Vec::new();
         for chunk in signal.chunks(10) {
             ref_events.extend(reference.push(chunk));

@@ -15,7 +15,8 @@
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use pan_tompkins::{
-    DecisionArith, Footprint, PipelineConfig, QrsDetector, StreamEvent, StreamingQrsDetector,
+    oracle, DecisionArith, Footprint, PipelineConfig, QrsDetector, StreamEvent,
+    StreamingQrsDetector,
 };
 
 /// The fixture workload: the first 6000 samples (30 s) of the synthetic
@@ -101,8 +102,13 @@ fn check(golden: &Golden, decision: DecisionArith, label: &str) {
         let _ = streaming.push(chunk);
     }
     let (_, streamed) = streaming.finish();
+    let (_, scalar) = oracle::detect_chunked(config, record.samples(), 10);
 
-    for (name, result) in [("batch", &batch), ("streaming", &streamed)] {
+    for (name, result) in [
+        ("batch", &batch),
+        ("streaming", &streamed),
+        ("scalar", &scalar),
+    ] {
         assert_eq!(
             result.r_peaks(),
             golden.r_peaks,

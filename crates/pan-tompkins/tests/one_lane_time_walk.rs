@@ -1,9 +1,10 @@
-//! The one-lane time walk against the scalar path: a one-lane `LaneBank`
-//! runs its stage kernels in register blocks across *time* (and batch
-//! `QrsDetector::detect` is one push into such a bank), so every case here
-//! compares it with `StreamingQrsDetector::detect_chunked`, which never
-//! touches the lane kernels — events, peaks, decisions, stage signals and
-//! every operation/saturation/overflow counter.
+//! The one-lane time walk against the scalar reference: a one-lane
+//! `LaneBank` runs its stage kernels in register blocks across *time*, and
+//! batch `QrsDetector::detect` and `StreamingQrsDetector` are both such a
+//! bank, so every case here compares them with `oracle::detect_chunked` —
+//! the public stage objects, one sample at a time, which never touch the
+//! lane kernels — in events, peaks, decisions, stage signals and every
+//! operation/saturation/overflow counter.
 //!
 //! The sweep is deterministic: every adder × multiplier kind at spread
 //! per-stage LSB depths, the paper's exact/B9/B5 designs and B9 on the
@@ -16,8 +17,8 @@ use std::sync::Arc;
 
 use approx_arith::{FullAdderKind, Mult2x2Kind, StageArith};
 use pan_tompkins::{
-    DetectionResult, DetectorEngine, Footprint, LaneBank, MulEngine, PipelineConfig, QrsDetector,
-    StageKind, StreamEvent, StreamingQrsDetector,
+    oracle, DetectionResult, DetectorEngine, Footprint, LaneBank, MulEngine, PipelineConfig,
+    QrsDetector, StageKind, StreamEvent, StreamingQrsDetector,
 };
 
 /// Push lengths: single ticks, a partial 4-block, one tick short of,
@@ -102,7 +103,7 @@ fn one_lane_bank_matches_the_scalar_path_for_every_config_push_and_record() {
         for footprint in [Footprint::Retain, Footprint::Bounded] {
             let config = config.with_footprint(footprint);
             for signal in records(len) {
-                let scalar = StreamingQrsDetector::detect_chunked(config, &signal, 64);
+                let scalar = oracle::detect_chunked(config, &signal, 64);
                 if footprint == Footprint::Retain {
                     assert_eq!(
                         QrsDetector::new(config).detect(&signal),
@@ -117,6 +118,11 @@ fn one_lane_bank_matches_the_scalar_path_for_every_config_push_and_record() {
                     assert!(
                         one_lane(config, &signal, push) == scalar,
                         "{config} {footprint:?}: {push}-sample pushes over {} samples",
+                        signal.len()
+                    );
+                    assert!(
+                        StreamingQrsDetector::detect_chunked(config, &signal, push) == scalar,
+                        "{config} {footprint:?}: {push}-sample solo pushes over {} samples",
                         signal.len()
                     );
                 }
@@ -143,8 +149,7 @@ fn one_lane_snapshots_round_trip_through_a_solo_detector_mid_block() {
     ] {
         for footprint in [Footprint::Retain, Footprint::Bounded] {
             let config = config.with_footprint(footprint);
-            let (ref_events, ref_result) =
-                StreamingQrsDetector::detect_chunked(config, &signal, 64);
+            let (ref_events, ref_result) = oracle::detect_chunked(config, &signal, 64);
             let engine = Arc::new(DetectorEngine::new(config));
 
             let mut bank = LaneBank::new(Arc::clone(&engine), 1);

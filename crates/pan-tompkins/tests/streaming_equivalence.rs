@@ -3,12 +3,17 @@
 //! output — peaks, decisions, stage signals, operation/saturation/overflow
 //! counters — equals the batch `detect` exactly, and the event stream does
 //! not depend on how the input was split into `push` calls.
+//!
+//! Batch detection, the streaming detector and every bank lane run the
+//! same lane kernels, so each property anchors on the scalar reference
+//! (`oracle::detect_chunked`: the public stage objects, one sample at a
+//! time), which shares none of their stage code.
 
 use std::sync::Arc;
 
 use approx_arith::{FullAdderKind, Mult2x2Kind, StageArith};
 use pan_tompkins::{
-    DecisionArith, DetectionResult, DetectorEngine, Footprint, LaneBank, PipelineConfig,
+    oracle, DecisionArith, DetectionResult, DetectorEngine, Footprint, LaneBank, PipelineConfig,
     QrsDetector, StreamEvent, StreamingQrsDetector,
 };
 use proptest::prelude::*;
@@ -76,6 +81,8 @@ proptest! {
         let config = config_from([k0, k1, k2, k3, k4], mult_idx, adder_idx);
         let signal = record_samples(seed, len);
         let batch = QrsDetector::new(config).detect(&signal);
+        let (scalar_events, scalar) = oracle::detect_chunked(config, &signal, chunk_b);
+        prop_assert_eq!(&batch, &scalar, "batch != scalar reference for {}", config);
 
         // Fixed partitions: single samples, a small prime, a large chunk,
         // the whole record — plus two drawn alternating partitions.
@@ -87,27 +94,23 @@ proptest! {
             &[chunk_a, chunk_b],
             &[1, chunk_b, chunk_a],
         ];
-        let mut reference_events: Option<Vec<StreamEvent>> = None;
         for sizes in partitions {
             let (events, streamed) = run_streaming(config, &signal, sizes);
             prop_assert_eq!(
                 &streamed, &batch,
                 "streaming != batch for {} with partition {:?}", config, sizes
             );
-            match &reference_events {
-                None => reference_events = Some(events),
-                Some(reference) => prop_assert_eq!(
-                    &events, reference,
-                    "event stream changed with partition {:?}", sizes
-                ),
-            }
+            prop_assert_eq!(
+                &events, &scalar_events,
+                "event stream changed with partition {:?}", sizes
+            );
         }
 
         // The bounded-footprint mode: identical event stream for every
         // partition, a slim result whose counters equal the batch run, and
         // a measured O(1) state bound.
         let bounded_cfg = config.with_footprint(Footprint::Bounded);
-        let reference = reference_events.expect("at least one partition ran");
+        let reference = scalar_events;
         for sizes in [&[1usize] as &[usize], &[chunk_a, chunk_b], &[997]] {
             let (events, slim) = run_streaming(bounded_cfg, &signal, sizes);
             prop_assert_eq!(
@@ -163,7 +166,7 @@ proptest! {
 
     /// The lane axis of the contract: every lane of a [`LaneBank`] emits
     /// the same event stream and final result — including every
-    /// operation/saturation/overflow counter — as its solo scalar run, for
+    /// operation/saturation/overflow counter — as the scalar reference run, for
     /// random configurations × lane counts × signals × push granularities
     /// × footprints × decision arithmetic.
     #[test]
@@ -219,7 +222,7 @@ proptest! {
         for (lane, events) in per_lane.iter_mut().enumerate() {
             let (trailing, result) = bank.finish_lane(lane);
             events.extend(trailing);
-            let (solo_events, solo_result) = run_streaming(config, &signals[lane], &[97]);
+            let (solo_events, solo_result) = oracle::detect_chunked(config, &signals[lane], 97);
             prop_assert_eq!(
                 &*events, &solo_events,
                 "lane {} of {} events diverged for {}", lane, lanes, config
@@ -272,7 +275,7 @@ proptest! {
         let cut2 = cut + (n - cut) * cut2_num / 1000;
         let lane = lanes - 1;
 
-        let reference = run_streaming(config, &signal, &[chunk_a, chunk_b]);
+        let reference = oracle::detect_chunked(config, &signal, chunk_b);
 
         // Leg 1: solo up to `cut`, freeze, drop, thaw into a fresh solo.
         let engine = Arc::new(DetectorEngine::new(config));
@@ -340,6 +343,7 @@ fn saturating_signals_stay_equivalent() {
         batch.saturations().iter().sum::<u64>() > 0,
         "test signal failed to exercise the saturation path"
     );
+    assert_eq!(batch, oracle::detect_chunked(config, &signal, 64).1);
     for sizes in [[1usize, 1], [13, 380]] {
         let (_, streamed) = run_streaming(config, &signal, &sizes);
         assert_eq!(streamed, batch);
@@ -354,6 +358,10 @@ fn paper_record_streams_identically() {
     let config = PipelineConfig::least_energy([10, 12, 2, 8, 16]);
     let batch = QrsDetector::new(config).detect(record.samples());
     assert!(batch.r_peaks().len() > 20, "workload has no beats");
+    assert_eq!(
+        batch,
+        oracle::detect_chunked(config, record.samples(), 20).1
+    );
     for sizes in [[1usize, 1], [20, 20], [160, 7]] {
         let (events, streamed) = run_streaming(config, record.samples(), &sizes);
         assert_eq!(streamed, batch);

@@ -59,7 +59,7 @@ pub struct ServiceConfig {
     /// Per-shard backpressure watermark: samples accepted but not yet
     /// ingested before `push` starts returning [`ServiceError::Busy`].
     pub inflight_high_water: usize,
-    /// A lane session with nothing pending is demoted to the scalar path
+    /// A lane session with nothing pending is demoted to the solo path
     /// once a bankmate has this many samples queued behind it.
     pub demote_after: usize,
 }
@@ -109,7 +109,7 @@ impl ServiceConfig {
         self
     }
 
-    /// Overrides the starvation threshold for lane→scalar demotion.
+    /// Overrides the starvation threshold for lane→solo demotion.
     #[must_use]
     pub fn with_demote_after(mut self, samples: usize) -> Self {
         self.demote_after = samples.max(1);

@@ -4,11 +4,11 @@
 //! *service*: a [`SessionHub`] owning N shard worker threads, each
 //! driving a slab of detector sessions packed into
 //! [`pan_tompkins::LaneBank`]s (the SoA multi-lane kernels of DESIGN.md
-//! §9), with scalar [`pan_tompkins::StreamingQrsDetector`]s as the
-//! straggler path. Sessions are addressed by dense [`SessionId`]s with
-//! generation bits, ingested over bounded queues with explicit
-//! backpressure ([`ServiceError::Busy`]), and migrated between the lane
-//! and scalar paths through the DESIGN.md §11 snapshot codec — so every
+//! §9), with solo [`pan_tompkins::StreamingQrsDetector`]s (one-lane
+//! banks) as the straggler path. Sessions are addressed by dense
+//! [`SessionId`]s with generation bits, ingested over bounded queues with
+//! explicit backpressure ([`ServiceError::Busy`]), and migrated between
+//! banks and solo sessions through the DESIGN.md §11 snapshot codec — so every
 //! session's event stream is bit-identical to a solo detector fed the
 //! same chunks, regardless of how the scheduler packed it.
 //!

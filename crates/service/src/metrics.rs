@@ -1,8 +1,13 @@
-//! Per-shard counters and the push-to-event latency histogram.
+//! Per-shard counters and the ingest-latency histogram.
 //!
 //! Everything here is plain atomics: the workers bump counters from the
 //! hot loop without locks, and any thread can take a consistent-enough
-//! snapshot at any time. Latency is recorded as an integer-microsecond
+//! snapshot at any time. The latency histogram measures one interval per
+//! accepted `push`: from the moment the client enqueued its chunk to the
+//! moment a worker ingested the chunk's last sample. It is *not*
+//! push-to-event time: an R-peak's event can be emitted up to 58 samples
+//! (DESIGN.md §6), several chunks, after its samples are ingested.
+//! Latency is recorded as an integer-microsecond
 //! power-of-two histogram so the hot path never touches floating point —
 //! quantile extraction (a read-side concern) lives with the consumers,
 //! e.g. the `ext_service_load` gate.
@@ -41,11 +46,12 @@ pub struct ShardMetrics {
     /// Commands dropped because their generation was stale by the time
     /// the worker saw them.
     pub stale_drops: AtomicU64,
-    /// Lane sessions migrated out to the scalar path (starved lane).
+    /// Lane sessions migrated out to a solo one-lane bank (starved lane).
     pub demotions: AtomicU64,
-    /// Scalar sessions migrated back into a lane.
+    /// Solo sessions migrated back into a lane.
     pub promotions: AtomicU64,
-    /// Push-to-event latency histogram (µs, power-of-two buckets).
+    /// Enqueue-to-ingested latency histogram, one sample per accepted
+    /// chunk (µs, power-of-two buckets; see the module docs).
     pub latency: LatencyHistogram,
 }
 
@@ -104,9 +110,9 @@ pub struct ShardMetricsSnapshot {
     pub busy_rejections: u64,
     /// Stale-generation drops.
     pub stale_drops: u64,
-    /// Lane→scalar demotions.
+    /// Lane→solo demotions.
     pub demotions: u64,
-    /// Scalar→lane promotions.
+    /// Solo→lane promotions.
     pub promotions: u64,
     /// Latency histogram bucket counts (µs, power-of-two).
     pub latency: [u64; LATENCY_BUCKETS],

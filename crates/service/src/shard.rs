@@ -3,20 +3,23 @@
 //!
 //! Every session on a shard is in one of two execution modes:
 //!
-//! * **Lane** — its [`DetectorState`] lives inside a [`LaneBank`] shared
+//! * **Lane** — its state lives in one lane of a [`LaneBank`] shared
 //!   with up to `lanes_per_bank - 1` other sessions of the same
 //!   [`PipelineConfig`]. A shard tick advances each bank by the minimum
 //!   number of pending samples across its occupied lanes, so the whole
 //!   bank moves through one `LaneBank::push` — the SoA fast path.
-//! * **Solo** — a scalar [`StreamingQrsDetector`]. Sessions land here
-//!   when they starve a bank (no pending samples while a bankmate has
-//!   `demote_after` or more queued), when they are restored from a
-//!   snapshot, or while a snapshot of them is being taken.
+//! * **Solo** — a [`StreamingQrsDetector`], itself a one-lane bank whose
+//!   kernels block across time, so a solo session runs at its own pace
+//!   on the same stage kernels. Sessions land here when they starve a
+//!   bank (no pending samples while a bankmate has `demote_after` or more
+//!   queued), when they are restored from a snapshot, or while a snapshot
+//!   of them is being taken.
 //!
-//! Sessions migrate between the modes through PR 8's snapshot codec,
-//! which both sides share byte-for-byte, so migration is bit-invisible:
-//! the stream of events a session observes is identical to what a solo
-//! detector fed the same chunks would emit. Unoccupied lanes are fed
+//! Sessions migrate between the modes through the snapshot codec, which
+//! both sides share byte-for-byte (demotion and promotion are codec
+//! round-trips, not a direct bank-to-bank move), so migration is
+//! bit-invisible: the stream of events a session observes is identical to
+//! what a solo detector fed the same chunks would emit. Unoccupied lanes are fed
 //! zeros and their outputs discarded; a lane is reset (via
 //! `finish_lane`, output discarded) immediately before a fresh session
 //! is assigned to it, and `restore_lane` overwrites a lane completely,
@@ -483,7 +486,7 @@ impl ShardWorker {
         Ok(())
     }
 
-    /// Feeds every pending sample of a solo session through its scalar
+    /// Feeds every pending sample of a solo session through its
     /// detector, emitting events. No-op for lane sessions.
     fn drain_solo_fully(&mut self, slot: usize) {
         loop {
@@ -581,7 +584,7 @@ impl ShardWorker {
             }
         }
         // A snapshot reflects every sample pushed before it: migrate to
-        // the scalar path and ingest the backlog first.
+        // the solo path and ingest the backlog first.
         if let Err(e) = self.demote(slot) {
             let _ = reply.try_send(Err(ServiceError::Snapshot(e)));
             return;
@@ -817,8 +820,8 @@ impl ShardWorker {
                 };
                 let end = (chunk.pos + budget).min(chunk.samples.len());
                 // xanalyze: begin-allow(alloc) — `StreamingQrsDetector::push`
-                // is the audited scalar-pipeline entry point, not a
-                // container append.
+                // is the audited one-lane bank entry point
+                // (`LaneBank::push_impl`, lane.rs), not a container append.
                 let evs = det.push(&chunk.samples[chunk.pos..end]);
                 // xanalyze: end-allow(alloc)
                 let consumed = end - chunk.pos;

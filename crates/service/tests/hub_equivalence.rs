@@ -1,15 +1,17 @@
 //! The hub's correctness contract: however the scheduler packs, demotes,
 //! promotes, or migrates a session, its event stream and final result
-//! are bit-identical to a solo `StreamingQrsDetector` fed the same
-//! chunks — for random session mixes, chunk partitions, shard counts,
-//! and lane widths. Plus the shutdown contract: a hub draining under
+//! are bit-identical to the scalar reference detector
+//! (`pan_tompkins::oracle`, which shares no stage code with the lanes and
+//! one-lane banks the hub runs) fed the same chunks — for random session
+//! mixes, chunk partitions, shard counts, and lane widths. Plus the shutdown contract: a hub draining under
 //! load loses no accepted samples and never deadlocks.
 
 use std::collections::HashMap;
 use std::sync::mpsc::Receiver;
 
 use approx_arith::{FullAdderKind, Mult2x2Kind, StageArith};
-use pan_tompkins::{DetectionResult, Footprint, PipelineConfig, StreamEvent, StreamingQrsDetector};
+use pan_tompkins::oracle::ScalarDetector;
+use pan_tompkins::{DetectionResult, Footprint, PipelineConfig, StreamEvent};
 use proptest::prelude::*;
 use service::{ServiceConfig, ServiceError, SessionHub, SessionId, SessionOutput};
 
@@ -55,10 +57,10 @@ fn record_samples(seed: u64, len: usize) -> Vec<i32> {
     record.samples()[start..(start + len).min(record.len())].to_vec()
 }
 
-/// Runs `signal` through a fresh solo detector with the same chunk
-/// boundaries the hub saw and returns (events ++ trailing, result).
+/// Runs `signal` through a fresh scalar reference detector with the same
+/// chunk boundaries the hub saw and returns (events ++ trailing, result).
 fn solo_run(config: PipelineConfig, chunks: &[Vec<i32>]) -> (Vec<StreamEvent>, DetectionResult) {
-    let mut det = StreamingQrsDetector::new(config);
+    let mut det = ScalarDetector::new(config);
     let mut events = Vec::new();
     for chunk in chunks {
         events.extend(det.push(chunk));

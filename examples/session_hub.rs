@@ -101,7 +101,7 @@ fn main() {
         peaks
     );
     println!(
-        "lane occupancy at peak: {} lanes; p99 push-to-event latency <= {} us",
+        "lane occupancy at peak: {} lanes; p99 ingest latency <= {} us",
         metrics.shards.iter().map(|s| s.lanes_total).sum::<usize>(),
         metrics.latency_quantile_us(990).unwrap_or(0)
     );

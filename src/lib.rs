@@ -46,9 +46,8 @@ pub use xbiosip;
 /// Everything a deployment-shaped caller needs in a single glob:
 ///
 /// * **Detection** — [`QrsDetector`] / [`DetectionResult`] batch runs,
-///   [`StreamingQrsDetector`] with its compiled [`DetectorEngine`] and
-///   per-session [`DetectorState`] split, [`StreamEvent`]s, and the
-///   multi-lane [`LaneBank`].
+///   [`StreamingQrsDetector`] over its compiled [`DetectorEngine`] (a
+///   one-lane bank), [`StreamEvent`]s, and the multi-lane [`LaneBank`].
 /// * **Configuration** — [`PipelineConfig`] and its stage/threshold
 ///   builders, [`StageKind`], [`Footprint`], [`DecisionArith`].
 /// * **Persistence** — [`SnapshotError`] and the snapshot codec riding on
@@ -60,8 +59,8 @@ pub use xbiosip;
 ///   [`QualityReport`], [`QualityConstraint`].
 pub mod prelude {
     pub use pan_tompkins::{
-        DecisionArith, DetectionResult, DetectorEngine, DetectorState, Footprint, LaneBank,
-        PipelineConfig, QrsDetector, SnapshotError, StageKind, StreamEvent, StreamingQrsDetector,
+        DecisionArith, DetectionResult, DetectorEngine, Footprint, LaneBank, PipelineConfig,
+        QrsDetector, SnapshotError, StageKind, StreamEvent, StreamingQrsDetector,
     };
     pub use service::{
         Client, HubMetrics, PushError, ServiceConfig, ServiceError, SessionEvent, SessionHub,
