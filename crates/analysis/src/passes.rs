@@ -88,7 +88,7 @@ impl CheckConfig {
                 // hot path as the detector — float- and panic-free.
                 "crates/service/src/".to_string(),
             ],
-            float_allow_files: vec![format!("{HOT}decision.rs"), format!("{HOT}threshold.rs")],
+            float_allow_files: vec![format!("{HOT}threshold.rs")],
             unsafe_files: vec![format!("{HOT}lane.rs")],
             dispatch_sites: vec![(format!("{HOT}lane.rs"), "run_at".to_string())],
             design_doc: "DESIGN.md".into(),
@@ -130,6 +130,7 @@ impl CheckConfig {
                 ("crates/service/src/shard.rs".to_string(), "tick"),
                 ("crates/service/src/shard.rs".to_string(), "tick_bank"),
                 ("crates/service/src/shard.rs".to_string(), "tick_solos"),
+                ("crates/service/src/shard.rs".to_string(), "ingest_solo"),
                 ("crates/service/src/shard.rs".to_string(), "next_sample"),
             ]
             .into_iter()

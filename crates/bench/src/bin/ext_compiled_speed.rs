@@ -1,7 +1,7 @@
 //! **Extension experiment**: the compiled word-level arithmetic engine vs
 //! the bit-level netlist walk — correctness gate plus speedup measurement.
 //!
-//! Three sections:
+//! Two sections:
 //!
 //! 1. **Equivalence gate** — a fixed operand-vector sweep across the full
 //!    configuration grid (every LSB depth × elementary module pair). Any
@@ -9,12 +9,10 @@
 //!    exits non-zero, which is what CI's bench-smoke job checks.
 //! 2. **Multiplier throughput** — samples/second through each engine on the
 //!    paper's main approximate configuration.
-//! 3. **End-to-end exploration** — the Fig 11 *measured* two-stage
-//!    pre-processing search, run once the way the seed evaluated it
-//!    (bit-level engine, sequential grid walk) and once the way the
-//!    evaluator now runs (compiled engine, parallel grid sweep). The ratio
-//!    is the tracked speedup number (target: ≥ 20×, recorded in
-//!    `ROADMAP.md`).
+//!
+//! The pipeline itself only runs the compiled engine; the bit-level
+//! netlist walk is its reference, here and in the `approx_arith` property
+//! tests.
 //!
 //! `--check` runs only section 1 (the CI mode).
 
@@ -22,10 +20,6 @@ use std::time::Instant;
 
 use approx_arith::{CompiledMultiplier, FullAdderKind, Mult2x2Kind, RecursiveMultiplier};
 use hwmodel::report::fmt_f64;
-use pan_tompkins::{MulEngine, PipelineConfig, StageKind};
-use xbiosip::exhaustive::{heuristic_search, heuristic_search_sequential};
-use xbiosip::parallel::worker_count;
-use xbiosip::quality_eval::{Evaluator, QualityConstraint};
 
 /// Operand pairs exercised per configuration in the equivalence gate:
 /// boundary patterns plus a deterministic pseudo-random spread.
@@ -118,76 +112,11 @@ fn throughput() {
     );
 }
 
-/// Section 3: the Fig 11 measured search, before-path vs after-path.
-fn end_to_end() {
-    let record = xbiosip_bench::quick_record();
-    let stages = [(StageKind::Lpf, 16u32), (StageKind::Hpf, 16u32)];
-    let constraint = QualityConstraint::MinPsnr(20.0);
-
-    println!(
-        "end-to-end two-stage pre-processing search ({} grid points, {} samples/record):",
-        9 * 9,
-        record.len()
-    );
-
-    // Before: bit-level engine, one grid point at a time (the seed's path).
-    let evaluator = Evaluator::with_reference(
-        &record,
-        PipelineConfig::exact().with_engine(MulEngine::BitLevel),
-    );
-    let t0 = Instant::now();
-    let before = heuristic_search_sequential(
-        &evaluator,
-        constraint,
-        &stages,
-        FullAdderKind::Ama5,
-        Mult2x2Kind::V1,
-        PipelineConfig::exact().with_engine(MulEngine::BitLevel),
-    );
-    let t_before = t0.elapsed();
-
-    // After: compiled engine, parallel grid sweep.
-    let evaluator = Evaluator::new(&record);
-    let t1 = Instant::now();
-    let after = heuristic_search(
-        &evaluator,
-        constraint,
-        &stages,
-        FullAdderKind::Ama5,
-        Mult2x2Kind::V1,
-        PipelineConfig::exact(),
-    );
-    let t_after = t1.elapsed();
-
-    assert_eq!(
-        before.best, after.best,
-        "bit-level and compiled searches chose different designs"
-    );
-    assert_eq!(before.satisfying(), after.satisfying());
-
-    let speedup = t_before.as_secs_f64() / t_after.as_secs_f64().max(1e-12);
-    println!(
-        "  bit-level sequential: {t_before:.2?}  ({} points)",
-        before.points.len()
-    );
-    println!(
-        "  compiled parallel:    {t_after:.2?}  ({} workers)",
-        worker_count(after.points.len())
-    );
-    println!(
-        "  wall-clock speedup:   {}x  (target >= 20x)",
-        fmt_f64(speedup, 1)
-    );
-    if speedup < 20.0 {
-        println!("  WARNING: below the 20x target on this machine");
-    }
-}
-
 fn main() {
     let check_only = std::env::args().any(|a| a == "--check");
     xbiosip_bench::banner(
         "Extension — compiled engine vs bit-level netlist walk",
-        "equivalence gate + throughput + Fig 11 measured search",
+        "equivalence gate + throughput",
     );
 
     let t0 = Instant::now();
@@ -203,5 +132,4 @@ fn main() {
     }
 
     throughput();
-    end_to_end();
 }

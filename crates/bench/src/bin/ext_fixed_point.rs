@@ -3,21 +3,24 @@
 //!
 //! Three sections:
 //!
-//! 1. **Equivalence gate** — pipeline configurations × records × chunk
-//!    sizes × footprints: the default [`DecisionArith::Fixed`] classifier
-//!    (Q-format integer SPK/NPK, rational search-back — see `DESIGN.md`
-//!    §8) must reproduce the [`DecisionArith::Float`] reference decision
-//!    for decision: identical `DetectionResult`s and identical event
-//!    streams. Any divergence exits non-zero — CI's bench-smoke job runs
-//!    this via `--check`. (The one *documented* divergence domain,
+//! 1. **Equivalence gate** — pipeline configurations × records: the
+//!    detector's decisions (Q-format integer SPK/NPK, rational
+//!    search-back — see `DESIGN.md` §8) must equal those of the `f64`
+//!    transcription of the paper (`oracle::float_classify`) over the same
+//!    retained MWI signal, decision for decision. The MWI does not depend
+//!    on the decision arithmetic, so equal decisions mean equal peaks and
+//!    events too; chunk and footprint invariance of the detector are gated
+//!    by `ext_streaming_speed` and `ext_memory_footprint`. Any divergence,
+//!    or a record without beats, exits non-zero — CI's bench-smoke job
+//!    runs this via `--check`. (The one *documented* divergence domain,
 //!    amplitudes past 2^53, is regression-tested in `pan-tompkins`; no
 //!    physiological record reaches it.)
 //! 2. **Decision-path throughput** — the classifier alone (pre-computed
-//!    MWI signal pushed through an `OnlineClassifier`), Fixed vs Float,
-//!    in samples/second. This isolates the arithmetic the tentpole
-//!    replaced from the FIR stages that dominate end-to-end time.
+//!    MWI signal pushed through an `OnlineClassifier`), in samples/second.
+//!    This isolates the decision arithmetic from the FIR stages that
+//!    dominate end-to-end time.
 //! 3. **End-to-end streaming throughput** — the full bounded-footprint
-//!    detector under each arithmetic, plus its live-state high-water mark.
+//!    detector, plus its live-state high-water mark.
 //!
 //! `--check` alone runs only section 1. `--json PATH` additionally runs
 //! the throughput sections (they feed the artifact) and writes the
@@ -32,12 +35,8 @@ use std::time::Instant;
 use ecg::EcgRecord;
 use hwmodel::report::fmt_f64;
 use pan_tompkins::{
-    DecisionArith, Footprint, OnlineClassifier, PipelineConfig, QrsDetector, StreamingQrsDetector,
+    oracle, Footprint, OnlineClassifier, PipelineConfig, QrsDetector, StreamingQrsDetector,
 };
-
-/// Chunk sizes exercised by the gate: single samples, an AFE-style 100 ms
-/// block, a large odd block, and the whole record.
-const GATE_CHUNKS: [usize; 4] = [1, 20, 997, usize::MAX];
 
 fn gate_configs() -> Vec<PipelineConfig> {
     vec![
@@ -58,46 +57,23 @@ fn gate_records() -> Vec<EcgRecord> {
     records
 }
 
-/// Section 1: Fixed vs Float over configurations × records × chunkings ×
-/// footprints. Returns the number of (config, record) cells checked;
-/// exits non-zero on any divergence.
+/// Section 1: the detector's decisions vs the float reference's over the
+/// retained MWI, for every configuration × record. Returns the number of
+/// (config, record) cells checked; exits non-zero on any divergence.
 fn equivalence_gate() -> usize {
     let records = gate_records();
     let mut cells = 0usize;
     for config in gate_configs() {
         for (r, record) in records.iter().enumerate() {
-            let fixed_cfg = config.with_decision(DecisionArith::Fixed);
-            let float_cfg = config.with_decision(DecisionArith::Float);
-            let fixed_batch = QrsDetector::new(fixed_cfg).detect(record.samples());
-            let float_batch = QrsDetector::new(float_cfg).detect(record.samples());
-            if fixed_batch != float_batch {
-                eprintln!("DIVERGENCE: {config} record {r}: fixed batch != float batch");
-                std::process::exit(1);
-            }
-            if fixed_batch.r_peaks().is_empty() {
+            let batch = QrsDetector::new(config).detect(record.samples());
+            if batch.r_peaks().is_empty() {
                 eprintln!("DIVERGENCE: {config} record {r}: no beats (vacuous check)");
                 std::process::exit(1);
             }
-            for chunk in GATE_CHUNKS {
-                for footprint in [Footprint::Retain, Footprint::Bounded] {
-                    let (fixed_events, fixed_result) = StreamingQrsDetector::detect_chunked(
-                        fixed_cfg.with_footprint(footprint),
-                        record.samples(),
-                        chunk,
-                    );
-                    let (float_events, float_result) = StreamingQrsDetector::detect_chunked(
-                        float_cfg.with_footprint(footprint),
-                        record.samples(),
-                        chunk,
-                    );
-                    if fixed_events != float_events || fixed_result != float_result {
-                        eprintln!(
-                            "DIVERGENCE: {config} record {r} chunk {chunk} {footprint:?}: \
-                             fixed streaming != float streaming"
-                        );
-                        std::process::exit(1);
-                    }
-                }
+            let float = oracle::float_classify(&config.threshold(), &batch.expect_signals().mwi);
+            if float != batch.decisions() {
+                eprintln!("DIVERGENCE: {config} record {r}: fixed decisions != float reference");
+                std::process::exit(1);
             }
             cells += 1;
         }
@@ -106,9 +82,9 @@ fn equivalence_gate() -> usize {
 }
 
 /// Section 2: the isolated decision path. Pushes a pre-computed MWI
-/// signal through an [`OnlineClassifier`] of each arithmetic and returns
-/// (fixed samples/s, float samples/s), best of a few repeats.
-fn decision_throughput() -> (f64, f64) {
+/// signal through an [`OnlineClassifier`] and returns samples/s, best of a
+/// few repeats.
+fn decision_throughput() -> f64 {
     // A long decision workload: the paper record's MWI signal, cycled 10×
     // so the classifier (not the harness) dominates the timing.
     let record = xbiosip_bench::experiment_record();
@@ -116,78 +92,56 @@ fn decision_throughput() -> (f64, f64) {
     let mwi = &result.expect_signals().mwi;
     let workload: Vec<i64> = mwi.iter().copied().cycle().take(mwi.len() * 10).collect();
 
-    let run = |arith: DecisionArith| -> f64 {
-        let best = (0..5)
-            .map(|_| {
-                let config = PipelineConfig::exact()
-                    .with_footprint(Footprint::Bounded)
-                    .with_decision(arith);
-                let mut classifier = OnlineClassifier::for_config(&config);
-                let mut sink = Vec::new();
-                let t0 = Instant::now();
-                for &x in &workload {
-                    classifier.push(x, &mut sink);
-                }
-                classifier.finish(&mut sink);
-                let dt = t0.elapsed();
-                assert!(!sink.is_empty(), "decision workload produced no decisions");
-                dt
-            })
-            .min()
-            .expect("repeats > 0");
-        workload.len() as f64 / best.as_secs_f64()
-    };
-    (run(DecisionArith::Fixed), run(DecisionArith::Float))
+    let config = PipelineConfig::exact().with_footprint(Footprint::Bounded);
+    let best = (0..5)
+        .map(|_| {
+            let mut classifier = OnlineClassifier::for_config(&config);
+            let mut sink = Vec::new();
+            let t0 = Instant::now();
+            for &x in &workload {
+                classifier.push(x, &mut sink);
+            }
+            classifier.finish(&mut sink);
+            let dt = t0.elapsed();
+            assert!(!sink.is_empty(), "decision workload produced no decisions");
+            dt
+        })
+        .min()
+        .expect("repeats > 0");
+    workload.len() as f64 / best.as_secs_f64()
 }
 
-/// Section 3: end-to-end bounded streaming under each arithmetic.
-/// Returns (fixed samples/s, float samples/s, bounded high-water bytes).
-fn end_to_end_throughput() -> (f64, f64, usize) {
+/// Section 3: end-to-end bounded streaming. Returns (samples/s, bounded
+/// high-water bytes).
+fn end_to_end_throughput() -> (f64, usize) {
     let record = xbiosip_bench::experiment_record();
-    let base = PipelineConfig::least_energy([10, 12, 2, 8, 16]).with_footprint(Footprint::Bounded);
-    let run = |arith: DecisionArith| -> f64 {
-        let config = base.with_decision(arith);
-        let best = (0..4)
-            .map(|_| {
-                let t0 = Instant::now();
-                let (events, _) =
-                    StreamingQrsDetector::detect_chunked(config, record.samples(), 20);
-                assert!(!events.is_empty());
-                t0.elapsed()
-            })
-            .min()
-            .expect("repeats > 0");
-        record.len() as f64 / best.as_secs_f64()
-    };
-    let mut det = StreamingQrsDetector::new(base);
+    let config =
+        PipelineConfig::least_energy([10, 12, 2, 8, 16]).with_footprint(Footprint::Bounded);
+    let best = (0..4)
+        .map(|_| {
+            let t0 = Instant::now();
+            let (events, _) = StreamingQrsDetector::detect_chunked(config, record.samples(), 20);
+            assert!(!events.is_empty());
+            t0.elapsed()
+        })
+        .min()
+        .expect("repeats > 0");
+    let mut det = StreamingQrsDetector::new(config);
     let mut high_water = det.state_bytes();
     for chunk in record.samples().chunks(20) {
         let _ = det.push(chunk);
         high_water = high_water.max(det.state_bytes());
     }
-    (
-        run(DecisionArith::Fixed),
-        run(DecisionArith::Float),
-        high_water,
-    )
+    (record.len() as f64 / best.as_secs_f64(), high_water)
 }
 
 /// Writes the machine-readable artifact (hand-rolled JSON — the build
 /// environment is offline, no serde).
-fn write_json(
-    path: &str,
-    fixed: f64,
-    float: f64,
-    e2e_fixed: f64,
-    e2e_float: f64,
-    high_water: usize,
-) {
+fn write_json(path: &str, decision: f64, e2e: f64, high_water: usize) {
     let json = format!(
         "{{\n  \"pr\": 5,\n  \"decision_arith_default\": \"fixed\",\n  \
-         \"decision_samples_per_sec_fixed\": {fixed:.0},\n  \
-         \"decision_samples_per_sec_float\": {float:.0},\n  \
-         \"streaming_samples_per_sec_fixed_bounded\": {e2e_fixed:.0},\n  \
-         \"streaming_samples_per_sec_float_bounded\": {e2e_float:.0},\n  \
+         \"decision_samples_per_sec_fixed\": {decision:.0},\n  \
+         \"streaming_samples_per_sec_fixed_bounded\": {e2e:.0},\n  \
          \"bounded_state_bytes_high_water\": {high_water},\n  \
          \"chunk_samples\": 20\n}}\n"
     );
@@ -208,15 +162,14 @@ fn main() {
         .cloned();
     xbiosip_bench::banner(
         "Extension — integer-exact decision arithmetic",
-        "Fixed vs Float equivalence gate + decision-path throughput",
+        "Fixed vs float-reference equivalence gate + decision-path throughput",
     );
 
     let t0 = Instant::now();
     let cells = equivalence_gate();
     println!(
-        "equivalence gate: {cells} configuration x record cells x {} chunkings x 2 footprints — \
-         Fixed decisions == Float decisions everywhere ({:.2?})\n",
-        GATE_CHUNKS.len(),
+        "equivalence gate: {cells} configuration x record cells — detector decisions == \
+         float-reference decisions over the same MWI everywhere ({:.2?})\n",
         t0.elapsed()
     );
 
@@ -224,19 +177,16 @@ fn main() {
         return;
     }
 
-    let (fixed, float) = decision_throughput();
+    let decision = decision_throughput();
     println!("decision-path throughput (classifier only, bounded retention):");
-    println!("  fixed-point: {:>12} samples/s", fmt_f64(fixed, 0));
-    println!("  float:       {:>12} samples/s", fmt_f64(float, 0));
-    println!("  fixed/float: {}x\n", fmt_f64(fixed / float.max(1e-12), 2));
+    println!("  fixed-point: {:>12} samples/s\n", fmt_f64(decision, 0));
 
-    let (e2e_fixed, e2e_float, high_water) = end_to_end_throughput();
+    let (e2e, high_water) = end_to_end_throughput();
     println!("end-to-end bounded streaming (B9 design, 20-sample chunks):");
-    println!("  fixed-point: {:>12} samples/s", fmt_f64(e2e_fixed, 0));
-    println!("  float:       {:>12} samples/s", fmt_f64(e2e_float, 0));
+    println!("  fixed-point: {:>12} samples/s", fmt_f64(e2e, 0));
     println!("  bounded live-state high-water: {high_water} B\n");
 
     if let Some(path) = &json_path {
-        write_json(path, fixed, float, e2e_fixed, e2e_float, high_water);
+        write_json(path, decision, e2e, high_water);
     }
 }

@@ -918,35 +918,6 @@ mod tests {
         }
     }
 
-    /// The decision-arithmetic contract at the evaluator layer: the
-    /// fixed-point default and the float reference produce bit-identical
-    /// reports for every configuration, through the batch, streaming, and
-    /// bounded-streaming paths alike.
-    #[test]
-    fn fixed_and_float_decision_reports_are_identical() {
-        use pan_tompkins::DecisionArith;
-        let record = short_record();
-        let ev = Evaluator::new(&record);
-        for config in [
-            PipelineConfig::exact(),
-            PipelineConfig::least_energy([10, 12, 2, 8, 16]),
-            PipelineConfig::least_energy([4, 4, 2, 4, 8]),
-        ] {
-            let fixed = config.with_decision(DecisionArith::Fixed);
-            let float = config.with_decision(DecisionArith::Float);
-            assert_eq!(
-                eval_batch(&ev, &fixed),
-                eval_batch(&ev, &float),
-                "batch reports diverged for {config}"
-            );
-            assert_eq!(
-                eval_streaming(&ev, &fixed.with_footprint(Footprint::Bounded), 20),
-                eval_streaming(&ev, &float.with_footprint(Footprint::Bounded), 20),
-                "bounded streaming reports diverged for {config}"
-            );
-        }
-    }
-
     /// The checkpoint/resume path: freezing, dropping, and thawing the
     /// session mid-record — including inside the learning window and at
     /// several later boundaries — leaves the report bit-identical to the

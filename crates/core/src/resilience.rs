@@ -51,10 +51,9 @@ impl ResilienceProfile {
     }
 
     /// Sweeps from an explicit base configuration: each point replaces
-    /// only the analysed stage's triple, so the base's engine, footprint,
-    /// and decision arithmetic (see [`pan_tompkins::DecisionArith`]) carry
-    /// through the whole sweep. `analyze_up_to` is this with the exact
-    /// default base.
+    /// only the analysed stage's triple, so the base's footprint,
+    /// threshold timing and alignment tolerance carry through the whole
+    /// sweep. `analyze_up_to` is this with the exact default base.
     pub fn analyze_up_to_from(
         evaluator: &Evaluator,
         stage: StageKind,
@@ -215,32 +214,6 @@ mod tests {
                 assert_eq!(got.lsbs, want.lsbs);
                 assert_eq!(got.report, want.report, "LSB {} diverged", got.lsbs);
             }
-        }
-    }
-
-    /// The decision arithmetic rides through the sweep via the base
-    /// configuration, and the fixed-point default reproduces the float
-    /// reference profile report-for-report.
-    #[test]
-    fn sweep_is_identical_under_both_decision_ariths() {
-        use pan_tompkins::DecisionArith;
-        let ev = evaluator();
-        let fixed = ResilienceProfile::analyze_up_to_from(
-            &ev,
-            StageKind::Squarer,
-            8,
-            PipelineConfig::exact().with_decision(DecisionArith::Fixed),
-        );
-        let float = ResilienceProfile::analyze_up_to_from(
-            &ev,
-            StageKind::Squarer,
-            8,
-            PipelineConfig::exact().with_decision(DecisionArith::Float),
-        );
-        assert_eq!(fixed.points.len(), float.points.len());
-        for (a, b) in fixed.points.iter().zip(&float.points) {
-            assert_eq!(a.lsbs, b.lsbs);
-            assert_eq!(a.report, b.report, "LSB {} diverged across ariths", a.lsbs);
         }
     }
 

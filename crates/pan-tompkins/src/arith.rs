@@ -9,63 +9,18 @@
 //! counter whenever the exact sum would not have fit, so quality reports can
 //! tell approximation error from datapath clipping.
 //!
-//! Two interchangeable multiplier engines produce bit-identical products:
-//! the table-compiled word-level engine ([`approx_arith::CompiledMultiplier`],
-//! the default — orders of magnitude faster at exploration scale) and the
-//! structural bit-level recursion ([`RecursiveMultiplier`], kept as the
-//! reference netlist walk for cross-checking and benchmarking).
+//! The multiplier block is the table-compiled word-level engine
+//! ([`approx_arith::CompiledMultiplier`]). The structural bit-level
+//! recursion ([`approx_arith::RecursiveMultiplier`]) it is compiled from
+//! stays in `approx_arith` as its reference: the `compiled` property
+//! tests, the exhaustive per-tap sweep and `ext_compiled_speed --check`
+//! pin every product to it.
 
 use std::sync::Arc;
 
 use approx_arith::{
-    AdderForm, ArithConfig, CompiledMultiplier, OpCounter, RecursiveMultiplier, StageArith,
-    TapMultiplier,
+    AdderForm, ArithConfig, CompiledMultiplier, OpCounter, StageArith, TapMultiplier,
 };
-
-/// Which multiplier evaluation engine a backend instantiates. Both engines
-/// are bit-for-bit equivalent (property-tested in `approx_arith::compiled`);
-/// they differ only in speed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum MulEngine {
-    /// Table-compiled word-level engine — the default fast path.
-    #[default]
-    Compiled,
-    /// Structural bit-level recursion — the reference netlist walk, kept
-    /// selectable for equivalence checks and before/after benchmarks.
-    BitLevel,
-}
-
-/// The stage multiplier block under either engine.
-#[derive(Debug, Clone)]
-enum MulBlock {
-    BitLevel(RecursiveMultiplier),
-    Compiled(CompiledMultiplier),
-}
-
-impl MulBlock {
-    fn width(&self) -> u32 {
-        match self {
-            MulBlock::BitLevel(m) => m.width(),
-            MulBlock::Compiled(m) => m.width(),
-        }
-    }
-
-    fn is_exact(&self) -> bool {
-        match self {
-            MulBlock::BitLevel(m) => m.is_exact(),
-            MulBlock::Compiled(m) => m.is_exact(),
-        }
-    }
-
-    /// Multiplies operands the backend has already clamped into range.
-    #[inline]
-    fn mul_clamped(&self, a: i64, b: i64) -> i64 {
-        match self {
-            MulBlock::BitLevel(m) => m.mul(a, b),
-            MulBlock::Compiled(m) => m.mul_signed_clamped(a, b),
-        }
-    }
-}
 
 /// The immutable compute half of a stage's arithmetic: the adder and
 /// multiplier blocks instantiated from a [`StageArith`] triple, with no
@@ -76,26 +31,20 @@ impl MulBlock {
 #[derive(Debug, Clone)]
 pub struct ArithProgram {
     config: ArithConfig,
-    engine: MulEngine,
     adder: approx_arith::RippleCarryAdder,
-    multiplier: MulBlock,
+    multiplier: CompiledMultiplier,
 }
 
 impl ArithProgram {
     /// Builds a program from stage approximation parameters on the paper's
     /// bus widths (32-bit adders, 16×16 multipliers).
     #[must_use]
-    pub fn new(stage: StageArith, engine: MulEngine) -> Self {
+    pub fn new(stage: StageArith) -> Self {
         let config = ArithConfig::new(stage);
-        let multiplier = match engine {
-            MulEngine::Compiled => MulBlock::Compiled(config.compiled_multiplier()),
-            MulEngine::BitLevel => MulBlock::BitLevel(config.multiplier()),
-        };
         Self {
             adder: config.adder(),
-            multiplier,
+            multiplier: config.compiled_multiplier(),
             config,
-            engine,
         }
     }
 
@@ -103,12 +52,6 @@ impl ArithProgram {
     #[must_use]
     pub fn config(&self) -> ArithConfig {
         self.config
-    }
-
-    /// The multiplier engine in use.
-    #[must_use]
-    pub fn engine(&self) -> MulEngine {
-        self.engine
     }
 
     /// Whether this program computes exactly.
@@ -130,7 +73,7 @@ impl ArithProgram {
     }
 
     /// Whether the multiplier block computes exactly (products are plain
-    /// integer multiplication under either engine).
+    /// integer multiplication).
     pub(crate) fn mul_is_exact(&self) -> bool {
         self.multiplier.is_exact()
     }
@@ -153,7 +96,7 @@ impl ArithProgram {
     #[inline]
     #[must_use]
     pub fn mul_raw_clamped(&self, ca: i64, cb: i64) -> i64 {
-        self.multiplier.mul_clamped(ca, cb)
+        self.multiplier.mul_signed_clamped(ca, cb)
     }
 
     /// Compiles the per-tap product table of this program's multiplier
@@ -161,10 +104,7 @@ impl ArithProgram {
     /// [`approx_arith::tap`]).
     #[must_use]
     pub fn compile_tap(&self, coeff: i64) -> TapMultiplier {
-        match &self.multiplier {
-            MulBlock::Compiled(m) => TapMultiplier::new(m, coeff),
-            MulBlock::BitLevel(_) => TapMultiplier::new(&self.config.compiled_multiplier(), coeff),
-        }
+        TapMultiplier::new(&self.multiplier, coeff)
     }
 }
 
@@ -234,17 +174,10 @@ pub struct ArithBackend {
 
 impl ArithBackend {
     /// Builds a backend from stage approximation parameters on the paper's
-    /// bus widths (32-bit adders, 16×16 multipliers), using the compiled
-    /// fast-path multiplier engine.
+    /// bus widths (32-bit adders, 16×16 multipliers).
     #[must_use]
     pub fn new(stage: StageArith) -> Self {
-        Self::with_engine(stage, MulEngine::Compiled)
-    }
-
-    /// Builds a backend with an explicit multiplier engine.
-    #[must_use]
-    pub fn with_engine(stage: StageArith, engine: MulEngine) -> Self {
-        Self::from_program(Arc::new(ArithProgram::new(stage, engine)))
+        Self::from_program(Arc::new(ArithProgram::new(stage)))
     }
 
     /// Builds a backend over an existing shared program with fresh counters.
@@ -274,12 +207,6 @@ impl ArithBackend {
         self.program.config
     }
 
-    /// The multiplier engine in use.
-    #[must_use]
-    pub fn engine(&self) -> MulEngine {
-        self.program.engine
-    }
-
     /// Adds two values through the stage adder block (32-bit wrap-around,
     /// approximate LSB cells per the configuration). Wrap events of the
     /// exact sum are recorded in [`ArithBackend::add_overflow_events`].
@@ -300,7 +227,7 @@ impl ArithBackend {
         let ca = a.clamp(-limit, limit - 1);
         let cb = b.clamp(-limit, limit - 1);
         self.counters.mul_saturations += u64::from(ca != a) + u64::from(cb != b);
-        self.program.multiplier.mul_clamped(ca, cb)
+        self.program.multiplier.mul_signed_clamped(ca, cb)
     }
 
     /// Squares a value through the multiplier block (the squarer stage).
@@ -448,13 +375,15 @@ mod tests {
         assert_eq!(b.add_overflow_events(), 1);
     }
 
+    /// The backend's products — operands clamped into the datapath, then
+    /// the compiled multiplier — equal the bit-level reference netlist's
+    /// on the same clamped operands.
     #[test]
     fn engines_produce_identical_results() {
         let stage = StageArith::new(10, Mult2x2Kind::V1, FullAdderKind::Ama5);
-        let mut fast = ArithBackend::with_engine(stage, MulEngine::Compiled);
-        let mut slow = ArithBackend::with_engine(stage, MulEngine::BitLevel);
-        assert_eq!(fast.engine(), MulEngine::Compiled);
-        assert_eq!(slow.engine(), MulEngine::BitLevel);
+        let mut backend = ArithBackend::new(stage);
+        let netlist = ArithConfig::new(stage).multiplier();
+        let limit = 1i64 << (netlist.width() - 1);
         for (a, b) in [
             (0i64, 0i64),
             (123, 456),
@@ -462,10 +391,10 @@ mod tests {
             (1 << 20, -5),
             (-777, -888),
         ] {
-            assert_eq!(fast.mul(a, b), slow.mul(a, b), "{a}x{b}");
-            assert_eq!(fast.add(a, b), slow.add(a, b), "{a}+{b}");
+            let (ca, cb) = (a.clamp(-limit, limit - 1), b.clamp(-limit, limit - 1));
+            assert_eq!(backend.mul(a, b), netlist.mul(ca, cb), "{a}x{b}");
         }
-        assert_eq!(fast.saturation_events(), slow.saturation_events());
+        assert_eq!(backend.saturation_events(), 1);
     }
 
     #[test]
@@ -475,22 +404,20 @@ mod tests {
             StageArith::least_energy(8),
             StageArith::new(12, Mult2x2Kind::V2, FullAdderKind::Ama1),
         ] {
-            for engine in [MulEngine::Compiled, MulEngine::BitLevel] {
-                let mut generic = ArithBackend::with_engine(stage, engine);
-                let mut tapped = ArithBackend::with_engine(stage, engine);
-                for c in [1i64, -2, 6, 31, -31, 1 << 20] {
-                    let tap = tapped.compile_tap(c);
-                    for a in [0i64, 1, -1, 777, -32768, 32767, 1 << 20, -(1 << 20)] {
-                        assert_eq!(
-                            tapped.mul_tap(a, &tap),
-                            generic.mul(a, c),
-                            "{stage} {engine:?} {a}x{c}"
-                        );
-                    }
+            let mut generic = ArithBackend::new(stage);
+            let mut tapped = ArithBackend::new(stage);
+            for c in [1i64, -2, 6, 31, -31, 1 << 20] {
+                let tap = tapped.compile_tap(c);
+                for a in [0i64, 1, -1, 777, -32768, 32767, 1 << 20, -(1 << 20)] {
+                    assert_eq!(
+                        tapped.mul_tap(a, &tap),
+                        generic.mul(a, c),
+                        "{stage} {a}x{c}"
+                    );
                 }
-                assert_eq!(tapped.ops(), generic.ops());
-                assert_eq!(tapped.saturation_events(), generic.saturation_events());
             }
+            assert_eq!(tapped.ops(), generic.ops());
+            assert_eq!(tapped.saturation_events(), generic.saturation_events());
         }
     }
 

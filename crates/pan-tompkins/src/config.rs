@@ -1,12 +1,16 @@
 //! Pipeline configuration: one approximation triple per stage, plus the
 //! datapath and detector knobs.
+//!
+//! Every stage multiplies through the compiled word-level engine and every
+//! decision runs the integer [`crate::decision::FixedDecision`] kernel, so
+//! neither is a knob: the references they are checked against (the
+//! bit-level netlist in `approx_arith`, the `f64` transcription in
+//! [`crate::oracle`]) are test oracles, not configurations.
 
 use std::fmt;
 
 use approx_arith::StageArith;
 
-use crate::arith::MulEngine;
-use crate::decision::DecisionArith;
 use crate::threshold::ThresholdConfig;
 
 /// Default tolerance (in samples) of the HPF↔MWI peak-alignment cross-check
@@ -141,17 +145,8 @@ pub struct PipelineConfig {
     /// records (~200 counts/mV) are shifted to occupy the 16-bit datapath
     /// the paper's ADC implies; see `DESIGN.md` §4.
     pub input_shift: u32,
-    /// The multiplier evaluation engine every stage instantiates. Both
-    /// engines are bit-identical; `BitLevel` exists for equivalence checks
-    /// and before/after benchmarks (see `DESIGN.md` §5).
-    engine: MulEngine,
     /// Memory-retention policy the streaming detector runs under.
     footprint: Footprint,
-    /// Arithmetic the classifier's decision logic (SPK/NPK adaptation,
-    /// thresholds, RR search-back) runs in. Defaults to the integer-exact
-    /// [`DecisionArith::Fixed`]; [`DecisionArith::Float`] is the legacy
-    /// `f64` reference path (see [`crate::decision`]).
-    decision: DecisionArith,
     /// Detection-threshold timing parameters (refractory, T-wave window,
     /// learning phase, search-back factor — see [`ThresholdConfig`]).
     threshold: ThresholdConfig,
@@ -172,9 +167,7 @@ impl PipelineConfig {
         Self {
             stages: [StageArith::exact(); 5],
             input_shift: Self::DEFAULT_INPUT_SHIFT,
-            engine: MulEngine::default(),
             footprint: Footprint::default(),
-            decision: DecisionArith::default(),
             threshold: ThresholdConfig::default(),
             max_misalignment: DEFAULT_MAX_MISALIGNMENT,
         }
@@ -217,19 +210,6 @@ impl PipelineConfig {
         self
     }
 
-    /// Selects the multiplier evaluation engine for every stage.
-    #[must_use]
-    pub fn with_engine(mut self, engine: MulEngine) -> Self {
-        self.engine = engine;
-        self
-    }
-
-    /// The multiplier evaluation engine stages will instantiate.
-    #[must_use]
-    pub fn engine(&self) -> MulEngine {
-        self.engine
-    }
-
     /// Selects the memory-retention policy (see [`Footprint`]).
     #[must_use]
     pub fn with_footprint(mut self, footprint: Footprint) -> Self {
@@ -241,19 +221,6 @@ impl PipelineConfig {
     #[must_use]
     pub fn footprint(&self) -> Footprint {
         self.footprint
-    }
-
-    /// Selects the decision arithmetic (see [`DecisionArith`]).
-    #[must_use]
-    pub fn with_decision(mut self, decision: DecisionArith) -> Self {
-        self.decision = decision;
-        self
-    }
-
-    /// The arithmetic the classifier's decision logic runs in.
-    #[must_use]
-    pub fn decision(&self) -> DecisionArith {
-        self.decision
     }
 
     /// Replaces the detection-threshold timing parameters (refractory,
@@ -320,6 +287,10 @@ impl PipelineConfig {
     /// Enum variants are encoded by their position in the respective
     /// stable `ALL`/declaration order, never by `as`-cast discriminants,
     /// so reordering source declarations cannot silently change blobs.
+    /// Two bytes of the encoding are retired slots, always `0`: they once
+    /// selected a multiplier engine and a decision arithmetic whose
+    /// defaults encoded as `0`, so every fingerprint of a configuration
+    /// that can still be built is unchanged.
     #[must_use]
     pub fn fingerprint(&self) -> u64 {
         use approx_arith::{FullAdderKind, Mult2x2Kind};
@@ -346,13 +317,8 @@ impl PipelineConfig {
             fold(&mut h, &[pos(&FullAdderKind::ALL, &s.adder_kind)]);
         }
         fold(&mut h, &self.input_shift.to_le_bytes());
-        fold(
-            &mut h,
-            &[match self.engine {
-                MulEngine::Compiled => 0,
-                MulEngine::BitLevel => 1,
-            }],
-        );
+        // Retired slot: the multiplier engine.
+        fold(&mut h, &[0]);
         fold(
             &mut h,
             &[match self.footprint {
@@ -360,13 +326,8 @@ impl PipelineConfig {
                 Footprint::Bounded => 1,
             }],
         );
-        fold(
-            &mut h,
-            &[match self.decision {
-                DecisionArith::Fixed => 0,
-                DecisionArith::Float => 1,
-            }],
-        );
+        // Retired slot: the decision arithmetic.
+        fold(&mut h, &[0]);
         let t = &self.threshold;
         fold(&mut h, &t.fs.to_bits().to_le_bytes());
         for window in [
@@ -477,17 +438,6 @@ mod tests {
     }
 
     #[test]
-    fn decision_defaults_to_fixed_and_round_trips() {
-        let cfg = PipelineConfig::exact();
-        assert_eq!(cfg.decision(), DecisionArith::Fixed);
-        let float = cfg.with_decision(DecisionArith::Float);
-        assert_eq!(float.decision(), DecisionArith::Float);
-        // Orthogonal to the arithmetic configuration, part of identity.
-        assert_eq!(float.lsb_vector(), cfg.lsb_vector());
-        assert_ne!(float, cfg, "decision arith participates in identity");
-    }
-
-    #[test]
     fn threshold_and_misalignment_round_trip() {
         let cfg = PipelineConfig::exact();
         assert_eq!(cfg.threshold(), ThresholdConfig::default());
@@ -513,10 +463,6 @@ mod tests {
         );
         assert_ne!(
             base.fingerprint(),
-            base.with_decision(DecisionArith::Float).fingerprint()
-        );
-        assert_ne!(
-            base.fingerprint(),
             PipelineConfig::least_energy([10, 12, 2, 8, 16]).fingerprint()
         );
         assert_ne!(
@@ -526,11 +472,6 @@ mod tests {
         assert_ne!(
             base.fingerprint(),
             base.with_threshold(ThresholdConfig::for_fs(360.0))
-                .fingerprint()
-        );
-        assert_ne!(
-            base.fingerprint(),
-            base.with_engine(crate::arith::MulEngine::BitLevel)
                 .fingerprint()
         );
     }

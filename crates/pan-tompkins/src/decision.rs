@@ -1,6 +1,6 @@
 //! Integer-exact decision arithmetic — the SPK/NPK adaptation, THRESHOLD1/2
 //! comparisons, and RR search-back test of the Pan-Tompkins classifier,
-//! without a single `f64` on the hot path.
+//! without a single `f64`.
 //!
 //! XBioSiP's deployment target is a wearable sensor node whose MCU has no
 //! floating-point unit; the original Pan & Tompkins (1985) implementation
@@ -13,40 +13,37 @@
 //! its power-of-two gains), and only the EWMA state itself is quantised, to
 //! [`FRAC_BITS`] fractional bits.
 //!
-//! # The two kernels
+//! # The kernel
 //!
-//! [`DecisionArith`] selects between:
+//! [`FixedDecision`] holds SPK/NPK as Q-format integers
+//! (`value · 2^FRAC_BITS`) in `i128`; EWMA updates are shifts and adds;
+//! THRESHOLD1/2 tests are pure integer comparisons
+//! (`amp·2^(F+2) > 3·NPK + SPK`); the RR search-back factor is the rational
+//! `search_back_num / search_back_den` (166/100 by default), so the RR test
+//! is the cross-multiplied `gap · den · len > num · Σrr` with no division
+//! at all; the SPK/NPK seed divides an exact `i128` learning-window sum.
 //!
-//! * [`DecisionArith::Fixed`] (the default) — SPK/NPK live as Q-format
-//!   integers (`value · 2^FRAC_BITS`) in `i128`; EWMA updates are
-//!   shifts and adds; THRESHOLD1/2 tests are pure integer comparisons
-//!   (`amp·2^(F+2) > 3·NPK + SPK`); the RR search-back factor is the
-//!   rational `search_back_num / search_back_den` (166/100 by default), so
-//!   the RR test is the cross-multiplied
-//!   `gap · den · len > num · Σrr` with no division at all; the SPK/NPK
-//!   seed divides an exact `i128` learning-window sum.
-//! * [`DecisionArith::Float`] — the historical `f64` implementation, kept
-//!   bit-for-bit (it is the literal transcription of the paper's formulas)
-//!   as the reference the Fixed path is proven against, and for A/B
-//!   experiments.
+//! # The float reference, and where it diverges
 //!
-//! # Equivalence, and where it breaks
-//!
-//! Fixed and Float agree decision-for-decision on the whole corpus and
-//! across the random configuration × record-slice × chunking × footprint
-//! proptest grid (`tests/streaming_equivalence.rs`, the golden-trace
-//! fixture, and CI's `ext_fixed_point --check` gate all enforce this).
-//! The agreement is *enforced empirically*, not structural: the two
-//! quantise the EWMA state differently (2^−32 truncation vs `f64`
+//! The literal `f64` transcription of the paper's formulas is
+//! [`crate::oracle::float_classify`], a batch classifier kept only as the
+//! reference this kernel is proven against. The production decisions
+//! equal its decisions on the whole corpus and across the random
+//! configuration × record-slice × chunking × footprint proptest grid
+//! (`tests/streaming_equivalence.rs`, the golden-trace fixtures, the
+//! `threshold` fuzz and edge-configuration tests, and CI's
+//! `ext_fixed_point --check` gate all compare the two over the retained
+//! MWI signal). The agreement is *enforced empirically*, not structural:
+//! the two quantise the EWMA state differently (2^−32 truncation vs `f64`
 //! round-to-nearest), so a comparison landing within ~10^−16 relative of
 //! exact equality could in principle flip — no corpus or proptest
 //! workload has ever produced one, and the gates exist to catch it if a
 //! change does. The *characterised* divergence domain is amplitudes past
 //! 2^53, where `f64` stops representing the integers themselves:
-//! `amp as f64` rounds to an even neighbour and the Float path compares
-//! against the *wrong amplitude*. There the Fixed path is the ground
-//! truth (its comparisons are exact at any magnitude `i64` can hold); see
-//! `huge_amplitudes_diverge_and_fixed_is_ground_truth` in
+//! `amp as f64` rounds to an even neighbour and the float reference
+//! compares against the *wrong amplitude*. There the fixed-point kernel is
+//! the ground truth (its comparisons are exact at any magnitude `i64` can
+//! hold); see `huge_amplitudes_diverge_and_fixed_is_ground_truth` in
 //! `crate::threshold`'s tests and `DESIGN.md` §8 for the worked example.
 //!
 //! # Q-format choice
@@ -54,110 +51,17 @@
 //! [`FRAC_BITS`] = 32 fractional bits. Amplitudes are `i64`, so Q-values
 //! span ≤ 95 bits and every intermediate (`7·SPK`, `amp·2^(F+3)`) fits an
 //! `i128` with headroom. The EWMA truncation grain is 2^−32 *absolute* —
-//! below the `f64` ULP for any amplitude above 2^20, i.e. the Fixed
-//! trajectory tracks the real-valued recurrence more closely than Float
-//! does on realistic MWI magnitudes. An MCU port would narrow the state to
-//! `i64` with Q16 and the same code shape; `i128` here keeps the behavioral
-//! model exact to the contract rather than to one word size.
+//! below the `f64` ULP for any amplitude above 2^20, i.e. the fixed-point
+//! trajectory tracks the real-valued recurrence more closely than the
+//! float reference does on realistic MWI magnitudes. An MCU port would
+//! narrow the state to `i64` with Q16 and the same code shape; `i128` here
+//! keeps the behavioral model exact to the contract rather than to one
+//! word size.
 
 use crate::threshold::ThresholdConfig;
 
-/// Fractional bits of the Q-format SPK/NPK state ([`DecisionArith::Fixed`]).
+/// Fractional bits of the Q-format SPK/NPK state ([`FixedDecision`]).
 pub const FRAC_BITS: u32 = 32;
-
-/// Selects the arithmetic the classifier's decision logic runs in.
-///
-/// Threaded from [`crate::PipelineConfig::with_decision`] through
-/// [`crate::OnlineClassifier`], [`crate::AdaptiveThreshold`], both
-/// detectors, and the evaluator. The default is [`DecisionArith::Fixed`] —
-/// the MCU-honest path; [`DecisionArith::Float`] is the legacy `f64`
-/// reference.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum DecisionArith {
-    /// Q-format integer SPK/NPK, shift/add EWMA, exact integer threshold
-    /// and RR comparisons (`i128` intermediates). What a fixed-point MCU
-    /// deployment computes.
-    #[default]
-    Fixed,
-    /// The historical `f64` decision path, kept as the proven-equivalent
-    /// reference implementation.
-    Float,
-}
-
-/// The `f64` decision state — a literal transcription of the paper's
-/// SPKI/NPKI recurrences, preserved from the pre-fixed-point
-/// implementation (the in-tree float oracle in `threshold`'s tests checks
-/// this transcription, not just its decisions) with one intentional
-/// change: the seed mean now converts the exact `i128` learning-window
-/// sum instead of accumulating a running `f64` — the shared
-/// `learn_sum`-precision bugfix. Whenever every *prefix* sum of the
-/// window is exactly `f64`-representable (true of every in-tree
-/// workload, whose sums stay far below 2^53) the two are bit-identical;
-/// once any running sum would have rounded, the new seed is the more
-/// accurate one.
-// xanalyze: begin-allow(float) — DecisionArith::Float is the deliberate
-// f64 reference arm the Fixed path is proven against; it is never active
-// in Fixed mode, the MCU-faithful default (see DESIGN.md §8 and §10).
-#[derive(Debug, Clone, Copy)]
-pub struct FloatDecision {
-    spk: f64,
-    npk: f64,
-    search_back_factor: f64,
-}
-
-impl FloatDecision {
-    fn new(config: &ThresholdConfig) -> Self {
-        assert!(
-            config.search_back_den > 0,
-            "search_back_den must be positive"
-        );
-        Self {
-            spk: 0.0,
-            npk: 0.0,
-            // Derived from the one rational source of truth; for the
-            // default 166/100 this division is bit-identical to the
-            // historical `1.66` literal.
-            search_back_factor: config.search_back_num as f64 / config.search_back_den as f64,
-        }
-    }
-
-    /// `THRESHOLD1 = NPK + 0.25·(SPK − NPK)`.
-    fn threshold1(&self) -> f64 {
-        self.npk + 0.25 * (self.spk - self.npk)
-    }
-
-    fn seed(&mut self, max0: i64, learn_sum: i128, learn_len: usize) {
-        let mean0 = learn_sum as f64 / learn_len.max(1) as f64;
-        self.spk = 0.25 * max0 as f64;
-        self.npk = 0.5 * mean0;
-    }
-
-    fn above_threshold1(&self, amp: i64) -> bool {
-        (amp as f64) > self.threshold1()
-    }
-
-    fn above_threshold2(&self, amp: i64) -> bool {
-        (amp as f64) > 0.5 * self.threshold1()
-    }
-
-    fn rr_search_back(&self, gap: usize, rr_sum: usize, rr_len: usize) -> bool {
-        let rr_avg = rr_sum as f64 / rr_len as f64;
-        gap as f64 > self.search_back_factor * rr_avg
-    }
-
-    fn adapt_spk(&mut self, amp: i64) {
-        self.spk = 0.125 * amp as f64 + 0.875 * self.spk;
-    }
-
-    fn adapt_spk_search_back(&mut self, amp: i64) {
-        self.spk = 0.25 * amp as f64 + 0.75 * self.spk;
-    }
-
-    fn adapt_npk(&mut self, amp: i64) {
-        self.npk = 0.125 * amp as f64 + 0.875 * self.npk;
-    }
-}
-// xanalyze: end-allow(float)
 
 /// The fixed-point decision state: SPK/NPK as Q-format integers
 /// (`value · 2^FRAC_BITS`) with exact integer comparisons.
@@ -169,6 +73,10 @@ impl FloatDecision {
 /// amplitude. The only quantisation in the whole kernel is the final
 /// right-shift of each EWMA update (and the seed's mean division), with
 /// grain 2^−[`FRAC_BITS`].
+///
+/// [`crate::OnlineClassifier`] owns one and routes every SPK/NPK read and
+/// update through it, so no `f64` is reachable from
+/// [`crate::StreamingQrsDetector::push`].
 #[derive(Debug, Clone, Copy)]
 pub struct FixedDecision {
     /// Signal-peak estimate, Q-format.
@@ -180,7 +88,14 @@ pub struct FixedDecision {
 }
 
 impl FixedDecision {
-    fn new(config: &ThresholdConfig) -> Self {
+    /// A fresh (unseeded) kernel: SPK = NPK = 0, search-back rational from
+    /// `config`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config.search_back_den` is zero.
+    #[must_use]
+    pub(crate) fn new(config: &ThresholdConfig) -> Self {
         assert!(
             config.search_back_den > 0,
             "search_back_den must be positive"
@@ -190,6 +105,24 @@ impl FixedDecision {
             npk: 0,
             sb_num: config.search_back_num,
             sb_den: config.search_back_den,
+        }
+    }
+
+    /// The two adaptive state words `(SPK, NPK)`, Q-format. Every other
+    /// field is a constant derived from [`ThresholdConfig`], so these two
+    /// words are the kernel's entire snapshot payload.
+    pub(crate) fn state_words(&self) -> (i128, i128) {
+        (self.spk, self.npk)
+    }
+
+    /// Rebuilds a kernel from [`FixedDecision::state_words`] output plus
+    /// the config-derived constants — the exact inverse of `state_words`
+    /// for the same `config`.
+    pub(crate) fn from_state_words(config: &ThresholdConfig, spk: i128, npk: i128) -> Self {
+        Self {
+            spk,
+            npk,
+            ..Self::new(config)
         }
     }
 
@@ -204,7 +137,11 @@ impl FixedDecision {
         i128::from(amp) << FRAC_BITS
     }
 
-    fn seed(&mut self, max0: i64, learn_sum: i128, learn_len: usize) {
+    /// Seeds SPK from the largest learning-window excursion (`max0`,
+    /// already floored at 1 by the caller) and NPK from half the window
+    /// mean — `learn_sum` is the exact `i128` sum of the first
+    /// `learn_len` samples.
+    pub(crate) fn seed(&mut self, max0: i64, learn_sum: i128, learn_len: usize) {
         // SPK₀ = max0 / 4 — exact (FRAC_BITS ≥ 2).
         self.spk = i128::from(max0) << (FRAC_BITS - 2);
         // NPK₀ = mean0 / 2 = Σ / (2·len), the seed mean computed from the
@@ -213,165 +150,46 @@ impl FixedDecision {
         self.npk = (learn_sum << FRAC_BITS) / (2 * learn_len.max(1) as i128);
     }
 
-    fn above_threshold1(&self, amp: i64) -> bool {
+    /// `amp > THRESHOLD1` — the QRS acceptance test.
+    #[must_use]
+    pub(crate) fn above_threshold1(&self, amp: i64) -> bool {
         // amp > (3·NPK + SPK)/4  ⟺  amp·2^(F+2) > 3·NPK + SPK.
         (i128::from(amp) << (FRAC_BITS + 2)) > self.threshold1_x4()
     }
 
-    fn above_threshold2(&self, amp: i64) -> bool {
+    /// `amp > THRESHOLD2 = THRESHOLD1/2` — the search-back acceptance
+    /// test.
+    #[must_use]
+    pub(crate) fn above_threshold2(&self, amp: i64) -> bool {
         // THRESHOLD2 = THRESHOLD1/2  ⟺  amp·2^(F+3) > 3·NPK + SPK.
         (i128::from(amp) << (FRAC_BITS + 3)) > self.threshold1_x4()
     }
 
-    fn rr_search_back(&self, gap: usize, rr_sum: usize, rr_len: usize) -> bool {
+    /// Whether the current RR gap exceeds the search-back multiple of the
+    /// running RR average `rr_sum / rr_len` (`rr_len > 0`).
+    #[must_use]
+    pub(crate) fn rr_search_back(&self, gap: usize, rr_sum: usize, rr_len: usize) -> bool {
         // gap > (num/den)·(Σrr/len)  ⟺  gap·den·len > num·Σrr — the
         // rational cross-multiplication; no division, no float.
         (gap as u128) * u128::from(self.sb_den) * (rr_len as u128)
             > u128::from(self.sb_num) * (rr_sum as u128)
     }
 
-    /// `SPK ← amp/8 + 7·SPK/8` as one shift-and-add:
-    /// `(amp·2^F + 7·SPK) >> 3`.
-    fn adapt_spk(&mut self, amp: i64) {
+    /// Folds an accepted QRS amplitude into SPK: `SPK ← amp/8 + 7·SPK/8`
+    /// as one shift-and-add, `(amp·2^F + 7·SPK) >> 3`.
+    pub(crate) fn adapt_spk(&mut self, amp: i64) {
         self.spk = (Self::q(amp) + 7 * self.spk) >> 3;
     }
 
-    /// The search-back variant `SPK ← amp/4 + 3·SPK/4`.
-    fn adapt_spk_search_back(&mut self, amp: i64) {
+    /// Folds a search-back-recovered amplitude into SPK:
+    /// `SPK ← amp/4 + 3·SPK/4`.
+    pub(crate) fn adapt_spk_search_back(&mut self, amp: i64) {
         self.spk = (Self::q(amp) + 3 * self.spk) >> 2;
     }
 
-    /// `NPK ← amp/8 + 7·NPK/8`.
-    fn adapt_npk(&mut self, amp: i64) {
+    /// Folds a noise-peak amplitude into NPK: `NPK ← amp/8 + 7·NPK/8`.
+    pub(crate) fn adapt_npk(&mut self, amp: i64) {
         self.npk = (Self::q(amp) + 7 * self.npk) >> 3;
-    }
-}
-
-/// The decision-arithmetic state of one classifier: the enum the
-/// [`crate::OnlineClassifier`] dispatches every SPK/NPK read and update
-/// through. In [`DecisionArith::Fixed`] form, no method touches `f64` —
-/// which is what makes the whole
-/// [`crate::StreamingQrsDetector::push`] path float-free in Fixed mode.
-#[derive(Debug, Clone, Copy)]
-pub enum DecisionKernel {
-    /// See [`FixedDecision`].
-    Fixed(FixedDecision),
-    /// See [`FloatDecision`].
-    Float(FloatDecision),
-}
-
-macro_rules! dispatch {
-    ($self:ident, $k:ident => $body:expr) => {
-        match $self {
-            DecisionKernel::Fixed($k) => $body,
-            DecisionKernel::Float($k) => $body,
-        }
-    };
-}
-
-impl DecisionKernel {
-    /// A fresh (unseeded) kernel of the selected arithmetic.
-    #[must_use]
-    pub fn new(arith: DecisionArith, config: &ThresholdConfig) -> Self {
-        match arith {
-            DecisionArith::Fixed => DecisionKernel::Fixed(FixedDecision::new(config)),
-            DecisionArith::Float => DecisionKernel::Float(FloatDecision::new(config)),
-        }
-    }
-
-    /// Which arithmetic this kernel runs.
-    #[must_use]
-    pub fn arith(&self) -> DecisionArith {
-        match self {
-            DecisionKernel::Fixed(_) => DecisionArith::Fixed,
-            DecisionKernel::Float(_) => DecisionArith::Float,
-        }
-    }
-
-    /// The kernel's two adaptive state words `(SPK, NPK)` as integers: the
-    /// Q-format `i128`s directly for [`DecisionArith::Fixed`], the IEEE-754
-    /// bit patterns (zero-extended to `i128`) for [`DecisionArith::Float`].
-    /// Every other kernel field is a constant derived from
-    /// [`ThresholdConfig`], so these two words are the kernel's entire
-    /// snapshot payload.
-    #[must_use]
-    pub(crate) fn state_words(&self) -> (i128, i128) {
-        match self {
-            DecisionKernel::Fixed(k) => (k.spk, k.npk),
-            // xanalyze: begin-allow(float) — bit-pattern transport of the
-            // f64 reference arm's state; no float arithmetic happens here.
-            DecisionKernel::Float(k) => (i128::from(k.spk.to_bits()), i128::from(k.npk.to_bits())), // xanalyze: end-allow(float)
-        }
-    }
-
-    /// Rebuilds a kernel from [`DecisionKernel::state_words`] output plus
-    /// the config-derived constants — the exact inverse of `state_words`
-    /// for the same `arith` and `config`.
-    #[must_use]
-    pub(crate) fn from_state_words(
-        arith: DecisionArith,
-        config: &ThresholdConfig,
-        spk_word: i128,
-        npk_word: i128,
-    ) -> Self {
-        let mut kernel = Self::new(arith, config);
-        match &mut kernel {
-            DecisionKernel::Fixed(k) => {
-                k.spk = spk_word;
-                k.npk = npk_word;
-            }
-            // xanalyze: begin-allow(float) — bit-pattern transport of the
-            // f64 reference arm's state; no float arithmetic happens here.
-            DecisionKernel::Float(k) => {
-                k.spk = f64::from_bits(spk_word as u64);
-                k.npk = f64::from_bits(npk_word as u64);
-            } // xanalyze: end-allow(float)
-        }
-        kernel
-    }
-
-    /// Seeds SPK from the largest learning-window excursion (`max0`,
-    /// already floored at 1 by the caller) and NPK from half the window
-    /// mean — `learn_sum` is the exact `i128` sum of the first
-    /// `learn_len` samples.
-    pub fn seed(&mut self, max0: i64, learn_sum: i128, learn_len: usize) {
-        dispatch!(self, k => k.seed(max0, learn_sum, learn_len));
-    }
-
-    /// `amp > THRESHOLD1` — the QRS acceptance test.
-    #[must_use]
-    pub fn above_threshold1(&self, amp: i64) -> bool {
-        dispatch!(self, k => k.above_threshold1(amp))
-    }
-
-    /// `amp > THRESHOLD2 = THRESHOLD1/2` — the search-back acceptance
-    /// test.
-    #[must_use]
-    pub fn above_threshold2(&self, amp: i64) -> bool {
-        dispatch!(self, k => k.above_threshold2(amp))
-    }
-
-    /// Whether the current RR gap exceeds the search-back multiple of the
-    /// running RR average `rr_sum / rr_len` (`rr_len > 0`).
-    #[must_use]
-    pub fn rr_search_back(&self, gap: usize, rr_sum: usize, rr_len: usize) -> bool {
-        dispatch!(self, k => k.rr_search_back(gap, rr_sum, rr_len))
-    }
-
-    /// Folds an accepted QRS amplitude into SPK (weights 1/8, 7/8).
-    pub fn adapt_spk(&mut self, amp: i64) {
-        dispatch!(self, k => k.adapt_spk(amp));
-    }
-
-    /// Folds a search-back-recovered amplitude into SPK (weights 1/4,
-    /// 3/4).
-    pub fn adapt_spk_search_back(&mut self, amp: i64) {
-        dispatch!(self, k => k.adapt_spk_search_back(amp));
-    }
-
-    /// Folds a noise-peak amplitude into NPK (weights 1/8, 7/8).
-    pub fn adapt_npk(&mut self, amp: i64) {
-        dispatch!(self, k => k.adapt_npk(amp));
     }
 }
 
@@ -379,20 +197,11 @@ impl DecisionKernel {
 mod tests {
     use super::*;
 
-    fn kernels() -> (DecisionKernel, DecisionKernel) {
-        let cfg = ThresholdConfig::default();
-        (
-            DecisionKernel::new(DecisionArith::Fixed, &cfg),
-            DecisionKernel::new(DecisionArith::Float, &cfg),
-        )
-    }
-
-    #[test]
-    fn default_arith_is_fixed() {
-        assert_eq!(DecisionArith::default(), DecisionArith::Fixed);
-        let (fixed, float) = kernels();
-        assert_eq!(fixed.arith(), DecisionArith::Fixed);
-        assert_eq!(float.arith(), DecisionArith::Float);
+    /// THRESHOLD1 of the paper's formula, `NPK + 0.25·(SPK − NPK)`, in
+    /// `f64`: exact for the moderate states these tests build, so the
+    /// integer comparisons must reproduce its verdicts.
+    fn paper_threshold1(spk: f64, npk: f64) -> f64 {
+        npk + 0.25 * (spk - npk)
     }
 
     /// The fixed seed is the exact rational: Q(SPK) = max0·2^F/4 and
@@ -439,27 +248,26 @@ mod tests {
         assert_ne!(k.npk, (1i128 << 53 << FRAC_BITS) / 8);
     }
 
-    /// Threshold comparisons agree with the float kernel across a dense
-    /// sweep of seeded states and probe amplitudes (all far from the f64
-    /// resolution limit, so float is still exact).
+    /// Threshold comparisons agree with the paper's formulas evaluated in
+    /// `f64` across a dense sweep of seeded states and probe amplitudes
+    /// (all far from the f64 resolution limit, so float is still exact).
     #[test]
     fn threshold_tests_agree_with_float_at_moderate_amplitudes() {
         let cfg = ThresholdConfig::default();
         for max0 in [1i64, 3, 1000, 55_555] {
             for (sum, len) in [(0i128, 400usize), (123_456, 400), (999_999, 123)] {
                 let mut fixed = FixedDecision::new(&cfg);
-                let mut float = FloatDecision::new(&cfg);
                 fixed.seed(max0, sum, len);
-                float.seed(max0, sum, len);
+                let t1 = paper_threshold1(0.25 * max0 as f64, 0.5 * (sum as f64 / len as f64));
                 for probe in [0i64, 1, 13, 250, 13_888, 250_000] {
                     assert_eq!(
                         fixed.above_threshold1(probe),
-                        float.above_threshold1(probe),
+                        probe as f64 > t1,
                         "T1 at max0={max0} sum={sum} len={len} probe={probe}"
                     );
                     assert_eq!(
                         fixed.above_threshold2(probe),
-                        float.above_threshold2(probe),
+                        probe as f64 > 0.5 * t1,
                         "T2 at max0={max0} sum={sum} len={len} probe={probe}"
                     );
                 }
@@ -492,10 +300,6 @@ mod tests {
         // Σrr = 800 over 8 intervals — average 100, boundary gap 166.
         assert!(!k.rr_search_back(166, 800, 8));
         assert!(k.rr_search_back(167, 800, 8));
-        // Float agrees on the same boundary.
-        let f = FloatDecision::new(&cfg);
-        assert!(!f.rr_search_back(166, 800, 8));
-        assert!(f.rr_search_back(167, 800, 8));
     }
 
     /// A custom rational factor is honored exactly (3/2 here).
@@ -509,33 +313,32 @@ mod tests {
         let k = FixedDecision::new(&cfg);
         assert!(!k.rr_search_back(150, 500, 5)); // 150 = 1.5·100
         assert!(k.rr_search_back(151, 500, 5));
-        // The float kernel derives its factor from the same rational, so
-        // the boundary moves with it.
-        let f = FloatDecision::new(&cfg);
-        assert!(!f.rr_search_back(150, 500, 5));
-        assert!(f.rr_search_back(151, 500, 5));
     }
 
     /// Negative amplitudes (possible under saturating approximate
-    /// arithmetic) flow through both kernels without disagreement.
+    /// arithmetic) flow through the kernel without disagreeing with the
+    /// paper's formulas.
     #[test]
     fn negative_amplitudes_agree() {
-        let (mut fixed, mut float) = kernels();
+        let mut fixed = FixedDecision::new(&ThresholdConfig::default());
         fixed.seed(1, -5_000, 100);
-        float.seed(1, -5_000, 100);
+        let (spk, mut npk) = (0.25, 0.5 * -50.0);
         for amp in [-1000i64, -50, -1, 0, 1, 50] {
             assert_eq!(
                 fixed.above_threshold1(amp),
-                float.above_threshold1(amp),
+                amp as f64 > paper_threshold1(spk, npk),
                 "amp {amp}"
             );
         }
         fixed.adapt_npk(-800);
-        float.adapt_npk(-800);
-        assert_eq!(fixed.above_threshold2(-100), float.above_threshold2(-100));
+        npk = 0.125 * -800.0 + 0.875 * npk;
+        assert_eq!(
+            fixed.above_threshold2(-100),
+            -100.0 > 0.5 * paper_threshold1(spk, npk)
+        );
     }
 
-    /// Past 2^53, `amp as f64` rounds and the float kernel compares the
+    /// Past 2^53, `amp as f64` rounds and a float comparison sees the
     /// wrong amplitude; the fixed kernel stays exact. This is the
     /// characterised divergence domain.
     #[test]
@@ -549,10 +352,7 @@ mod tests {
         // big+1 is not an f64; Fixed still resolves the strict inequality.
         assert!(k.above_threshold1(big + 1));
         assert!(!k.above_threshold1(big));
-        let mut f = FloatDecision::new(&cfg);
-        f.spk = big as f64;
-        f.npk = big as f64;
-        // The float kernel cannot: (big+1) as f64 == big as f64.
-        assert!(!f.above_threshold1(big + 1), "f64 resolved 2^55 + 1?");
+        // Float cannot: (big+1) as f64 == big as f64.
+        assert_eq!((big + 1) as f64, big as f64, "f64 resolved 2^55 + 1?");
     }
 }

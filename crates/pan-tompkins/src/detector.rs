@@ -393,22 +393,67 @@ mod tests {
         );
     }
 
+    /// The compiled pipeline against the bit-level netlist
+    /// (`approx_arith::RecursiveMultiplier`): recomputing every multiplier
+    /// stage from its retained input with the netlist walk and the stage
+    /// adder reproduces its retained output, so the MWI the classifier
+    /// reads — and with it every detection — is the netlist's.
     #[test]
     fn compiled_and_bit_level_engines_detect_identically() {
-        use crate::arith::MulEngine;
+        use crate::arith::div_round;
+        use crate::config::StageKind;
+        use crate::stages::{derivative, hpf, lpf};
+        use approx_arith::ArithConfig;
+
+        fn netlist_fir(x: &[i64], taps: &[i64], gain: i64, config: ArithConfig) -> Vec<i64> {
+            let (mul, adder) = (config.multiplier(), config.adder());
+            let limit = 1i64 << (mul.width() - 1);
+            let clamp = |v: i64| v.clamp(-limit, limit - 1);
+            (0..x.len())
+                .map(|n| {
+                    let mut acc = None;
+                    for (t, &c) in taps.iter().enumerate().filter(|(_, c)| **c != 0) {
+                        let sample = if t <= n { x[n - t] } else { 0 };
+                        let p = mul.mul(clamp(sample), clamp(c));
+                        acc = Some(acc.map_or(p, |sum| adder.add(sum, p)));
+                    }
+                    div_round(acc.unwrap_or(0), gain)
+                })
+                .collect()
+        }
+
         let (signal, _) = pulse_train(2000, 170, 200);
-        let base = PipelineConfig::least_energy([8, 10, 2, 8, 16]);
-        let mut fast = QrsDetector::new(base);
-        let mut slow = QrsDetector::new(base.with_engine(MulEngine::BitLevel));
-        let rf = fast.detect(&signal);
-        let rs = slow.detect(&signal);
-        assert_eq!(
-            rf.expect_signals(),
-            rs.expect_signals(),
-            "stage signals diverged"
+        let config = PipelineConfig::least_energy([8, 10, 2, 8, 16]);
+        let result = QrsDetector::new(config).detect(&signal);
+        let s = result.expect_signals();
+        let arith = |kind| ArithConfig::new(config.stage(kind));
+        let input: Vec<i64> = signal
+            .iter()
+            .map(|&x| i64::from(x) << config.input_shift)
+            .collect();
+        let lpf_out = netlist_fir(&input, &lpf::TAPS, lpf::GAIN, arith(StageKind::Lpf));
+        assert_eq!(lpf_out, s.lpf, "LPF");
+        let hpf_out = netlist_fir(&s.lpf, &hpf::taps(), hpf::GAIN, arith(StageKind::Hpf));
+        assert_eq!(hpf_out, s.hpf, "HPF");
+        let der_out = netlist_fir(
+            &s.hpf,
+            &derivative::TAPS,
+            derivative::GAIN,
+            arith(StageKind::Derivative),
         );
-        assert_eq!(rf.r_peaks(), rs.r_peaks());
-        assert_eq!(rf.ops(), rs.ops());
+        assert_eq!(der_out, s.der, "DER");
+        let sqr = arith(StageKind::Squarer).multiplier();
+        let limit = 1i64 << (sqr.width() - 1);
+        let sqr_out: Vec<i64> = s
+            .der
+            .iter()
+            .map(|&v| {
+                let cv = v.clamp(-limit, limit - 1);
+                sqr.mul(cv, cv)
+            })
+            .collect();
+        assert_eq!(sqr_out, s.sqr, "SQR");
+        assert!(!result.r_peaks().is_empty());
     }
 
     #[test]

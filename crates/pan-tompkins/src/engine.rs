@@ -39,29 +39,21 @@ impl DetectorEngine {
     /// the three FIR stages) for one pipeline configuration.
     #[must_use]
     pub fn new(config: PipelineConfig) -> Self {
-        let engine = config.engine();
         Self {
-            lpf: Arc::new(LowPassFilter::program(config.stage(StageKind::Lpf), engine)),
-            hpf: Arc::new(HighPassFilter::program(
-                config.stage(StageKind::Hpf),
-                engine,
-            )),
-            der: Arc::new(Derivative::program(
-                config.stage(StageKind::Derivative),
-                engine,
-            )),
-            sqr: Arc::new(Squarer::program(config.stage(StageKind::Squarer), engine)),
+            lpf: Arc::new(LowPassFilter::program(config.stage(StageKind::Lpf))),
+            hpf: Arc::new(HighPassFilter::program(config.stage(StageKind::Hpf))),
+            der: Arc::new(Derivative::program(config.stage(StageKind::Derivative))),
+            sqr: Arc::new(Squarer::program(config.stage(StageKind::Squarer))),
             mwi: Arc::new(MovingWindowIntegrator::program(
                 config.stage(StageKind::Mwi),
-                engine,
             )),
             config,
         }
     }
 
     /// The pipeline configuration this engine was compiled from — the
-    /// single source of truth for arithmetic, footprint, decision,
-    /// thresholding, and alignment knobs.
+    /// single source of truth for arithmetic, footprint, thresholding,
+    /// and alignment knobs.
     #[must_use]
     pub fn config(&self) -> &PipelineConfig {
         &self.config

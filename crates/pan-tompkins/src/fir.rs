@@ -7,10 +7,10 @@
 //! (see [`crate::arith::div_round`]), keeping inter-stage signals on the ADC
 //! scale.
 //!
-//! Under the compiled engine every nonzero tap is specialised into a
-//! [`approx_arith::TapMultiplier`] product table at construction, so the
-//! hot loop pays one table lookup per tap instead of a full word-level
-//! multiplier walk — bit-for-bit identical either way (see
+//! Every tap is specialised into a [`approx_arith::TapMultiplier`] product
+//! table at construction, so the hot loop pays one table lookup per tap
+//! instead of a full word-level multiplier walk — bit-for-bit identical to
+//! the generic multiply, counters included (see
 //! [`crate::arith::ArithBackend::mul_tap`]).
 //!
 //! The immutable half of a filter — taps, gain, compiled tap tables, and
@@ -23,7 +23,7 @@ use std::sync::Arc;
 
 use approx_arith::TapMultiplier;
 
-use crate::arith::{div_round, ArithBackend, ArithProgram, MulEngine};
+use crate::arith::{div_round, ArithBackend, ArithProgram};
 
 /// The shared immutable half of an FIR filter: coefficient taps, gain, the
 /// compiled per-tap product tables, and the stage's arithmetic program.
@@ -38,9 +38,9 @@ pub struct FirProgram {
     /// division then strength-reduces to a shift in the hot loop.
     gain_shift: Option<u32>,
     arith: Arc<ArithProgram>,
-    /// Per-tap compiled product tables (compiled engine only), aligned with
-    /// `taps`; zero taps hold a trivial entry and are skipped in the loop.
-    tap_mults: Option<Vec<TapMultiplier>>,
+    /// Per-tap compiled product tables, aligned with `taps`; zero taps
+    /// hold a trivial entry and are skipped in the loop.
+    tap_mults: Vec<TapMultiplier>,
 }
 
 impl FirProgram {
@@ -57,15 +57,11 @@ impl FirProgram {
         taps: &[i64],
         gain: i64,
         arith: approx_arith::StageArith,
-        engine: MulEngine,
     ) -> Self {
         assert!(!taps.is_empty(), "FIR filter needs at least one tap");
         assert!(gain > 0, "FIR gain must be positive");
-        let arith = Arc::new(ArithProgram::new(arith, engine));
-        let tap_mults = match engine {
-            MulEngine::Compiled => Some(taps.iter().map(|c| arith.compile_tap(*c)).collect()),
-            MulEngine::BitLevel => None,
-        };
+        let arith = Arc::new(ArithProgram::new(arith));
+        let tap_mults = taps.iter().map(|c| arith.compile_tap(*c)).collect();
         Self {
             name,
             taps: taps.to_vec(),
@@ -109,9 +105,9 @@ impl FirProgram {
         &self.arith
     }
 
-    /// The compiled per-tap product tables (compiled engine only).
-    pub(crate) fn tap_mults(&self) -> Option<&[TapMultiplier]> {
-        self.tap_mults.as_deref()
+    /// The compiled per-tap product tables, aligned with the taps.
+    pub(crate) fn tap_mults(&self) -> &[TapMultiplier] {
+        &self.tap_mults
     }
 
     /// Number of multiplier blocks (nonzero taps).
@@ -180,10 +176,7 @@ impl FirProgram {
         std::mem::size_of::<Self>()
             + self.taps.capacity() * std::mem::size_of::<i64>()
             + std::mem::size_of::<ArithProgram>()
-            + self
-                .tap_mults
-                .as_ref()
-                .map_or(0, |t| t.capacity() * std::mem::size_of::<TapMultiplier>())
+            + self.tap_mults.capacity() * std::mem::size_of::<TapMultiplier>()
     }
 
     /// Accumulates this program's shared-table identities into `seen` and
@@ -192,11 +185,8 @@ impl FirProgram {
     /// stages share (e.g. the |1| table when LPF and HPF run at the same
     /// LSB depth).
     pub(crate) fn collect_shared_tables(&self, seen: &mut Vec<usize>) -> usize {
-        let Some(tap_mults) = &self.tap_mults else {
-            return 0;
-        };
         let mut bytes = 0usize;
-        for tap in tap_mults {
+        for tap in &self.tap_mults {
             if let Some(id) = tap.table_id() {
                 if !seen.contains(&id) {
                     seen.push(id);
@@ -246,24 +236,7 @@ impl FirFilter {
         gain: i64,
         arith: approx_arith::StageArith,
     ) -> Self {
-        Self::with_engine(name, taps, gain, arith, MulEngine::default())
-    }
-
-    /// Like [`FirFilter::new`] with an explicit multiplier engine (the
-    /// engines are bit-identical; see [`crate::arith::MulEngine`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `taps` is empty or `gain` is not positive.
-    #[must_use]
-    pub fn with_engine(
-        name: &'static str,
-        taps: &[i64],
-        gain: i64,
-        arith: approx_arith::StageArith,
-        engine: MulEngine,
-    ) -> Self {
-        Self::from_program(Arc::new(FirProgram::new(name, taps, gain, arith, engine)))
+        Self::from_program(Arc::new(FirProgram::new(name, taps, gain, arith)))
     }
 
     /// Creates a filter instance over an existing shared program: fresh
@@ -354,10 +327,7 @@ impl FirFilter {
             if c == 0 {
                 continue;
             }
-            let product = match tap_mults {
-                Some(tap_mults) => self.backend.mul_tap(sample, &tap_mults[t]),
-                None => self.backend.mul(sample, c),
-            };
+            let product = self.backend.mul_tap(sample, &tap_mults[t]);
             acc = Some(match acc {
                 None => product,
                 Some(sum) => self.backend.add(sum, product),
@@ -512,6 +482,9 @@ mod tests {
         assert_eq!(fir.group_delay(), 16);
     }
 
+    /// The tap tables against the generic multiply: the same tap walk with
+    /// [`ArithBackend::mul`] per nonzero tap and the stage adder chaining
+    /// the products must give every output and every counter.
     #[test]
     fn per_tap_tables_match_generic_engines_exactly() {
         use approx_arith::{FullAdderKind, Mult2x2Kind};
@@ -521,23 +494,31 @@ mod tests {
             StageArith::least_energy(8),
             StageArith::new(14, Mult2x2Kind::V2, FullAdderKind::Ama2),
         ] {
-            let mut fast = FirFilter::with_engine("t", &taps, 1, stage, MulEngine::Compiled);
-            let mut slow = FirFilter::with_engine("t", &taps, 1, stage, MulEngine::BitLevel);
-            assert!(fast.program().tap_mults().is_some());
-            assert!(slow.program().tap_mults().is_none());
+            let mut tapped = FirFilter::new("t", &taps, 1, stage);
+            let mut generic = ArithBackend::new(stage);
+            let mut newest_first = vec![0i64; taps.len()];
             let mut x = -20_000i64;
             for step in 0..600 {
                 x = (x.wrapping_mul(31) ^ step).rem_euclid(70_000) - 35_000;
-                assert_eq!(fast.process(x), slow.process(x), "step {step}");
+                newest_first.rotate_right(1);
+                newest_first[0] = x;
+                let mut acc = None;
+                for (&c, &sample) in taps.iter().zip(&newest_first) {
+                    if c != 0 {
+                        let p = generic.mul(sample, c);
+                        acc = Some(acc.map_or(p, |sum| generic.add(sum, p)));
+                    }
+                }
+                assert_eq!(tapped.process(x), acc.unwrap_or(0), "step {step}");
             }
-            assert_eq!(fast.backend().ops(), slow.backend().ops());
+            assert_eq!(tapped.backend().ops(), generic.ops());
             assert_eq!(
-                fast.backend().saturation_events(),
-                slow.backend().saturation_events()
+                tapped.backend().saturation_events(),
+                generic.saturation_events()
             );
             assert_eq!(
-                fast.backend().add_overflow_events(),
-                slow.backend().add_overflow_events()
+                tapped.backend().add_overflow_events(),
+                generic.add_overflow_events()
             );
         }
     }
@@ -549,7 +530,6 @@ mod tests {
             &[1, 2, 1],
             4,
             StageArith::least_energy(6),
-            MulEngine::Compiled,
         ));
         let mut a = FirFilter::from_program(Arc::clone(&program));
         let mut b = FirFilter::from_program(Arc::clone(&program));

@@ -16,9 +16,9 @@
 //! Approximate stages take the same register-blocked loops as exact ones.
 //! Once per block of ticks, the stage adder resolves to one
 //! [`approx_arith::ClosedForm`] and a FIR program's taps to one
-//! representation (native multiply, shared product table, or the bit-level
-//! program); each stage walk is monomorphized for the pair, so no lane
-//! loop matches on an adder kind or tap representation per element.
+//! representation (native multiply or shared product table); each stage
+//! walk is monomorphized for the pair, so no lane loop matches on an adder
+//! kind or tap representation per element.
 //!
 //! A one-lane bank has no lanes to block across, so each stage has a
 //! second walk that runs the same register blocks across *time*: a block
@@ -32,8 +32,8 @@
 //! Every lane's event stream and final [`DetectionResult`] are **bit
 //! identical** to the scalar reference pipeline ([`crate::oracle`]: the
 //! public stage objects, one sample at a time) over that lane's samples —
-//! for every chunking, bank width, decision arithmetic, footprint, and
-//! multiplier engine. The kernels guarantee this by construction:
+//! for every chunking, bank width, footprint, and stage arithmetic. The
+//! kernels guarantee this by construction:
 //!
 //! * FIR products are taken in tap order and accumulated left-to-right
 //!   exactly like the scalar hot loop, so non-associative approximate
@@ -464,14 +464,6 @@ fn rescale_block<const W: usize>(program: &FirProgram, block: &Block<W>, out: &m
     }
 }
 
-/// The bit-level engine's product, kept out of line: the netlist walk
-/// costs far more than a call, and inlining it into every kernel instance
-/// would multiply the code size for a reference path.
-#[inline(never)]
-fn program_mul(arith: &ArithProgram, ca: i64, cb: i64) -> i64 {
-    arith.mul_raw_clamped(ca, cb)
-}
-
 /// One nonzero FIR tap, as a [`TapMul`] resolves it.
 #[derive(Clone, Copy)]
 struct Tap<'a> {
@@ -479,9 +471,8 @@ struct Tap<'a> {
     t: usize,
     /// The coefficient, clamped into the multiplier range.
     cb: i64,
-    /// The program's compiled tap multipliers, if it has tap tables.
-    mults: Option<&'a [TapMultiplier]>,
-    arith: &'a ArithProgram,
+    /// The program's compiled tap multipliers.
+    mults: &'a [TapMultiplier],
 }
 
 /// How every tap of a FIR program multiplies. The multiplier configuration
@@ -496,8 +487,8 @@ trait TapMul: Copy {
     const SHARED_ROWS: bool = false;
 
     /// One tap's product function, resolved before its lane loop (`None`
-    /// only if the tap lacks the representation, which `LaneFir::new`
-    /// rules out).
+    /// only if the tap lacks the representation — a table tap of an exact
+    /// multiplier, which `LaneFir::new` rules out).
     fn product(tap: Tap<'_>) -> Option<impl Fn(i64) -> i64>;
 }
 
@@ -525,20 +516,8 @@ impl TapMul for TableTaps {
 
     #[inline(always)]
     fn product(tap: Tap<'_>) -> Option<impl Fn(i64) -> i64> {
-        let table = tap.mults?.get(tap.t)?.table()?;
+        let table = tap.mults.get(tap.t)?.table()?;
         Some(move |ca| table.mul_clamped(ca))
-    }
-}
-
-/// An approximate multiplier without tap tables (the bit-level engine):
-/// the netlist walk, per element.
-#[derive(Clone, Copy)]
-struct BitLevelTaps;
-
-impl TapMul for BitLevelTaps {
-    #[inline(always)]
-    fn product(tap: Tap<'_>) -> Option<impl Fn(i64) -> i64> {
-        Some(move |ca| program_mul(tap.arith, ca, tap.cb))
     }
 }
 
@@ -547,7 +526,6 @@ impl TapMul for BitLevelTaps {
 enum TapRepr {
     Native,
     Table,
-    BitLevel,
 }
 
 /// SoA FIR kernel: one shared program, N lanes of delay-line state laid
@@ -640,15 +618,12 @@ impl LaneFir {
         // multiplier, sums by a ≤63-bit bus.
         debug_assert!(arith.mul_width() <= 32 && arith.adder_width() <= 63);
         let adder = arith.adder_form();
+        // An approximate multiplier compiles a product table for every
+        // tap; an exact one multiplies natively.
         let taps = if arith.mul_is_exact() {
             TapRepr::Native
-        } else if program
-            .tap_mults()
-            .is_some_and(|tm| tm.iter().all(|m| m.table().is_some()))
-        {
-            TapRepr::Table
         } else {
-            TapRepr::BitLevel
+            TapRepr::Table
         };
         Self {
             delay: vec![0; rows * lanes],
@@ -689,9 +664,6 @@ impl LaneFir {
         with_adder_form!(self.adder, form => match taps {
             TapRepr::Native => run_walk(Walk { stage: &mut *self, arith: (form, NativeTaps), x, out }),
             TapRepr::Table => run_walk(Walk { stage: &mut *self, arith: (form, TableTaps), x, out }),
-            TapRepr::BitLevel => {
-                run_walk(Walk { stage: &mut *self, arith: (form, BitLevelTaps), x, out });
-            }
         });
     }
 
@@ -764,7 +736,6 @@ impl LaneFir {
                 t,
                 cb: coeffs[t],
                 mults: program.tap_mults(),
-                arith: program.arith(),
             };
             let mul = M::product(tap);
             // Same contract as the lane walk: `LaneFir::new` picks `M` only
@@ -850,8 +821,8 @@ impl<A: ClosedForm, M: TapMul> Blocked<(A, M), Lanes> for LaneFir {
     ///   through the stage adder's closed form `form`, the first nonzero
     ///   tap seeding the accumulators;
     /// * the taps multiply through the representation `M` shared by the
-    ///   whole program — native multiply, shared product table, or the
-    ///   bit-level program — so every lane loop runs one branch-free arm;
+    ///   whole program — native multiply or shared product table — so
+    ///   every lane loop runs one branch-free arm;
     /// * the exact configuration is the ([`NativeTaps`],
     ///   [`approx_arith::adder::Wrap`]) instance: `ca * cb` and a
     ///   sign-extending wrap, which LLVM vectorizes with the machine's
@@ -877,7 +848,6 @@ impl<A: ClosedForm, M: TapMul> Blocked<(A, M), Lanes> for LaneFir {
         } = self;
         let (lanes, limit) = (*lanes, *mul_limit);
         let tap_mults = program.tap_mults();
-        let arith = program.arith();
         let rows = coeffs.len();
 
         let mut block = Block::<W>::new();
@@ -900,7 +870,6 @@ impl<A: ClosedForm, M: TapMul> Blocked<(A, M), Lanes> for LaneFir {
                 t,
                 cb,
                 mults: tap_mults,
-                arith,
             };
             let mul = M::product(tap);
             // `LaneFir::new` picks `M` only if every tap has it; a `None`
@@ -940,7 +909,6 @@ impl<A: ClosedForm, M: TapMul> Blocked<(A, M), Ticks> for LaneFir {
         } = self;
         let limit = *mul_limit;
         let tap_mults = program.tap_mults();
-        let arith = program.arith();
         let rows = coeffs.len();
         let len = hist.len();
 
@@ -966,7 +934,6 @@ impl<A: ClosedForm, M: TapMul> Blocked<(A, M), Ticks> for LaneFir {
                 t,
                 cb,
                 mults: tap_mults,
-                arith,
             };
             let mul = M::product(tap);
             debug_assert!(mul.is_some(), "tap {t} lacks its representation");
@@ -1770,7 +1737,6 @@ impl LaneBank {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::arith::MulEngine;
     use crate::config::{Footprint, PipelineConfig};
     use crate::oracle;
     use crate::streaming::StreamingQrsDetector;
@@ -1853,18 +1819,6 @@ mod tests {
                     assert_eq!(result, solo_result, "{footprint:?} lane {lane} result");
                 }
             }
-        }
-    }
-
-    #[test]
-    fn bit_level_engine_lanes_match_solo_runs_too() {
-        let signals = every_block_width(1500);
-        let config =
-            PipelineConfig::least_energy([8, 10, 2, 8, 16]).with_engine(MulEngine::BitLevel);
-        for (lane, (events, result)) in run_bank(config, &signals, 50).into_iter().enumerate() {
-            let (solo_events, solo_result) = oracle::detect_chunked(config, &signals[lane], 50);
-            assert_eq!(events, solo_events, "lane {lane} events");
-            assert_eq!(result, solo_result, "lane {lane} result");
         }
     }
 

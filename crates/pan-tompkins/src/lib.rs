@@ -19,6 +19,13 @@
 //! search-back, plus the HPF↔MWI peak-alignment cross-check whose failure
 //! mode the paper dissects in Fig 13.
 //!
+//! Each concept has one production implementation: stages multiply through
+//! the compiled word-level engine, and decisions run the integer
+//! [`decision::FixedDecision`] kernel. The references they are proven
+//! against — the bit-level netlist walk in `approx_arith`, the scalar stage
+//! loop and the `f64` decision transcription in [`oracle`] — are test
+//! oracles only.
+//!
 //! # Example
 //!
 //! ```
@@ -58,13 +65,12 @@ pub mod stages;
 pub mod streaming;
 pub mod threshold;
 
-pub use arith::{ArithBackend, MulEngine};
+pub use arith::ArithBackend;
 pub use config::{Footprint, PipelineConfig, StageKind};
-pub use decision::DecisionArith;
 pub use detector::{DetectionResult, QrsDetector};
 pub use engine::DetectorEngine;
 pub use fir::FirFilter;
 pub use lane::{simd_level_name, LaneBank};
 pub use snapshot::SnapshotError;
 pub use streaming::{StreamEvent, StreamingQrsDetector};
-pub use threshold::{AdaptiveThreshold, OnlineClassifier, ThresholdConfig};
+pub use threshold::{OnlineClassifier, ThresholdConfig};

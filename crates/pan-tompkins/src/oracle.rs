@@ -1,16 +1,23 @@
-//! The scalar reference pipeline: the five public stage objects
-//! ([`crate::stages`]) driven one sample at a time into the
-//! decision tail (`DetectorTail`) every bank lane owns.
+//! Test oracles: reference implementations production never runs.
 //!
-//! Production never runs it. [`crate::QrsDetector`],
-//! [`crate::StreamingQrsDetector`] and every [`crate::LaneBank`] lane run
-//! the SoA stage kernels; this module keeps an implementation of the five
-//! stages that shares none of their kernel code (only the compiled stage
-//! programs and the decision tail), so equivalence tests and the `ext_*`
-//! gates have something independent to compare them with (and a
-//! per-sample speed to measure them against). Its results are
-//! bit-identical to theirs by contract: events, peaks, decisions, stage
-//! signals, and every operation/saturation/overflow counter.
+//! * [`ScalarDetector`] — the five public stage objects
+//!   ([`crate::stages`]) driven one sample at a time into the decision
+//!   tail (`DetectorTail`) every bank lane owns. [`crate::QrsDetector`],
+//!   [`crate::StreamingQrsDetector`] and every [`crate::LaneBank`] lane run
+//!   the SoA stage kernels; this keeps an implementation of the five
+//!   stages that shares none of their kernel code (only the compiled stage
+//!   programs and the decision tail), so equivalence tests and the `ext_*`
+//!   gates have something independent to compare them with (and a
+//!   per-sample speed to measure them against). Its results are
+//!   bit-identical to theirs by contract: events, peaks, decisions, stage
+//!   signals, and every operation/saturation/overflow counter.
+//! * [`float_classify`] — the paper's decision logic transcribed in `f64`,
+//!   as a batch pass over a whole MWI signal: the reference the integer
+//!   decision kernel ([`crate::decision::FixedDecision`], run by
+//!   [`crate::OnlineClassifier`]) is proven against. The MWI signal does
+//!   not depend on the decision arithmetic, so comparing a run's decisions
+//!   with `float_classify` over its retained MWI is the whole Fixed ≡ Float
+//!   check.
 
 use std::sync::Arc;
 
@@ -21,6 +28,7 @@ use crate::stages::{
     Derivative, HighPassFilter, LowPassFilter, MovingWindowIntegrator, Squarer, Stage,
 };
 use crate::streaming::{DetectorTail, StreamEvent};
+use crate::threshold::{PeakClass, PeakDecision, ThresholdConfig};
 
 /// One detector session on the scalar reference pipeline, with the push
 /// and finish contract of [`crate::StreamingQrsDetector`].
@@ -107,4 +115,162 @@ pub fn detect_chunked(
     let (trailing, result) = detector.finish();
     events.extend(trailing);
     (events, result)
+}
+
+/// Classifies every candidate peak of an integrated (MWI-output) signal
+/// with the paper's `f64` formulas — SPK/NPK seeded from the learning
+/// window, `THRESHOLD1 = NPK + 0.25·(SPK − NPK)`, refractory blanking,
+/// slope-based T-wave rejection over `slope_window` differences, and RR
+/// search-back at half threshold — and returns the decisions sorted by
+/// index (stable, so a search-back recovery follows the noise decision it
+/// overrides, as in [`crate::DetectionResult::decisions`]).
+///
+/// The one change from the original transcription is the seed: the mean
+/// converts the exact `i128` learning-window sum instead of accumulating
+/// a running `f64`, which agrees with it whenever every prefix sum is
+/// exactly representable and is the more accurate one otherwise.
+#[must_use]
+pub fn float_classify(config: &ThresholdConfig, signal: &[i64]) -> Vec<PeakDecision> {
+    let c = config;
+    if signal.len() < c.peak_spacing * 2 + 1 {
+        return Vec::new();
+    }
+    let candidates = local_maxima(signal, c.peak_spacing);
+
+    let learn = &signal[..c.learning.min(signal.len())];
+    let max0 = learn.iter().copied().max().unwrap_or(0).max(1);
+    let learn_sum: i128 = learn.iter().map(|&v| i128::from(v)).sum();
+    let mean0 = learn_sum as f64 / learn.len().max(1) as f64;
+    let mut spk = 0.25 * max0 as f64;
+    let mut npk = 0.5 * mean0;
+    let threshold1 = |spk: f64, npk: f64| npk + 0.25 * (spk - npk);
+    // 166.0 / 100.0 is bit-identical to the historical 1.66 literal.
+    let search_back_factor = c.search_back_num as f64 / c.search_back_den as f64;
+
+    let mut beats = Beats {
+        signal,
+        slope_window: c.slope_window,
+        decisions: Vec::new(),
+        qrs_indices: Vec::new(),
+        qrs_slopes: Vec::new(),
+        rr_history: Vec::new(),
+    };
+    for &(idx, amp) in &candidates {
+        if idx < c.warmup {
+            continue;
+        }
+        let last_qrs = beats.qrs_indices.last().copied();
+        if let Some(lq) = last_qrs {
+            if idx - lq < c.refractory {
+                continue;
+            }
+        }
+        if let (Some(lq), false) = (last_qrs, beats.rr_history.is_empty()) {
+            let rr = &beats.rr_history;
+            let rr_avg = rr.iter().sum::<usize>() as f64 / rr.len() as f64;
+            if (idx - lq) as f64 > search_back_factor * rr_avg {
+                let miss = candidates
+                    .iter()
+                    .filter(|(i, _)| *i > lq + c.refractory && *i + c.refractory < idx)
+                    .max_by_key(|(_, a)| *a)
+                    .copied();
+                if let Some((mi, ma)) = miss {
+                    if (ma as f64) > 0.5 * threshold1(spk, npk) {
+                        spk = 0.25 * ma as f64 + 0.75 * spk;
+                        beats.accept(mi, ma, PeakClass::SearchBack);
+                    }
+                }
+            }
+        }
+        if let Some(&lq) = beats.qrs_indices.last() {
+            if idx - lq < c.t_wave_window {
+                let slope_prev = beats.qrs_slopes.last().copied().unwrap_or(0);
+                if beats.max_slope(idx) < slope_prev / 2 {
+                    npk = 0.125 * amp as f64 + 0.875 * npk;
+                    beats.record(idx, amp, PeakClass::TWave);
+                    continue;
+                }
+            }
+        }
+        if (amp as f64) > threshold1(spk, npk) {
+            spk = 0.125 * amp as f64 + 0.875 * spk;
+            beats.accept(idx, amp, PeakClass::Qrs);
+        } else {
+            npk = 0.125 * amp as f64 + 0.875 * npk;
+            beats.record(idx, amp, PeakClass::Noise);
+        }
+    }
+    let mut decisions = beats.decisions;
+    decisions.sort_by_key(|d| d.index);
+    decisions
+}
+
+/// The bookkeeping of [`float_classify`]: decisions in classification
+/// order and the accepted-beat histories the next decisions read.
+struct Beats<'a> {
+    signal: &'a [i64],
+    slope_window: usize,
+    decisions: Vec<PeakDecision>,
+    qrs_indices: Vec<usize>,
+    qrs_slopes: Vec<i64>,
+    rr_history: Vec<usize>,
+}
+
+impl Beats<'_> {
+    /// Maximal first difference over the `slope_window` differences
+    /// leading into `idx`.
+    fn max_slope(&self, idx: usize) -> i64 {
+        let lo = idx.saturating_sub(self.slope_window);
+        self.signal[lo..=idx]
+            .windows(2)
+            .map(|w| w[1] - w[0])
+            .max()
+            .unwrap_or(0)
+    }
+
+    /// Records an accepted beat: the RR interval (last 8 kept), the index
+    /// in sorted position (search-back inserts out of order), its slope.
+    fn accept(&mut self, idx: usize, amplitude: i64, class: PeakClass) {
+        if let Some(&prev) = self.qrs_indices.last() {
+            if idx > prev {
+                self.rr_history.push(idx - prev);
+                if self.rr_history.len() > 8 {
+                    self.rr_history.remove(0);
+                }
+            }
+        }
+        let pos = self.qrs_indices.partition_point(|&i| i < idx);
+        self.qrs_indices.insert(pos, idx);
+        self.qrs_slopes.push(self.max_slope(idx));
+        self.record(idx, amplitude, class);
+    }
+
+    /// Appends one decision in classification order.
+    fn record(&mut self, index: usize, amplitude: i64, class: PeakClass) {
+        self.decisions.push(PeakDecision {
+            index,
+            amplitude,
+            class,
+        });
+    }
+}
+
+/// Local maxima (`s[i] ≥ s[i−1]` and `s[i] > s[i+1]`) at least `spacing`
+/// apart, the taller of two closer ones kept, as `(index, amplitude)`.
+pub(crate) fn local_maxima(signal: &[i64], spacing: usize) -> Vec<(usize, i64)> {
+    let mut peaks: Vec<(usize, i64)> = Vec::new();
+    for i in 1..signal.len().saturating_sub(1) {
+        if signal[i] >= signal[i - 1] && signal[i] > signal[i + 1] {
+            let amp = signal[i];
+            match peaks.last_mut() {
+                Some((pi, pa)) if i - *pi < spacing => {
+                    if amp > *pa {
+                        (*pi, *pa) = (i, amp);
+                    }
+                }
+                _ => peaks.push((i, amp)),
+            }
+        }
+    }
+    peaks
 }

@@ -11,7 +11,6 @@
 
 use approx_arith::{OpCounter, StageArith};
 
-use crate::arith::MulEngine;
 use crate::fir::{FirFilter, FirProgram};
 use crate::stages::Stage;
 
@@ -45,21 +44,15 @@ impl Derivative {
     /// Creates the stage with the given approximation parameters.
     #[must_use]
     pub fn new(arith: StageArith) -> Self {
-        Self::with_engine(arith, MulEngine::default())
-    }
-
-    /// Creates the stage with an explicit multiplier engine.
-    #[must_use]
-    pub fn with_engine(arith: StageArith, engine: MulEngine) -> Self {
-        Self::from_program(std::sync::Arc::new(Self::program(arith, engine)))
+        Self::from_program(std::sync::Arc::new(Self::program(arith)))
     }
 
     /// Compiles the stage's shared [`FirProgram`] (taps, gain, tap tables)
     /// for the given arithmetic — built once and shared across detector
     /// states/lanes.
     #[must_use]
-    pub fn program(arith: StageArith, engine: MulEngine) -> FirProgram {
-        FirProgram::new("DER", &TAPS, GAIN, arith, engine)
+    pub fn program(arith: StageArith) -> FirProgram {
+        FirProgram::new("DER", &TAPS, GAIN, arith)
     }
 
     /// Creates a stage instance over an existing shared program.

@@ -9,7 +9,6 @@
 
 use approx_arith::{OpCounter, StageArith};
 
-use crate::arith::MulEngine;
 use crate::fir::{FirFilter, FirProgram};
 use crate::stages::Stage;
 
@@ -46,23 +45,17 @@ impl HighPassFilter {
     /// Creates the stage with the given approximation parameters.
     #[must_use]
     pub fn new(arith: StageArith) -> Self {
-        Self::with_engine(arith, MulEngine::default())
-    }
-
-    /// Creates the stage with an explicit multiplier engine.
-    #[must_use]
-    pub fn with_engine(arith: StageArith, engine: MulEngine) -> Self {
-        Self::from_program(std::sync::Arc::new(Self::program(arith, engine)))
+        Self::from_program(std::sync::Arc::new(Self::program(arith)))
     }
 
     /// Compiles the stage's shared [`FirProgram`] (taps, gain, tap tables)
     /// for the given arithmetic — built once and shared across detector
     /// states/lanes.
     #[must_use]
-    pub fn program(arith: StageArith, engine: MulEngine) -> FirProgram {
+    pub fn program(arith: StageArith) -> FirProgram {
         // `taps()` returns an owned array; FirProgram copies it.
         let t = taps();
-        FirProgram::new("HPF", &t, GAIN, arith, engine)
+        FirProgram::new("HPF", &t, GAIN, arith)
     }
 
     /// Creates a stage instance over an existing shared program.

@@ -8,7 +8,6 @@
 
 use approx_arith::{OpCounter, StageArith};
 
-use crate::arith::MulEngine;
 use crate::fir::{FirFilter, FirProgram};
 use crate::stages::Stage;
 
@@ -40,21 +39,15 @@ impl LowPassFilter {
     /// Creates the stage with the given approximation parameters.
     #[must_use]
     pub fn new(arith: StageArith) -> Self {
-        Self::with_engine(arith, MulEngine::default())
-    }
-
-    /// Creates the stage with an explicit multiplier engine.
-    #[must_use]
-    pub fn with_engine(arith: StageArith, engine: MulEngine) -> Self {
-        Self::from_program(std::sync::Arc::new(Self::program(arith, engine)))
+        Self::from_program(std::sync::Arc::new(Self::program(arith)))
     }
 
     /// Compiles the stage's shared [`FirProgram`] (taps, gain, tap tables)
     /// for the given arithmetic — built once and shared across detector
     /// states/lanes.
     #[must_use]
-    pub fn program(arith: StageArith, engine: MulEngine) -> FirProgram {
-        FirProgram::new("LPF", &TAPS, GAIN, arith, engine)
+    pub fn program(arith: StageArith) -> FirProgram {
+        FirProgram::new("LPF", &TAPS, GAIN, arith)
     }
 
     /// Creates a stage instance over an existing shared program.

@@ -9,7 +9,7 @@
 
 use approx_arith::{OpCounter, StageArith};
 
-use crate::arith::{div_round, ArithBackend, ArithProgram, MulEngine};
+use crate::arith::{div_round, ArithBackend, ArithProgram};
 use crate::stages::Stage;
 
 /// Window length in samples (150 ms at 200 Hz).
@@ -38,20 +38,13 @@ impl MovingWindowIntegrator {
     /// Creates the stage with the given approximation parameters.
     #[must_use]
     pub fn new(arith: StageArith) -> Self {
-        Self::with_engine(arith, MulEngine::default())
-    }
-
-    /// Creates the stage with an explicit multiplier engine (the MWI has no
-    /// multipliers, so the engine only affects the idle multiplier block).
-    #[must_use]
-    pub fn with_engine(arith: StageArith, engine: MulEngine) -> Self {
-        Self::from_program(std::sync::Arc::new(Self::program(arith, engine)))
+        Self::from_program(std::sync::Arc::new(Self::program(arith)))
     }
 
     /// Builds the stage's shared [`ArithProgram`] for the given arithmetic.
     #[must_use]
-    pub fn program(arith: StageArith, engine: MulEngine) -> ArithProgram {
-        ArithProgram::new(arith, engine)
+    pub fn program(arith: StageArith) -> ArithProgram {
+        ArithProgram::new(arith)
     }
 
     /// Creates a stage instance over an existing shared program.

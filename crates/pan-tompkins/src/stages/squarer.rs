@@ -7,7 +7,7 @@
 
 use approx_arith::{OpCounter, StageArith};
 
-use crate::arith::{ArithBackend, ArithProgram, MulEngine};
+use crate::arith::{ArithBackend, ArithProgram};
 use crate::stages::Stage;
 
 /// Stage D: squarer.
@@ -31,19 +31,13 @@ impl Squarer {
     /// Creates the stage with the given approximation parameters.
     #[must_use]
     pub fn new(arith: StageArith) -> Self {
-        Self::with_engine(arith, MulEngine::default())
-    }
-
-    /// Creates the stage with an explicit multiplier engine.
-    #[must_use]
-    pub fn with_engine(arith: StageArith, engine: MulEngine) -> Self {
-        Self::from_program(std::sync::Arc::new(Self::program(arith, engine)))
+        Self::from_program(std::sync::Arc::new(Self::program(arith)))
     }
 
     /// Builds the stage's shared [`ArithProgram`] for the given arithmetic.
     #[must_use]
-    pub fn program(arith: StageArith, engine: MulEngine) -> ArithProgram {
-        ArithProgram::new(arith, engine)
+    pub fn program(arith: StageArith) -> ArithProgram {
+        ArithProgram::new(arith)
     }
 
     /// Creates a stage instance over an existing shared program.

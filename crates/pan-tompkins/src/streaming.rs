@@ -532,8 +532,7 @@ impl DetectorTail {
         config: &PipelineConfig,
         r: &mut Reader<'_>,
     ) -> Result<Self, SnapshotError> {
-        let classifier =
-            OnlineClassifier::decode(config.threshold(), config.footprint(), config.decision(), r)?;
+        let classifier = OnlineClassifier::decode(config.threshold(), config.footprint(), r)?;
         let n = r.take_usize()?;
         if classifier.samples_seen() != n {
             return Err(SnapshotError::Corrupt(
@@ -1089,18 +1088,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn bit_level_engine_streams_identically_too() {
-        use crate::arith::MulEngine;
-        let signal = pulse_train(1500, 170, 200);
-        let config =
-            PipelineConfig::least_energy([8, 10, 2, 8, 16]).with_engine(MulEngine::BitLevel);
-        let batch = QrsDetector::new(config).detect(&signal);
-        let (_, streamed) = run_streaming(config, &signal, 13);
-        assert_eq!(streamed, batch);
-        assert_eq!(batch, reference(config, &signal).1);
-    }
-
     /// Sessions built from one shared engine behave exactly like fresh
     /// detectors, and the per-session bill excludes the engine.
     #[test]
@@ -1312,17 +1299,12 @@ mod tests {
     #[test]
     fn snapshot_restore_resumes_bit_identically() {
         let signal = pulse_train(3000, 170, 200);
-        use crate::decision::DecisionArith;
         for footprint in [Footprint::Retain, Footprint::Bounded] {
-            for decision in [DecisionArith::Fixed, DecisionArith::Float] {
-                let config = PipelineConfig::least_energy([10, 12, 2, 8, 16])
-                    .with_footprint(footprint)
-                    .with_decision(decision);
-                let reference = reference(config, &signal);
-                for cut in [1usize, 137, 1024, 2999] {
-                    let resumed = run_with_snapshot(config, &signal, cut);
-                    assert_eq!(resumed, reference, "{footprint:?}/{decision:?} cut {cut}");
-                }
+            let config = PipelineConfig::least_energy([10, 12, 2, 8, 16]).with_footprint(footprint);
+            let reference = reference(config, &signal);
+            for cut in [1usize, 137, 1024, 2999] {
+                let resumed = run_with_snapshot(config, &signal, cut);
+                assert_eq!(resumed, reference, "{footprint:?} cut {cut}");
             }
         }
     }

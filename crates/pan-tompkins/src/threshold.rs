@@ -11,14 +11,16 @@
 //! on already-seen samples and already-classified candidate peaks (the seed
 //! thresholds need the learning window, a candidate needs `peak_spacing`
 //! trailing samples to become final, and search-back revisits only *past*
-//! candidates). [`OnlineClassifier`] is that incremental form — the batch
-//! [`AdaptiveThreshold::classify`] is a thin wrapper that pushes the whole
-//! signal through one and sorts the result, so the two paths cannot drift.
+//! candidates). [`OnlineClassifier`] is that incremental form, and the only
+//! one: batch detection pushes the whole MWI signal through one too. Its
+//! SPK/NPK arithmetic is the integer [`FixedDecision`] kernel; the `f64`
+//! batch transcription of the paper it is checked against is
+//! [`crate::oracle::float_classify`].
 
 use std::fmt;
 
 use crate::config::{Footprint, PipelineConfig};
-use crate::decision::{DecisionArith, DecisionKernel};
+use crate::decision::FixedDecision;
 use crate::snapshot::{Reader, SnapshotError, Writer};
 
 /// Detector timing and adaptation parameters (defaults follow the original
@@ -46,13 +48,12 @@ pub struct ThresholdConfig {
     pub learning: usize,
     /// Numerator of the search-back factor as an exact rational (166/100 —
     /// search-back triggers when the current RR exceeds this multiple of
-    /// the running average RR, the paper's 166 %). The
-    /// [`DecisionArith::Fixed`] path tests `gap · den · len > num · Σrr`,
-    /// so no float ever enters the RR decision; the
-    /// [`DecisionArith::Float`] path derives its `f64` factor from the
-    /// same rational (`166.0 / 100.0` is bit-identical to the historical
-    /// `1.66` literal), so the two arithmetics can never be configured to
-    /// test different boundaries.
+    /// the running average RR, the paper's 166 %). The classifier tests
+    /// `gap · den · len > num · Σrr`, so no float ever enters the RR
+    /// decision; the `f64` reference ([`crate::oracle::float_classify`])
+    /// derives its factor from the same rational (`166.0 / 100.0` is
+    /// bit-identical to the historical `1.66` literal), so the two can
+    /// never be configured to test different boundaries.
     pub search_back_num: u64,
     /// Denominator of the rational search-back factor (must be non-zero).
     pub search_back_den: u64,
@@ -155,98 +156,6 @@ impl fmt::Display for PeakDecision {
     }
 }
 
-/// The adaptive-threshold QRS classifier.
-///
-/// # Example
-///
-/// ```
-/// use pan_tompkins::{AdaptiveThreshold, ThresholdConfig};
-///
-/// // A pulse train with QRS-like energy every 160 samples.
-/// let mut mwi = vec![10i64; 2000];
-/// for beat in 0..12 {
-///     let at = 100 + beat * 160;
-///     for (offset, slot) in mwi[at..at + 12].iter_mut().enumerate() {
-///         *slot = 2000 - 120 * (offset as i64 - 6).abs();
-///     }
-/// }
-/// let detector = AdaptiveThreshold::new(ThresholdConfig::default());
-/// let peaks = detector.detect(&mwi);
-/// assert_eq!(peaks.len(), 12);
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct AdaptiveThreshold {
-    config: ThresholdConfig,
-    decision: DecisionArith,
-}
-
-impl AdaptiveThreshold {
-    /// Creates a classifier with the given parameters (and the default
-    /// [`DecisionArith::Fixed`] decision arithmetic).
-    #[must_use]
-    pub fn new(config: ThresholdConfig) -> Self {
-        Self {
-            config,
-            decision: DecisionArith::default(),
-        }
-    }
-
-    /// Creates a classifier from a pipeline configuration — the single
-    /// source of truth for the timing parameters
-    /// ([`PipelineConfig::with_threshold`]) and decision arithmetic
-    /// ([`PipelineConfig::with_decision`]).
-    #[must_use]
-    pub fn for_config(config: &PipelineConfig) -> Self {
-        Self {
-            config: config.threshold(),
-            decision: config.decision(),
-        }
-    }
-
-    /// The configuration.
-    #[must_use]
-    pub fn config(&self) -> &ThresholdConfig {
-        &self.config
-    }
-
-    /// The decision arithmetic classifications run in.
-    #[must_use]
-    pub fn decision(&self) -> DecisionArith {
-        self.decision
-    }
-
-    /// Detects QRS positions in an integrated (MWI-output) signal.
-    ///
-    /// Convenience over [`AdaptiveThreshold::classify`]: returns only the
-    /// accepted QRS indices.
-    #[must_use]
-    pub fn detect(&self, signal: &[i64]) -> Vec<usize> {
-        self.classify(signal)
-            .into_iter()
-            .filter(|d| matches!(d.class, PeakClass::Qrs | PeakClass::SearchBack))
-            .map(|d| d.index)
-            .collect()
-    }
-
-    /// Classifies every candidate peak in the signal.
-    ///
-    /// This is the batch entry point: it pushes the whole signal through an
-    /// [`OnlineClassifier`] (which is the implementation — there is no
-    /// separate batch decision path) and sorts the emitted decisions by
-    /// index.
-    #[must_use]
-    pub fn classify(&self, signal: &[i64]) -> Vec<PeakDecision> {
-        let mut online = OnlineClassifier::build(self.config, Footprint::Retain, self.decision);
-        let mut decisions = Vec::new();
-        for &x in signal {
-            online.push(x, &mut decisions);
-        }
-        online.finish(&mut decisions);
-        decisions.sort_by_key(|d| d.index);
-        decisions
-    }
-}
-
 /// Trailing samples the online classifier must retain for a slope window
 /// of `w` first differences: the `w + 1` samples of
 /// [`OnlineClassifier::slope_at`] plus the one-sample local-maximum
@@ -285,8 +194,9 @@ struct Candidate {
 ///   their latency is one RR interval rather than a constant.
 ///
 /// Decisions are emitted in classification order, which is the batch
-/// pre-sort order: collecting them and sorting by index reproduces
-/// [`AdaptiveThreshold::classify`] exactly. Memory: a slope-window-sized
+/// pre-sort order: collecting them and sorting by index (stably) gives the
+/// batch decision list, [`crate::DetectionResult::decisions`]. Memory: a
+/// slope-window-sized
 /// sample ring (16 samples at 200 Hz: slope window + lookahead,
 /// rounded to a power of two) plus the candidate-peak list
 /// (search-back may revisit any inter-beat candidate, which is also why
@@ -333,9 +243,8 @@ pub struct OnlineClassifier {
     learn_len: usize,
     learn_max: i64,
     learn_sum: i128,
-    /// Running SPK/NPK decision state (fixed-point or float per the
-    /// configured [`DecisionArith`]), valid once `seeded`.
-    kernel: DecisionKernel,
+    /// Running SPK/NPK decision state, valid once `seeded`.
+    kernel: FixedDecision,
     seeded: bool,
     /// Finalized candidate peaks, in index order.
     candidates: Vec<Candidate>,
@@ -355,14 +264,13 @@ impl OnlineClassifier {
     /// (retaining every candidate, like the batch path).
     #[must_use]
     pub fn new(config: ThresholdConfig) -> Self {
-        Self::build(config, Footprint::Retain, DecisionArith::default())
+        Self::build(config, Footprint::Retain)
     }
 
     /// Creates an incremental classifier from a pipeline configuration —
-    /// threshold timing ([`PipelineConfig::with_threshold`]), retention
-    /// policy ([`PipelineConfig::with_footprint`]), and decision arithmetic
-    /// ([`PipelineConfig::with_decision`]) are all read from the one
-    /// config.
+    /// threshold timing ([`PipelineConfig::with_threshold`]) and retention
+    /// policy ([`PipelineConfig::with_footprint`]) are both read from the
+    /// one config.
     ///
     /// Under [`Footprint::Bounded`], candidate peaks are dropped as soon as
     /// no future search-back can revisit them and the accepted-QRS
@@ -372,21 +280,15 @@ impl OnlineClassifier {
     /// bit-for-bit identical to the retaining mode — the search-back filter
     /// (`index > last_qrs + refractory`) can never select a pruned
     /// candidate, and every decision reads only `last()` of the QRS
-    /// history. Under [`DecisionArith::Fixed`] (the default everywhere) no
-    /// `f64` operation is reachable from [`OnlineClassifier::push`];
-    /// [`DecisionArith::Float`] is the legacy reference path (see
-    /// [`crate::decision`]).
+    /// history. No `f64` operation is reachable from
+    /// [`OnlineClassifier::push`] (see [`crate::decision`]).
     #[must_use]
     pub fn for_config(config: &PipelineConfig) -> Self {
-        Self::build(config.threshold(), config.footprint(), config.decision())
+        Self::build(config.threshold(), config.footprint())
     }
 
     /// The one real constructor every public entry point delegates to.
-    pub(crate) fn build(
-        config: ThresholdConfig,
-        retention: Footprint,
-        decision: DecisionArith,
-    ) -> Self {
+    fn build(config: ThresholdConfig, retention: Footprint) -> Self {
         Self {
             config,
             retention,
@@ -395,7 +297,7 @@ impl OnlineClassifier {
             learn_len: 0,
             learn_max: i64::MIN,
             learn_sum: 0,
-            kernel: DecisionKernel::new(decision, &config),
+            kernel: FixedDecision::new(&config),
             seeded: false,
             candidates: Vec::new(),
             pending: None,
@@ -411,12 +313,6 @@ impl OnlineClassifier {
     #[must_use]
     pub fn config(&self) -> &ThresholdConfig {
         &self.config
-    }
-
-    /// The decision arithmetic this classifier runs in.
-    #[must_use]
-    pub fn decision(&self) -> DecisionArith {
-        self.kernel.arith()
     }
 
     /// Samples consumed so far.
@@ -572,7 +468,6 @@ impl OnlineClassifier {
     pub(crate) fn decode(
         config: ThresholdConfig,
         retention: Footprint,
-        decision: DecisionArith,
         r: &mut Reader<'_>,
     ) -> Result<Self, SnapshotError> {
         let n = r.take_usize()?;
@@ -592,7 +487,7 @@ impl OnlineClassifier {
         let learn_sum = r.take_i128()?;
         let spk = r.take_i128()?;
         let npk = r.take_i128()?;
-        let kernel = DecisionKernel::from_state_words(decision, &config, spk, npk);
+        let kernel = FixedDecision::from_state_words(&config, spk, npk);
         let seeded = r.take_bool()?;
         // index + amplitude + slope per candidate.
         let cand_len = r.take_len(3 * 8)?;
@@ -860,180 +755,28 @@ impl OnlineClassifier {
 mod tests {
     use super::*;
 
-    /// The original batch implementation, kept verbatim as the oracle the
-    /// online classifier is checked against: every decision of
-    /// [`AdaptiveThreshold::classify`] must match this, sample for sample.
-    mod reference {
-        use super::super::*;
+    use crate::oracle::{self, float_classify};
 
-        pub fn classify(config: &ThresholdConfig, signal: &[i64]) -> Vec<PeakDecision> {
-            let c = config;
-            if signal.len() < c.peak_spacing * 2 + 1 {
-                return Vec::new();
-            }
-            let candidates = local_maxima(signal, c.peak_spacing);
-
-            let learn_end = c.learning.min(signal.len());
-            let learn = &signal[..learn_end];
-            let max0 = learn.iter().copied().max().unwrap_or(0).max(1);
-            let mean0 = learn.iter().map(|v| *v as f64).sum::<f64>() / learn_end.max(1) as f64;
-            let mut spk = 0.25 * max0 as f64;
-            let mut npk = 0.5 * mean0;
-            let threshold1 = |spk: f64, npk: f64| npk + 0.25 * (spk - npk);
-
-            let mut decisions: Vec<PeakDecision> = Vec::new();
-            let mut qrs_indices: Vec<usize> = Vec::new();
-            let mut qrs_slopes: Vec<i64> = Vec::new();
-            let mut rr_history: Vec<usize> = Vec::new();
-
-            for &(idx, amp) in &candidates {
-                if idx < c.warmup {
-                    continue;
-                }
-                let last_qrs = qrs_indices.last().copied();
-                if let Some(lq) = last_qrs {
-                    if idx - lq < c.refractory {
-                        continue;
-                    }
-                }
-                if let (Some(lq), false) = (last_qrs, rr_history.is_empty()) {
-                    let rr_avg = rr_history.iter().sum::<usize>() as f64 / rr_history.len() as f64;
-                    // The pre-refactor code held the factor as the f64
-                    // literal 1.66, which equals 166.0/100.0 bit for bit.
-                    let factor = c.search_back_num as f64 / c.search_back_den as f64;
-                    if (idx - lq) as f64 > factor * rr_avg {
-                        let threshold2 = 0.5 * threshold1(spk, npk);
-                        let miss = candidates
-                            .iter()
-                            .filter(|(i, _)| *i > lq + c.refractory && *i + c.refractory < idx)
-                            .max_by_key(|(_, a)| *a)
-                            .copied();
-                        if let Some((mi, ma)) = miss {
-                            if (ma as f64) > threshold2 {
-                                spk = 0.25 * ma as f64 + 0.75 * spk;
-                                push_qrs(
-                                    mi,
-                                    ma,
-                                    PeakClass::SearchBack,
-                                    signal,
-                                    &mut decisions,
-                                    &mut qrs_indices,
-                                    &mut qrs_slopes,
-                                    &mut rr_history,
-                                );
-                            }
-                        }
-                    }
-                }
-                if let Some(&lq) = qrs_indices.last() {
-                    if idx - lq < c.t_wave_window {
-                        let slope_now = max_slope(signal, idx);
-                        let slope_prev = qrs_slopes.last().copied().unwrap_or(0);
-                        if slope_now < slope_prev / 2 {
-                            npk = 0.125 * amp as f64 + 0.875 * npk;
-                            decisions.push(PeakDecision {
-                                index: idx,
-                                amplitude: amp,
-                                class: PeakClass::TWave,
-                            });
-                            continue;
-                        }
-                    }
-                }
-                if (amp as f64) > threshold1(spk, npk) {
-                    spk = 0.125 * amp as f64 + 0.875 * spk;
-                    push_qrs(
-                        idx,
-                        amp,
-                        PeakClass::Qrs,
-                        signal,
-                        &mut decisions,
-                        &mut qrs_indices,
-                        &mut qrs_slopes,
-                        &mut rr_history,
-                    );
-                } else {
-                    npk = 0.125 * amp as f64 + 0.875 * npk;
-                    decisions.push(PeakDecision {
-                        index: idx,
-                        amplitude: amp,
-                        class: PeakClass::Noise,
-                    });
-                }
-            }
-            decisions.sort_by_key(|d| d.index);
-            decisions
+    /// The batch form of the classifier: every sample pushed through one
+    /// [`OnlineClassifier`], decisions sorted by index.
+    fn classify(cfg: ThresholdConfig, signal: &[i64]) -> Vec<PeakDecision> {
+        let mut online = OnlineClassifier::new(cfg);
+        let mut decisions = Vec::new();
+        for &x in signal {
+            online.push(x, &mut decisions);
         }
-
-        #[allow(clippy::too_many_arguments)]
-        fn push_qrs(
-            idx: usize,
-            amp: i64,
-            class: PeakClass,
-            signal: &[i64],
-            decisions: &mut Vec<PeakDecision>,
-            qrs_indices: &mut Vec<usize>,
-            qrs_slopes: &mut Vec<i64>,
-            rr_history: &mut Vec<usize>,
-        ) {
-            if let Some(&prev) = qrs_indices.last() {
-                if idx > prev {
-                    rr_history.push(idx - prev);
-                    if rr_history.len() > 8 {
-                        rr_history.remove(0);
-                    }
-                }
-            }
-            let pos = qrs_indices.partition_point(|&i| i < idx);
-            qrs_indices.insert(pos, idx);
-            qrs_slopes.push(max_slope(signal, idx));
-            decisions.push(PeakDecision {
-                index: idx,
-                amplitude: amp,
-                class,
-            });
-        }
-
-        // The oracle predates the configurable slope window and hard-codes
-        // the 200 Hz span (8 differences); compare against it only with
-        // `slope_window == 8` configurations.
-        fn max_slope(signal: &[i64], idx: usize) -> i64 {
-            let lo = idx.saturating_sub(8);
-            signal[lo..=idx]
-                .windows(2)
-                .map(|w| w[1] - w[0])
-                .max()
-                .unwrap_or(0)
-        }
-
-        pub fn local_maxima(signal: &[i64], spacing: usize) -> Vec<(usize, i64)> {
-            let mut peaks: Vec<(usize, i64)> = Vec::new();
-            for i in 1..signal.len().saturating_sub(1) {
-                if signal[i] >= signal[i - 1] && signal[i] > signal[i + 1] {
-                    let amp = signal[i];
-                    match peaks.last() {
-                        Some(&(pi, pa)) if i - pi < spacing => {
-                            if amp > pa {
-                                *peaks.last_mut().expect("non-empty") = (i, amp);
-                            }
-                        }
-                        _ => peaks.push((i, amp)),
-                    }
-                }
-            }
-            peaks
-        }
+        online.finish(&mut decisions);
+        decisions.sort_by_key(|d| d.index);
+        decisions
     }
 
-    use reference::local_maxima;
-
-    /// Classifier with explicit decision arithmetic, via the config path.
-    fn thresh(cfg: ThresholdConfig, arith: DecisionArith) -> AdaptiveThreshold {
-        AdaptiveThreshold::for_config(
-            &PipelineConfig::exact()
-                .with_threshold(cfg)
-                .with_decision(arith),
-        )
+    /// The accepted QRS indices of [`classify`].
+    fn detect(cfg: ThresholdConfig, signal: &[i64]) -> Vec<usize> {
+        classify(cfg, signal)
+            .into_iter()
+            .filter(|d| matches!(d.class, PeakClass::Qrs | PeakClass::SearchBack))
+            .map(|d| d.index)
+            .collect()
     }
 
     /// Bounded-retention online classifier via the config path.
@@ -1065,8 +808,7 @@ mod tests {
     fn detects_regular_beats() {
         let positions: Vec<usize> = (0..10).map(|i| 150 + i * 170).collect();
         let s = mwi_signal(2200, &positions, 4000, 20);
-        let det = AdaptiveThreshold::new(ThresholdConfig::default());
-        let peaks = det.detect(&s);
+        let peaks = detect(ThresholdConfig::default(), &s);
         assert_eq!(peaks.len(), 10, "found {peaks:?}");
     }
 
@@ -1078,8 +820,7 @@ mod tests {
         for i in (300..1900).step_by(200) {
             s[i] += 200;
         }
-        let det = AdaptiveThreshold::new(ThresholdConfig::default());
-        let peaks = det.detect(&s);
+        let peaks = detect(ThresholdConfig::default(), &s);
         assert_eq!(peaks.len(), 8, "noise bumps detected: {peaks:?}");
     }
 
@@ -1087,8 +828,7 @@ mod tests {
     fn refractory_suppresses_double_fire() {
         // Two bumps 30 samples apart (inside 200 ms refractory).
         let s = mwi_signal(1500, &[500, 530, 900], 4000, 10);
-        let det = AdaptiveThreshold::new(ThresholdConfig::default());
-        let peaks = det.detect(&s);
+        let peaks = detect(ThresholdConfig::default(), &s);
         // The 530 bump must be blanked.
         assert!(
             peaks.iter().filter(|p| **p > 480 && **p < 580).count() <= 1,
@@ -1106,8 +846,7 @@ mod tests {
         for (a, b) in s.iter_mut().zip(&weak) {
             *a = (*a).max(*b);
         }
-        let det = AdaptiveThreshold::new(ThresholdConfig::default());
-        let decisions = det.classify(&s);
+        let decisions = classify(ThresholdConfig::default(), &s);
         let recovered = decisions
             .iter()
             .any(|d| d.class == PeakClass::SearchBack && d.index > 1000 && d.index < 1100);
@@ -1133,8 +872,7 @@ mod tests {
                 s[t + o] = s[t + o].max(v.max(0));
             }
         }
-        let det = AdaptiveThreshold::new(ThresholdConfig::default());
-        let decisions = det.classify(&s);
+        let decisions = classify(ThresholdConfig::default(), &s);
         let t_waves = decisions
             .iter()
             .filter(|d| d.class == PeakClass::TWave)
@@ -1149,15 +887,14 @@ mod tests {
 
     #[test]
     fn empty_and_tiny_signals_yield_nothing() {
-        let det = AdaptiveThreshold::new(ThresholdConfig::default());
-        assert!(det.detect(&[]).is_empty());
-        assert!(det.detect(&[5; 10]).is_empty());
+        let cfg = ThresholdConfig::default();
+        assert!(detect(cfg, &[]).is_empty());
+        assert!(detect(cfg, &[5; 10]).is_empty());
     }
 
     #[test]
     fn flat_signal_has_no_peaks() {
-        let det = AdaptiveThreshold::new(ThresholdConfig::default());
-        assert!(det.detect(&[100; 3000]).is_empty());
+        assert!(detect(ThresholdConfig::default(), &[100; 3000]).is_empty());
     }
 
     #[test]
@@ -1166,7 +903,7 @@ mod tests {
         s[10] = 5;
         s[15] = 9; // within spacing of 10 -> keeps the larger
         s[50] = 7;
-        let peaks = local_maxima(&s, 20);
+        let peaks = oracle::local_maxima(&s, 20);
         assert_eq!(peaks, vec![(15, 9), (50, 7)]);
     }
 
@@ -1174,8 +911,7 @@ mod tests {
     fn classify_reports_sorted_decisions() {
         let positions: Vec<usize> = (0..6).map(|i| 150 + i * 180).collect();
         let s = mwi_signal(1400, &positions, 3000, 15);
-        let det = AdaptiveThreshold::new(ThresholdConfig::default());
-        let decisions = det.classify(&s);
+        let decisions = classify(ThresholdConfig::default(), &s);
         assert!(decisions.windows(2).all(|w| w[0].index <= w[1].index));
     }
 
@@ -1213,31 +949,26 @@ mod tests {
         s
     }
 
-    /// The tentpole guard at the classifier layer: both decision
-    /// arithmetics reproduce the original (float) batch implementation
-    /// decision for decision, over beats, noise, T waves and search-back.
-    /// Float-vs-oracle pins the `f64` path to the pre-refactor
-    /// transcription (bit-identical here — the only intentional change,
-    /// the exact-`i128` seed sum, coincides with the oracle's running
-    /// `f64` sum whenever every *prefix* sum is exactly representable,
-    /// true of every oracle workload); Fixed-vs-oracle is the integer
-    /// path's decision equivalence.
+    /// The classifier layer's Fixed ≡ Float guard: the integer decisions
+    /// reproduce the `f64` transcription of the paper
+    /// ([`oracle::float_classify`]) decision for decision, over beats,
+    /// noise, T waves and search-back.
     #[test]
     fn online_classifier_matches_reference_implementation() {
         let cfg = ThresholdConfig::default();
-        for arith in [DecisionArith::Fixed, DecisionArith::Float] {
-            let det = thresh(cfg, arith);
-            for seed in 0..40u64 {
-                let len = 600 + (seed as usize * 137) % 2500;
-                let s = fuzz_signal(seed + 1, len);
-                let got = det.classify(&s);
-                let want = reference::classify(&cfg, &s);
-                assert_eq!(got, want, "seed {seed} diverged under {arith:?}");
-            }
+        for seed in 0..40u64 {
+            let len = 600 + (seed as usize * 137) % 2500;
+            let s = fuzz_signal(seed + 1, len);
+            assert_eq!(
+                classify(cfg, &s),
+                float_classify(&cfg, &s),
+                "seed {seed} diverged"
+            );
         }
     }
 
-    /// Same guard on degenerate lengths and custom configurations.
+    /// Same guard on degenerate lengths and custom configurations,
+    /// including the 360 Hz timing (a 14-difference slope window).
     #[test]
     fn online_classifier_matches_reference_on_edge_configs() {
         let configs = [
@@ -1256,20 +987,54 @@ mod tests {
                 learning: 50,
                 ..ThresholdConfig::default()
             },
+            ThresholdConfig::for_fs(360.0),
         ];
         for cfg in configs {
-            for arith in [DecisionArith::Fixed, DecisionArith::Float] {
-                let det = thresh(cfg, arith);
-                for len in [0usize, 1, 10, 40, 41, 120, 399, 400, 401, 1200] {
-                    let s = fuzz_signal(len as u64 + 7, len);
-                    assert_eq!(
-                        det.classify(&s),
-                        reference::classify(&cfg, &s),
-                        "len {len} cfg {cfg:?} arith {arith:?}"
-                    );
-                }
+            for len in [0usize, 1, 10, 40, 41, 120, 399, 400, 401, 1200] {
+                let s = fuzz_signal(len as u64 + 7, len);
+                assert_eq!(
+                    classify(cfg, &s),
+                    float_classify(&cfg, &s),
+                    "len {len} cfg {cfg:?}"
+                );
             }
         }
+    }
+
+    /// The float reference reads `slope_window`: a bump timed like a T
+    /// wave whose steepest rise sits 12 differences before its peak is a
+    /// T wave to an 8-difference window but a beat to the 14 differences
+    /// of 360 Hz, and the reference agrees with the classifier under both.
+    #[test]
+    fn float_reference_honours_the_slope_window() {
+        let mut s = vec![20i64; 3000];
+        for q in (800..2700).step_by(300) {
+            // A sharp QRS peaking at q + 7 (slope 500 per sample)...
+            for o in 0..15usize {
+                s[q + o] = 4000 - (o as i64 - 7).abs() * 500;
+            }
+            // ...then, 100 samples later, a step of 1480 followed by a
+            // slow rise to a peak at q + 107 and a slow fall.
+            for o in 0..=12usize {
+                s[q + 95 + o] = 1500 + 10 * o as i64;
+            }
+            for o in 1..27usize {
+                s[q + 107 + o] = (1620 - 60 * o as i64).max(20);
+            }
+        }
+        let wide = ThresholdConfig::for_fs(360.0);
+        let narrow = ThresholdConfig {
+            slope_window: 8,
+            ..wide
+        };
+        let (w, n) = (classify(wide, &s), classify(narrow, &s));
+        assert!(
+            n.iter().any(|d| d.class == PeakClass::TWave),
+            "no T wave under the narrow window: {n:?}"
+        );
+        assert_ne!(w, n, "the slope window never changed a decision");
+        assert_eq!(w, float_classify(&wide, &s));
+        assert_eq!(n, float_classify(&narrow, &s));
     }
 
     /// The sampling-rate bugfix: `for_fs` derives every window from the
@@ -1309,7 +1074,7 @@ mod tests {
             (40, 72, 400, 8, 20, 80)
         );
         // The rational is the historical 1.66 exactly (what the float
-        // kernel derives its factor from).
+        // reference derives its factor from).
         assert_eq!(
             d.search_back_num as f64 / d.search_back_den as f64,
             1.66,
@@ -1332,14 +1097,11 @@ mod tests {
         // 10 beats spaced 306 samples (0.85 s at 360 Hz).
         let positions: Vec<usize> = (0..10).map(|i| 800 + i * 306).collect();
         let s = mwi_signal(4000, &positions, 4000, 20);
-        let det = AdaptiveThreshold::new(cfg);
-        let peaks = det.detect(&s);
+        let peaks = detect(cfg, &s);
         assert_eq!(peaks.len(), 10, "found {peaks:?}");
-        // And Float agrees decision-for-decision at this rate too.
-        assert_eq!(
-            det.classify(&s),
-            thresh(cfg, DecisionArith::Float).classify(&s)
-        );
+        // And the float reference agrees decision-for-decision at this
+        // rate too.
+        assert_eq!(classify(cfg, &s), float_classify(&cfg, &s));
     }
 
     /// The characterised Fixed/Float divergence domain: amplitudes past
@@ -1348,8 +1110,9 @@ mod tests {
     /// presents a peak of T + 1:
     ///
     /// * exact arithmetic: `T + 1 > T` — a QRS, and Fixed agrees;
-    /// * float: `(T + 1) as f64` rounds to even = `T`, the strict
-    ///   comparison fails, and the beat is misclassified as noise.
+    /// * float ([`oracle::float_classify`]): `(T + 1) as f64` rounds to
+    ///   even = `T`, the strict comparison fails, and the beat is
+    ///   misclassified as noise.
     ///
     /// Fixed is the ground truth here — its comparisons are exact at any
     /// `i64` amplitude (see `crate::decision`).
@@ -1366,15 +1129,15 @@ mod tests {
         // Learning window descending (no local maxima): max0 = 4a,
         // Σ = 10a ⇒ SPK₀ = a, NPK₀ = 1.25a ⇒
         // THRESHOLD1 = NPK + (SPK − NPK)/4 = 1.1875a = 19·2^49 exactly
-        // (both kernels compute this seed without rounding).
+        // (both arithmetics compute this seed without rounding).
         let t1 = 19i64 << 49;
         let amp = t1 + 1;
         assert_eq!((amp as f64) as i64, t1, "t1+1 must round to t1 in f64");
         let mut s = vec![4 * a, 3 * a, 2 * a, a, 0, amp];
         s.extend_from_slice(&[0; 6]);
 
-        let fixed = AdaptiveThreshold::new(cfg).classify(&s);
-        let float = thresh(cfg, DecisionArith::Float).classify(&s);
+        let fixed = classify(cfg, &s);
+        let float = float_classify(&cfg, &s);
         assert_eq!(fixed.len(), 1);
         assert_eq!(float.len(), 1);
         assert_eq!(

@@ -15,8 +15,7 @@
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use pan_tompkins::{
-    oracle, DecisionArith, Footprint, PipelineConfig, QrsDetector, StreamEvent,
-    StreamingQrsDetector,
+    oracle, Footprint, PipelineConfig, QrsDetector, StreamEvent, StreamingQrsDetector,
 };
 
 /// The fixture workload: the first 6000 samples (30 s) of the synthetic
@@ -87,14 +86,11 @@ const GOLDEN_B9_R_PEAKS: &[usize] = &[
     4306, 4471, 4649, 4811, 4962, 5124, 5281, 5438, 5596, 5762, 5921,
 ];
 
-/// Runs one frozen trace under one decision arithmetic. The fixtures were
-/// regenerated once and must be reproduced by *both* arithmetics: the
-/// fixed-point default (the committed Fixed-path entry) and the float
-/// reference — pinning not just batch↔streaming agreement but the
-/// Fixed≡Float decision equivalence to an absolute trace.
-fn check(golden: &Golden, decision: DecisionArith, label: &str) {
+/// Runs one frozen trace through the batch, streaming, scalar-reference
+/// and bounded paths.
+fn check(golden: &Golden, label: &str) {
     let record = workload();
-    let config = golden.config.with_decision(decision);
+    let config = golden.config;
     let batch = QrsDetector::new(config).detect(record.samples());
     let mut streaming = StreamingQrsDetector::new(config);
     // AFE-style 50 ms chunks.
@@ -196,20 +192,29 @@ fn check(golden: &Golden, decision: DecisionArith, label: &str) {
 
 #[test]
 fn exact_pipeline_reproduces_golden_trace() {
-    check(&golden_exact(), DecisionArith::Fixed, "exact/fixed");
+    check(&golden_exact(), "exact");
 }
 
 #[test]
 fn b9_pipeline_reproduces_golden_trace() {
-    check(&golden_b9(), DecisionArith::Fixed, "B9/fixed");
+    check(&golden_b9(), "B9");
 }
 
-/// The float reference path reproduces the very same fixtures — the
-/// absolute form of the Fixed ≡ Float decision equivalence.
+/// The float reference reproduces the very same fixtures: over each
+/// golden run's retained MWI, the `f64` transcription
+/// (`oracle::float_classify`) makes exactly the decisions the integer
+/// kernel made — the absolute form of the Fixed ≡ Float decision
+/// equivalence (the MWI does not depend on the decision arithmetic).
 #[test]
 fn float_decision_path_reproduces_golden_traces() {
-    check(&golden_exact(), DecisionArith::Float, "exact/float");
-    check(&golden_b9(), DecisionArith::Float, "B9/float");
+    let record = workload();
+    for (golden, label) in [(golden_exact(), "exact"), (golden_b9(), "B9")] {
+        let batch = QrsDetector::new(golden.config).detect(record.samples());
+        assert_eq!(batch.r_peaks(), golden.r_peaks, "{label}: r-peaks");
+        let float = oracle::float_classify(&golden.config.threshold(), &batch.expect_signals().mwi);
+        assert!(!float.is_empty(), "{label}: no decisions");
+        assert_eq!(float, batch.decisions(), "{label}: float decisions");
+    }
 }
 
 /// Regenerates the fixture constants (run with `--ignored --nocapture`).

@@ -7,8 +7,8 @@
 //! operation/saturation/overflow counter.
 //!
 //! The sweep is deterministic: every adder × multiplier kind at spread
-//! per-stage LSB depths, the paper's exact/B9/B5 designs and B9 on the
-//! bit-level engine, under both footprints; pushes whose lengths leave
+//! per-stage LSB depths and the paper's exact/B9/B5 designs, under both
+//! footprints; pushes whose lengths leave
 //! every register-block remainder (16/8/4/1 ticks) inside the 64-tick
 //! kernel blocks; hostile `i32::MIN`/`i32::MAX` inputs; empty and
 //! 3-sample records; and snapshots taken mid-block.
@@ -17,8 +17,8 @@ use std::sync::Arc;
 
 use approx_arith::{FullAdderKind, Mult2x2Kind, StageArith};
 use pan_tompkins::{
-    oracle, DetectionResult, DetectorEngine, Footprint, LaneBank, MulEngine, PipelineConfig,
-    QrsDetector, StageKind, StreamEvent, StreamingQrsDetector,
+    oracle, DetectionResult, DetectorEngine, Footprint, LaneBank, PipelineConfig, QrsDetector,
+    StageKind, StreamEvent, StreamingQrsDetector,
 };
 
 /// Push lengths: single ticks, a partial 4-block, one tick short of,
@@ -27,7 +27,7 @@ use pan_tompkins::{
 const PUSHES: [usize; 6] = [1, 7, 63, 64, 65, 250];
 
 /// Every adder × multiplier kind at per-stage LSB depths spread over each
-/// stage's range, then the paper's designs and B9 on the bit-level engine.
+/// stage's range, then the paper's designs.
 fn configs() -> Vec<PipelineConfig> {
     let mut configs = Vec::new();
     for (m, &mult) in Mult2x2Kind::ALL.iter().enumerate() {
@@ -41,12 +41,10 @@ fn configs() -> Vec<PipelineConfig> {
             configs.push(config);
         }
     }
-    let b9 = PipelineConfig::least_energy([10, 12, 2, 8, 16]);
     configs.extend([
         PipelineConfig::exact(),
-        b9,
+        PipelineConfig::least_energy([10, 12, 2, 8, 16]),
         PipelineConfig::least_energy([4, 4, 2, 4, 8]),
-        b9.with_engine(MulEngine::BitLevel),
     ]);
     configs
 }
@@ -94,15 +92,9 @@ fn one_lane(
 fn one_lane_bank_matches_the_scalar_path_for_every_config_push_and_record() {
     let mut moved = [false; 2];
     for config in configs() {
-        // The bit-level engine walks its netlist per product; a shorter
-        // record keeps it to a few seconds.
-        let len = match config.engine() {
-            MulEngine::BitLevel => 700,
-            MulEngine::Compiled => 2000,
-        };
         for footprint in [Footprint::Retain, Footprint::Bounded] {
             let config = config.with_footprint(footprint);
-            for signal in records(len) {
+            for signal in records(2000) {
                 let scalar = oracle::detect_chunked(config, &signal, 64);
                 if footprint == Footprint::Retain {
                     assert_eq!(

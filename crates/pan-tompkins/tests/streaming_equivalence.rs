@@ -13,8 +13,8 @@ use std::sync::Arc;
 
 use approx_arith::{FullAdderKind, Mult2x2Kind, StageArith};
 use pan_tompkins::{
-    oracle, DecisionArith, DetectionResult, DetectorEngine, Footprint, LaneBank, PipelineConfig,
-    QrsDetector, StreamEvent, StreamingQrsDetector,
+    oracle, DetectionResult, DetectorEngine, Footprint, LaneBank, PipelineConfig, QrsDetector,
+    StreamEvent, StreamingQrsDetector,
 };
 use proptest::prelude::*;
 
@@ -134,29 +134,15 @@ proptest! {
             "bounded state hit {} bytes on a {}-sample record", high_water, signal.len()
         );
 
-        // The decision-arithmetic axis of the grid: the fixed-point
-        // default (what `batch` above already ran) and the float
-        // reference must agree decision-for-decision — batch result,
-        // chunked event stream, and bounded footprint alike.
-        let float_cfg = config.with_decision(DecisionArith::Float);
-        let float_batch = QrsDetector::new(float_cfg).detect(&signal);
+        // The decision-arithmetic axis of the grid: the integer decisions
+        // every path above agreed on equal the `f64` transcription's over
+        // the same MWI signal (which no decision arithmetic feeds back
+        // into), so the float reference would have produced the same
+        // batch result, event streams and bounded footprint.
+        let float = oracle::float_classify(&config.threshold(), &batch.expect_signals().mwi);
         prop_assert_eq!(
-            &float_batch, &batch,
-            "float vs fixed decisions diverged for {} (batch)", config
-        );
-        let (float_events, _) = run_streaming(float_cfg, &signal, &[chunk_a, chunk_b]);
-        prop_assert_eq!(
-            &float_events, &reference,
-            "float vs fixed event stream diverged for {}", config
-        );
-        let (float_bounded_events, _) = run_streaming(
-            float_cfg.with_footprint(Footprint::Bounded),
-            &signal,
-            &[chunk_b],
-        );
-        prop_assert_eq!(
-            &float_bounded_events, &reference,
-            "float bounded events diverged for {}", config
+            float.as_slice(), batch.decisions(),
+            "float vs fixed decisions diverged for {}", config
         );
     }
 }
@@ -168,7 +154,7 @@ proptest! {
     /// the same event stream and final result — including every
     /// operation/saturation/overflow counter — as the scalar reference run, for
     /// random configurations × lane counts × signals × push granularities
-    /// × footprints × decision arithmetic.
+    /// × footprints.
     #[test]
     fn lane_bank_lanes_match_their_solo_runs(
         seed in 0u64..10_000,
@@ -180,14 +166,10 @@ proptest! {
         ticks_a in 1usize..40,
         ticks_b in 1usize..400,
         bounded in 0u8..2,
-        float_decision in 0u8..2,
     ) {
         let mut config = config_from([k0, k1, k2, k3, k4], mult_idx, adder_idx);
         if bounded == 1 {
             config = config.with_footprint(Footprint::Bounded);
-        }
-        if float_decision == 1 {
-            config = config.with_decision(DecisionArith::Float);
         }
 
         // One morphology per lane; trim to a common length so the frames
@@ -244,7 +226,7 @@ proptest! {
     /// random-width [`LaneBank`] and back out — is invisible: the stitched
     /// event stream, every decision, and every counter of the final result
     /// equal the uninterrupted run, for random configurations × records ×
-    /// partitions × snapshot points × footprints × decision arithmetic.
+    /// partitions × snapshot points × footprints.
     #[test]
     fn snapshot_restore_is_invisible_at_any_boundary(
         seed in 0u64..10_000,
@@ -259,14 +241,10 @@ proptest! {
         lanes in 1usize..5,
         warm_ticks in 0usize..200,
         bounded in 0u8..2,
-        float_decision in 0u8..2,
     ) {
         let mut config = config_from([k0, k1, k2, k3, k4], mult_idx, adder_idx);
         if bounded == 1 {
             config = config.with_footprint(Footprint::Bounded);
-        }
-        if float_decision == 1 {
-            config = config.with_decision(DecisionArith::Float);
         }
         let signal = record_samples(seed, len);
         let n = signal.len();

@@ -486,34 +486,53 @@ impl ShardWorker {
         Ok(())
     }
 
-    /// Feeds every pending sample of a solo session through its
-    /// detector, emitting events. No-op for lane sessions.
-    fn drain_solo_fully(&mut self, slot: usize) {
-        loop {
+    /// Feeds up to `budget` pending samples of a solo session through its
+    /// detector — chunk by chunk, so a push never crosses a chunk boundary
+    /// — accounting ingested samples, queue depth and the latency of each
+    /// completed chunk, and emitting the events. Returns whether anything
+    /// was ingested; a no-op for lane sessions. `usize::MAX` drains the
+    /// backlog.
+    fn ingest_solo(&mut self, slot: usize, mut budget: usize) -> bool {
+        let mut did = false;
+        while budget > 0 {
             let Some(Some(session)) = self.sessions.get_mut(slot) else {
-                return;
+                break;
             };
             let Mode::Solo(det) = &mut session.mode else {
-                return;
+                break;
             };
             let Some(chunk) = session.pending.front_mut() else {
-                return;
+                break;
             };
-            let evs = det.push(&chunk.samples[chunk.pos..]);
-            let consumed = chunk.samples.len() - chunk.pos;
+            let consumed = budget.min(chunk.samples.len() - chunk.pos);
+            let end = chunk.pos + consumed;
+            // xanalyze: begin-allow(alloc) — `StreamingQrsDetector::push`
+            // is the audited one-lane bank entry point
+            // (`LaneBank::push_impl`, lane.rs), not a container append.
+            let evs = det.push(&chunk.samples[chunk.pos..end]);
+            // xanalyze: end-allow(alloc)
+            chunk.pos = end;
+            budget -= consumed;
             let generation = session.generation;
             session.pending_samples = session.pending_samples.saturating_sub(consumed);
-            let elapsed = Instant::now().saturating_duration_since(chunk.enqueued);
-            session.pending.pop_front();
+            let mut finished_latency = None;
+            if chunk.pos >= chunk.samples.len() {
+                let elapsed = Instant::now().saturating_duration_since(chunk.enqueued);
+                finished_latency = Some(u64::try_from(elapsed.as_micros()).unwrap_or(u64::MAX));
+                session.pending.pop_front();
+            }
             let m = self.metrics();
             m.samples_in.fetch_add(consumed as u64, Ordering::Relaxed);
             m.queue_depth_samples.fetch_sub(consumed, Ordering::AcqRel);
-            m.latency
-                .record(u64::try_from(elapsed.as_micros()).unwrap_or(u64::MAX));
+            if let Some(us) = finished_latency {
+                m.latency.record(us);
+            }
             for ev in evs {
                 self.emit(slot, generation, SessionOutput::Event(ev));
             }
+            did = true;
         }
+        did
     }
 
     fn apply_close(&mut self, slot: usize, generation: u32) {
@@ -529,7 +548,7 @@ impl ShardWorker {
         // lane state finishes as-is — still freeing the lane and slot.
         let demoted = self.demote(slot).is_ok();
         if demoted {
-            self.drain_solo_fully(slot);
+            self.ingest_solo(slot, usize::MAX);
         }
         let Some(entry) = self.sessions.get_mut(slot) else {
             return;
@@ -589,7 +608,7 @@ impl ShardWorker {
             let _ = reply.try_send(Err(ServiceError::Snapshot(e)));
             return;
         }
-        self.drain_solo_fully(slot);
+        self.ingest_solo(slot, usize::MAX);
         let out = match self.sessions.get(slot) {
             Some(Some(session)) => match &session.mode {
                 Mode::Solo(det) => det.snapshot().map_err(ServiceError::Snapshot),
@@ -807,45 +826,7 @@ impl ShardWorker {
         let mut slots = std::mem::take(&mut self.solo_scratch);
         slots.clone_from(&self.solo_slots);
         for &slot in slots.iter() {
-            let mut budget = SOLO_BUDGET;
-            while budget > 0 {
-                let Some(Some(session)) = self.sessions.get_mut(slot) else {
-                    break;
-                };
-                let Mode::Solo(det) = &mut session.mode else {
-                    break;
-                };
-                let Some(chunk) = session.pending.front_mut() else {
-                    break;
-                };
-                let end = (chunk.pos + budget).min(chunk.samples.len());
-                // xanalyze: begin-allow(alloc) — `StreamingQrsDetector::push`
-                // is the audited one-lane bank entry point
-                // (`LaneBank::push_impl`, lane.rs), not a container append.
-                let evs = det.push(&chunk.samples[chunk.pos..end]);
-                // xanalyze: end-allow(alloc)
-                let consumed = end - chunk.pos;
-                chunk.pos = end;
-                budget -= consumed;
-                let generation = session.generation;
-                session.pending_samples = session.pending_samples.saturating_sub(consumed);
-                let mut finished_latency = None;
-                if chunk.pos >= chunk.samples.len() {
-                    let elapsed = Instant::now().saturating_duration_since(chunk.enqueued);
-                    finished_latency = Some(u64::try_from(elapsed.as_micros()).unwrap_or(u64::MAX));
-                    session.pending.pop_front();
-                }
-                let m = self.metrics();
-                m.samples_in.fetch_add(consumed as u64, Ordering::Relaxed);
-                m.queue_depth_samples.fetch_sub(consumed, Ordering::AcqRel);
-                if let Some(us) = finished_latency {
-                    m.latency.record(us);
-                }
-                for ev in evs {
-                    self.emit(slot, generation, SessionOutput::Event(ev));
-                }
-                did = true;
-            }
+            did |= self.ingest_solo(slot, SOLO_BUDGET);
         }
         self.solo_scratch = slots;
         did

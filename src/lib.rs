@@ -49,7 +49,7 @@ pub use xbiosip;
 ///   [`StreamingQrsDetector`] over its compiled [`DetectorEngine`] (a
 ///   one-lane bank), [`StreamEvent`]s, and the multi-lane [`LaneBank`].
 /// * **Configuration** — [`PipelineConfig`] and its stage/threshold
-///   builders, [`StageKind`], [`Footprint`], [`DecisionArith`].
+///   builders, [`StageKind`], [`Footprint`].
 /// * **Persistence** — [`SnapshotError`] and the snapshot codec riding on
 ///   the streaming detector.
 /// * **Service** — the sharded [`SessionHub`] and its [`Client`] face:
@@ -59,8 +59,8 @@ pub use xbiosip;
 ///   [`QualityReport`], [`QualityConstraint`].
 pub mod prelude {
     pub use pan_tompkins::{
-        DecisionArith, DetectionResult, DetectorEngine, Footprint, LaneBank, PipelineConfig,
-        QrsDetector, SnapshotError, StageKind, StreamEvent, StreamingQrsDetector,
+        DetectionResult, DetectorEngine, Footprint, LaneBank, PipelineConfig, QrsDetector,
+        SnapshotError, StageKind, StreamEvent, StreamingQrsDetector,
     };
     pub use service::{
         Client, HubMetrics, PushError, ServiceConfig, ServiceError, SessionEvent, SessionHub,
