@@ -29,6 +29,12 @@
 //! argument); the `ext_compiled_speed` bench binary re-checks a fixed vector
 //! set in CI and measures the speedup.
 //!
+//! The detection pipeline does not run this engine per sample. A FIR tap
+//! or the squarer pins one operand, so its product is the exact one plus a
+//! small residual table ([`crate::tap`]); this engine builds those
+//! residuals and serves the generic multiply of the scalar reference
+//! pipeline.
+//!
 //! # Example
 //!
 //! ```

@@ -8,7 +8,6 @@
 use std::fmt;
 
 use crate::adder::RippleCarryAdder;
-use crate::compiled::CompiledMultiplier;
 use crate::full_adder::FullAdderKind;
 use crate::mult2x2::Mult2x2Kind;
 use crate::multiplier::RecursiveMultiplier;
@@ -163,13 +162,6 @@ impl ArithConfig {
             self.stage.mult_kind,
             self.stage.adder_kind,
         )
-    }
-
-    /// Instantiates the table-compiled fast-path twin of the stage
-    /// multiplier (bit-for-bit equivalent; see [`crate::compiled`]).
-    #[must_use]
-    pub fn compiled_multiplier(&self) -> CompiledMultiplier {
-        CompiledMultiplier::from_recursive(&self.multiplier())
     }
 }
 

@@ -68,5 +68,5 @@ pub use loa::LowerOrAdder;
 pub use mult2x2::Mult2x2Kind;
 pub use multiplier::RecursiveMultiplier;
 pub use signed::SignedMultiplier;
-pub use tap::{TapMultiplier, TapTable};
+pub use tap::{SquareMultiplier, SquareTable, TapMultiplier, TapTable};
 pub use word::Word;

@@ -6,7 +6,11 @@
 //! 1. **Equivalence gate** — a fixed operand-vector sweep across the full
 //!    configuration grid (every LSB depth × elementary module pair). Any
 //!    divergence between [`CompiledMultiplier`] and [`RecursiveMultiplier`]
-//!    exits non-zero, which is what CI's bench-smoke job checks.
+//!    exits non-zero, which is what CI's bench-smoke job checks. The same
+//!    sweep checks the residual forms the pipeline runs — a
+//!    [`TapMultiplier`] for each stage coefficient magnitude and the
+//!    [`SquareMultiplier`] — against the netlist walk, so the wrapping
+//!    `u32` residual is anchored to it at every `k`.
 //! 2. **Multiplier throughput** — samples/second through each engine on the
 //!    paper's main approximate configuration.
 //!
@@ -18,7 +22,10 @@
 
 use std::time::Instant;
 
-use approx_arith::{CompiledMultiplier, FullAdderKind, Mult2x2Kind, RecursiveMultiplier};
+use approx_arith::{
+    CompiledMultiplier, FullAdderKind, Mult2x2Kind, RecursiveMultiplier, SquareMultiplier,
+    TapMultiplier,
+};
 use hwmodel::report::fmt_f64;
 
 /// Operand pairs exercised per configuration in the equivalence gate:
@@ -50,7 +57,13 @@ fn check_vectors() -> Vec<(u64, u64)> {
     v
 }
 
-/// Section 1: compiled vs bit-level on the full 16×16 configuration grid.
+/// The coefficient magnitudes of the five stage netlists (LPF 1..6, HPF
+/// 1/31, DER 1/2).
+const STAGE_MAGS: [i64; 7] = [1, 2, 3, 4, 5, 6, 31];
+
+/// Section 1: compiled vs bit-level on the full 16×16 configuration grid,
+/// and the stage taps' and squarer's residual forms vs bit-level on the
+/// same grid (each vector's first operand, re-centred as a signed sample).
 /// Returns the number of configurations checked; exits non-zero on any
 /// divergence.
 fn equivalence_gate() -> usize {
@@ -68,6 +81,28 @@ fn equivalence_gate() -> usize {
                     if got != expect {
                         eprintln!(
                             "DIVERGENCE: k={k} {mult} {add}: {a}x{b} -> compiled {got}, bit-level {expect}"
+                        );
+                        std::process::exit(1);
+                    }
+                }
+                let taps = STAGE_MAGS.map(|c| TapMultiplier::new(&fast, c));
+                let sqr = SquareMultiplier::new(&fast);
+                for &(a, _) in &vectors {
+                    let sample = a as i64 - 32768;
+                    for tap in &taps {
+                        let c = tap.coeff();
+                        let (got, expect) = (tap.mul_clamped(sample), bit.mul(sample, c));
+                        if got != expect {
+                            eprintln!(
+                                "DIVERGENCE: k={k} {mult} {add}: tap {sample}x{c} -> residual {got}, bit-level {expect}"
+                            );
+                            std::process::exit(1);
+                        }
+                    }
+                    let (got, expect) = (sqr.square_clamped(sample), bit.mul(sample, sample));
+                    if got != expect {
+                        eprintln!(
+                            "DIVERGENCE: k={k} {mult} {add}: square {sample}² -> residual {got}, bit-level {expect}"
                         );
                         std::process::exit(1);
                     }
@@ -122,9 +157,10 @@ fn main() {
     let t0 = Instant::now();
     let configs = equivalence_gate();
     println!(
-        "equivalence gate: {} configurations x {} operand vectors — all identical ({:.2?})\n",
+        "equivalence gate: {} configurations x {} operand vectors, products and the {} stage taps' and squarer's residual forms — all identical ({:.2?})\n",
         configs,
         check_vectors().len(),
+        STAGE_MAGS.len(),
         t0.elapsed()
     );
     if check_only {

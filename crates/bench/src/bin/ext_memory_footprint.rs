@@ -11,7 +11,7 @@
 //!    the retaining mode. This is the *measured* O(1) bound — CI's
 //!    bench-smoke job runs it via `--check`.
 //! 2. **Footprint table** — bounded vs retaining live-state bytes across
-//!    record lengths, plus the shared (amortised) tap-table bytes.
+//!    record lengths, plus the shared (amortised) residual-table bytes.
 //! 3. **Record-batched evaluation** — `evaluate_records_with` (one
 //!    reused bounded detector per config) against
 //!    `evaluate_across_records` (fresh evaluator + batch detector per
@@ -201,7 +201,7 @@ fn footprint_table() {
     }
     let det = StreamingQrsDetector::new(config.with_footprint(Footprint::Bounded));
     println!(
-        "  shared per-tap product tables (process-wide, amortised): {} B\n",
+        "  shared residual tables (process-wide, amortised): {} B\n",
         det.shared_table_bytes()
     );
 }

@@ -11,9 +11,9 @@
 //!    [`StreamingQrsDetector`] must equal both, and the event stream must
 //!    be the reference's for every chunking. Any divergence exits non-zero
 //!    — CI's bench-smoke job runs this via `--check`.
-//! 2. **Per-tap table throughput** — the FIR hot-loop multiply through the
-//!    generic compiled 16×16 engine vs the per-tap product table
-//!    ([`approx_arith::TapMultiplier`]).
+//! 2. **Per-tap throughput** — the FIR hot-loop multiply through the
+//!    generic compiled 16×16 engine vs the per-tap exact product plus
+//!    residual ([`approx_arith::TapMultiplier`]).
 //! 3. **End-to-end throughput** — samples/second through the batch
 //!    detector vs the streaming detector at AFE-like chunk sizes. The
 //!    acceptance target is streaming within 10 % of (or faster than) the
@@ -78,7 +78,7 @@ fn equivalence_gate() -> (usize, usize) {
 }
 
 /// Section 2: the FIR hot-loop multiply — generic compiled engine vs the
-/// per-tap product table, on the paper's main approximate configuration.
+/// per-tap residual, on the paper's main approximate configuration.
 fn per_tap_throughput() {
     const N: u64 = 4_000_000;
     let mul = CompiledMultiplier::new(
@@ -107,7 +107,7 @@ fn per_tap_throughput() {
         fmt_f64(rate(t_generic), 0)
     );
     println!(
-        "  per-tap table:    {:>12} muls/s   ({t_tap:.2?} for {N} muls)",
+        "  per-tap residual: {:>12} muls/s   ({t_tap:.2?} for {N} muls)",
         fmt_f64(rate(t_tap), 0)
     );
     println!(
@@ -175,7 +175,7 @@ fn main() {
     let check_only = std::env::args().any(|a| a == "--check");
     xbiosip_bench::banner(
         "Extension — streaming QRS pipeline vs batch detector",
-        "chunk-invariance gate + per-tap tables + push-path throughput",
+        "chunk-invariance gate + per-tap residuals + push-path throughput",
     );
 
     let t0 = Instant::now();

@@ -9,17 +9,26 @@
 //! counter whenever the exact sum would not have fit, so quality reports can
 //! tell approximation error from datapath clipping.
 //!
-//! The multiplier block is the table-compiled word-level engine
-//! ([`approx_arith::CompiledMultiplier`]). The structural bit-level
-//! recursion ([`approx_arith::RecursiveMultiplier`]) it is compiled from
-//! stays in `approx_arith` as its reference: the `compiled` property
-//! tests, the exhaustive per-tap sweep and `ext_compiled_speed --check`
-//! pin every product to it.
+//! The stage kernels never run a generic multiply. A FIR tap is an exact
+//! product plus a residual lookup ([`approx_arith::TapMultiplier`]), and
+//! so is the squarer ([`approx_arith::SquareMultiplier`]): the multiplier
+//! is approximate only below output bit `k`, so with one operand pinned
+//! the error depends only on the other's low `k` bits (see
+//! [`approx_arith::tap`]). The table-compiled word-level engine
+//! ([`approx_arith::CompiledMultiplier`]) builds those residuals and serves
+//! the generic [`ArithBackend::mul`] of the scalar reference; it is
+//! compiled on first use, so the adder-only MWI never builds one, and
+//! neither does a stage whose residuals are all cached. The structural
+//! bit-level recursion ([`approx_arith::RecursiveMultiplier`]) it is
+//! compiled from stays in `approx_arith` as its reference: the `compiled`
+//! property tests, the exhaustive residual sweeps and
+//! `ext_compiled_speed --check` pin every product to it.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use approx_arith::{
-    AdderForm, ArithConfig, CompiledMultiplier, OpCounter, StageArith, TapMultiplier,
+    AdderForm, ArithConfig, CompiledMultiplier, OpCounter, RecursiveMultiplier, SquareMultiplier,
+    StageArith, TapMultiplier,
 };
 
 /// The immutable compute half of a stage's arithmetic: the adder and
@@ -32,7 +41,11 @@ use approx_arith::{
 pub struct ArithProgram {
     config: ArithConfig,
     adder: approx_arith::RippleCarryAdder,
-    multiplier: CompiledMultiplier,
+    /// The multiplier netlist: its width, exactness and the residual cache
+    /// keys come from here.
+    reference: RecursiveMultiplier,
+    /// Its compiled engine, built on first use (see the module docs).
+    compiled: OnceLock<CompiledMultiplier>,
 }
 
 impl ArithProgram {
@@ -43,9 +56,16 @@ impl ArithProgram {
         let config = ArithConfig::new(stage);
         Self {
             adder: config.adder(),
-            multiplier: config.compiled_multiplier(),
+            reference: config.multiplier(),
+            compiled: OnceLock::new(),
             config,
         }
+    }
+
+    /// The compiled multiplier engine, compiled on first use.
+    fn multiplier(&self) -> &CompiledMultiplier {
+        self.compiled
+            .get_or_init(|| CompiledMultiplier::from_recursive(&self.reference))
     }
 
     /// The configuration this program was built from.
@@ -57,7 +77,7 @@ impl ArithProgram {
     /// Whether this program computes exactly.
     #[must_use]
     pub fn is_exact(&self) -> bool {
-        self.adder.is_exact() && self.multiplier.is_exact()
+        self.adder.is_exact() && self.reference.is_exact()
     }
 
     /// The adder bus width in bits.
@@ -69,13 +89,13 @@ impl ArithProgram {
     /// The multiplier operand width in bits.
     #[must_use]
     pub fn mul_width(&self) -> u32 {
-        self.multiplier.width()
+        self.reference.width()
     }
 
     /// Whether the multiplier block computes exactly (products are plain
     /// integer multiplication).
     pub(crate) fn mul_is_exact(&self) -> bool {
-        self.multiplier.is_exact()
+        self.reference.is_exact()
     }
 
     /// The adder block's closed form with its masks and shifts resolved
@@ -91,20 +111,18 @@ impl ArithProgram {
         self.adder.add(a, b)
     }
 
-    /// The raw multiplier block on operands already clamped into the
-    /// datapath range: no counting, no saturation bookkeeping.
-    #[inline]
-    #[must_use]
-    pub fn mul_raw_clamped(&self, ca: i64, cb: i64) -> i64 {
-        self.multiplier.mul_signed_clamped(ca, cb)
-    }
-
-    /// Compiles the per-tap product table of this program's multiplier
-    /// configuration against a fixed coefficient (see
-    /// [`approx_arith::tap`]).
+    /// Compiles this program's multiplier against a fixed coefficient: an
+    /// exact product plus the shared residual (see [`approx_arith::tap`]).
     #[must_use]
     pub fn compile_tap(&self, coeff: i64) -> TapMultiplier {
-        TapMultiplier::new(&self.multiplier, coeff)
+        TapMultiplier::from_recursive(&self.reference, coeff, || self.multiplier())
+    }
+
+    /// Compiles this program's multiplier as a squarer: an exact square
+    /// plus the shared residual (see [`approx_arith::tap`]).
+    #[must_use]
+    pub fn compile_square(&self) -> SquareMultiplier {
+        SquareMultiplier::from_recursive(&self.reference, || self.multiplier())
     }
 }
 
@@ -223,11 +241,11 @@ impl ArithBackend {
     #[inline]
     pub fn mul(&mut self, a: i64, b: i64) -> i64 {
         self.counters.ops.count_mul();
-        let limit = 1i64 << (self.program.multiplier.width() - 1);
+        let limit = 1i64 << (self.program.mul_width() - 1);
         let ca = a.clamp(-limit, limit - 1);
         let cb = b.clamp(-limit, limit - 1);
         self.counters.mul_saturations += u64::from(ca != a) + u64::from(cb != b);
-        self.program.multiplier.mul_signed_clamped(ca, cb)
+        self.program.multiplier().mul_signed_clamped(ca, cb)
     }
 
     /// Squares a value through the multiplier block (the squarer stage).
@@ -235,9 +253,8 @@ impl ArithBackend {
         self.mul(x, x)
     }
 
-    /// Compiles the per-tap product table of this backend's multiplier
-    /// configuration against a fixed coefficient (see
-    /// [`approx_arith::tap`]). [`ArithBackend::mul_tap`] through the result
+    /// Compiles this backend's multiplier against a fixed coefficient (see
+    /// [`ArithProgram::compile_tap`]). [`ArithBackend::mul_tap`] through the result
     /// is bit-for-bit [`ArithBackend::mul`] with `coeff` as second operand,
     /// counters included.
     #[must_use]
@@ -245,7 +262,7 @@ impl ArithBackend {
         self.program.compile_tap(coeff)
     }
 
-    /// Multiplies through a precompiled tap table — the FIR hot-loop fast
+    /// Multiplies through a precompiled tap — the FIR hot-loop fast
     /// path. Identical to `self.mul(a, tap.coeff())` in product, operation
     /// count, and saturation accounting.
     #[inline]
@@ -419,6 +436,34 @@ mod tests {
             assert_eq!(tapped.ops(), generic.ops());
             assert_eq!(tapped.saturation_events(), generic.saturation_events());
         }
+    }
+
+    /// The compiled engine is built on first use: a program whose taps and
+    /// squarer find their residuals cached never builds one, and neither
+    /// does the adder-only MWI.
+    #[test]
+    fn compiled_multiplier_is_built_on_first_use() {
+        let stage = StageArith::new(11, Mult2x2Kind::V2, FullAdderKind::Ama2);
+        let cold = ArithProgram::new(stage);
+        let _ = (cold.compile_tap(-5), cold.compile_square());
+        assert!(cold.compiled.get().is_some(), "a residual miss compiles");
+        let warm = ArithProgram::new(stage);
+        assert!(
+            warm.compiled.get().is_none(),
+            "construction compiles nothing"
+        );
+        let (tap, sqr) = (warm.compile_tap(5), warm.compile_square());
+        assert!(
+            warm.compiled.get().is_none(),
+            "cached residuals need no engine"
+        );
+        assert_eq!(warm.mul_width(), 16);
+        let mut backend = ArithBackend::from_program(Arc::new(warm));
+        for a in [-32768i64, -777, 0, 1, 4095, 32767] {
+            assert_eq!(tap.mul_clamped(a), backend.mul(a, 5), "{a}x5");
+            assert_eq!(sqr.square_clamped(a), backend.square(a), "{a}²");
+        }
+        assert!(backend.program().compiled.get().is_some(), "mul compiles");
     }
 
     #[test]

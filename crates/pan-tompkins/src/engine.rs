@@ -2,8 +2,8 @@
 //!
 //! A [`DetectorEngine`] holds everything about a detection pipeline that
 //! does not change while samples flow: the [`PipelineConfig`] and the five
-//! stages' compiled programs — FIR taps, per-tap product-table handles, and
-//! arithmetic blocks. Construct it **once** and share it behind an [`Arc`]
+//! stages' compiled programs — FIR taps, per-tap and squarer residual
+//! handles, and arithmetic blocks. Construct it **once** and share it behind an [`Arc`]
 //! across any number of sessions: each lane of a [`crate::LaneBank`] (a
 //! [`crate::StreamingQrsDetector`] is a one-lane bank) carries only the
 //! mutable per-session state (delay lines, classifier, counters), so the
@@ -12,6 +12,8 @@
 //! [`DetectorEngine::engine_bytes`].
 
 use std::sync::Arc;
+
+use approx_arith::SquareMultiplier;
 
 use crate::arith::ArithProgram;
 use crate::config::{PipelineConfig, StageKind};
@@ -31,19 +33,24 @@ pub struct DetectorEngine {
     hpf: Arc<FirProgram>,
     der: Arc<FirProgram>,
     sqr: Arc<ArithProgram>,
+    /// The squarer's multiplier as an exact square plus its residual —
+    /// compiled for the squarer stage only (the MWI has no multiplier).
+    square: SquareMultiplier,
     mwi: Arc<ArithProgram>,
 }
 
 impl DetectorEngine {
-    /// Compiles the stage programs (including the per-tap product tables of
-    /// the three FIR stages) for one pipeline configuration.
+    /// Compiles the stage programs (including the residuals of the three
+    /// FIR stages' taps and of the squarer) for one pipeline configuration.
     #[must_use]
     pub fn new(config: PipelineConfig) -> Self {
+        let sqr = Squarer::program(config.stage(StageKind::Squarer));
         Self {
             lpf: Arc::new(LowPassFilter::program(config.stage(StageKind::Lpf))),
             hpf: Arc::new(HighPassFilter::program(config.stage(StageKind::Hpf))),
             der: Arc::new(Derivative::program(config.stage(StageKind::Derivative))),
-            sqr: Arc::new(Squarer::program(config.stage(StageKind::Squarer))),
+            square: sqr.compile_square(),
+            sqr: Arc::new(sqr),
             mwi: Arc::new(MovingWindowIntegrator::program(
                 config.stage(StageKind::Mwi),
             )),
@@ -83,6 +90,11 @@ impl DetectorEngine {
         &self.sqr
     }
 
+    /// The squarer's compiled multiplier (exact square plus residual).
+    pub(crate) fn square(&self) -> &SquareMultiplier {
+        &self.square
+    }
+
     /// The moving-window integrator's arithmetic program.
     #[must_use]
     pub fn mwi_program(&self) -> &Arc<ArithProgram> {
@@ -101,11 +113,11 @@ impl DetectorEngine {
     }
 
     /// Bytes owned by this engine: the struct plus the five stage programs
-    /// (taps, tap-table handles, arithmetic blocks). Billed once per
+    /// (taps, residual handles, arithmetic blocks). Billed once per
     /// configuration, no matter how many sessions/lanes share the engine —
     /// the per-session cost is [`crate::StreamingQrsDetector::state_bytes`]
     /// or [`crate::LaneBank::lane_state_bytes`].
-    /// Excludes the process-wide shared product tables
+    /// Excludes the process-wide shared residuals
     /// ([`DetectorEngine::shared_table_bytes`]).
     #[must_use]
     pub fn engine_bytes(&self) -> usize {
@@ -116,16 +128,17 @@ impl DetectorEngine {
             + 2 * std::mem::size_of::<ArithProgram>()
     }
 
-    /// Bytes of the distinct process-wide shared per-tap product tables the
-    /// FIR programs reference — each table counted once, even when two
-    /// stages share it (LPF and HPF at the same LSB depth share e.g. the
-    /// |1| table).
+    /// Bytes of the distinct process-wide shared residuals the FIR taps and
+    /// the squarer reference — each counted once, even when two stages
+    /// share it (LPF and HPF at the same LSB depth share e.g. the |1|
+    /// residual).
     #[must_use]
     pub fn shared_table_bytes(&self) -> usize {
         let mut seen = Vec::new();
         self.lpf.collect_shared_tables(&mut seen)
             + self.hpf.collect_shared_tables(&mut seen)
             + self.der.collect_shared_tables(&mut seen)
+            + self.square.shared_table_bytes()
     }
 }
 
@@ -153,9 +166,22 @@ mod tests {
             "{}",
             engine.engine_bytes()
         );
-        // 8 distinct tap magnitudes across LPF/HPF/DER at one LSB depth
-        // (see the streaming dedupe test).
-        assert_eq!(engine.shared_table_bytes(), 8 * ((1 << 15) + 1) * 4);
+        // 7 distinct tap magnitudes across LPF/HPF/DER at one LSB depth
+        // (see the streaming dedupe test) plus the squarer, each residual
+        // 2^k entries at k = 4.
+        let residual = (1 << 4) * 4;
+        assert_eq!(engine.shared_table_bytes(), 7 * residual + residual);
+        // The paper's B9: LPF k = 10 over |1|..|6|, HPF k = 12 over |1|
+        // and |31|, DER k = 2 over |1| and |2|, and the squarer at k = 8.
+        let b9 = DetectorEngine::new(PipelineConfig::least_energy([10, 12, 2, 8, 16]));
+        let entries = 6 * (1 << 10) + 2 * (1 << 12) + 2 * (1 << 2) + (1 << 8);
+        assert_eq!(b9.shared_table_bytes(), entries * 4);
+        let exact = DetectorEngine::new(PipelineConfig::exact());
+        assert_eq!(
+            exact.shared_table_bytes(),
+            0,
+            "exact stages need no residual"
+        );
         // Cloning shares the programs rather than recompiling them.
         let clone = engine.clone();
         assert!(Arc::ptr_eq(engine.lpf_program(), clone.lpf_program()));

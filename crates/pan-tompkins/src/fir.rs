@@ -7,13 +7,14 @@
 //! (see [`crate::arith::div_round`]), keeping inter-stage signals on the ADC
 //! scale.
 //!
-//! Every tap is specialised into a [`approx_arith::TapMultiplier`] product
-//! table at construction, so the hot loop pays one table lookup per tap
-//! instead of a full word-level multiplier walk — bit-for-bit identical to
-//! the generic multiply, counters included (see
-//! [`crate::arith::ArithBackend::mul_tap`]).
+//! Every nonzero tap is specialised into a [`approx_arith::TapMultiplier`]
+//! at construction, so the hot loop pays an exact multiply plus one
+//! residual lookup per tap instead of a full word-level multiplier walk —
+//! bit-for-bit identical to the generic multiply, counters included (see
+//! [`crate::arith::ArithBackend::mul_tap`]). A zero tap has no multiplier
+//! block in the netlist, so it compiles none.
 //!
-//! The immutable half of a filter — taps, gain, compiled tap tables, and
+//! The immutable half of a filter — taps, gain, compiled taps, and
 //! the arithmetic program — lives in [`FirProgram`] behind an [`Arc`], so
 //! many filter instances (detector sessions, lanes of a
 //! [`crate::lane::LaneBank`]) share one compiled program; the per-instance
@@ -26,7 +27,7 @@ use approx_arith::TapMultiplier;
 use crate::arith::{div_round, ArithBackend, ArithProgram};
 
 /// The shared immutable half of an FIR filter: coefficient taps, gain, the
-/// compiled per-tap product tables, and the stage's arithmetic program.
+/// compiled per-tap multipliers, and the stage's arithmetic program.
 /// Built once per configuration and shared behind an [`Arc`] by every
 /// filter instance (scalar detectors and lane banks alike).
 #[derive(Debug)]
@@ -38,9 +39,9 @@ pub struct FirProgram {
     /// division then strength-reduces to a shift in the hot loop.
     gain_shift: Option<u32>,
     arith: Arc<ArithProgram>,
-    /// Per-tap compiled product tables, aligned with `taps`; zero taps
-    /// hold a trivial entry and are skipped in the loop.
-    tap_mults: Vec<TapMultiplier>,
+    /// Per-tap compiled multipliers, aligned with `taps`; zero taps hold
+    /// `None` (no multiplier block, no residual) and every walk skips them.
+    tap_mults: Vec<Option<TapMultiplier>>,
 }
 
 impl FirProgram {
@@ -61,7 +62,10 @@ impl FirProgram {
         assert!(!taps.is_empty(), "FIR filter needs at least one tap");
         assert!(gain > 0, "FIR gain must be positive");
         let arith = Arc::new(ArithProgram::new(arith));
-        let tap_mults = taps.iter().map(|c| arith.compile_tap(*c)).collect();
+        let tap_mults = taps
+            .iter()
+            .map(|&c| (c != 0).then(|| arith.compile_tap(c)))
+            .collect();
         Self {
             name,
             taps: taps.to_vec(),
@@ -105,8 +109,9 @@ impl FirProgram {
         &self.arith
     }
 
-    /// The compiled per-tap product tables, aligned with the taps.
-    pub(crate) fn tap_mults(&self) -> &[TapMultiplier] {
+    /// The compiled per-tap multipliers, aligned with the taps (`None` for
+    /// zero taps).
+    pub(crate) fn tap_mults(&self) -> &[Option<TapMultiplier>] {
         &self.tap_mults
     }
 
@@ -169,14 +174,15 @@ impl FirProgram {
         }
     }
 
-    /// Heap bytes owned by this shared program: taps and the per-tap table
-    /// *handles*. Billed once per configuration, not per detector instance.
+    /// Heap bytes owned by this shared program: taps and the per-tap
+    /// residual *handles*. Billed once per configuration, not per detector
+    /// instance.
     #[must_use]
     pub fn program_bytes(&self) -> usize {
         std::mem::size_of::<Self>()
             + self.taps.capacity() * std::mem::size_of::<i64>()
             + std::mem::size_of::<ArithProgram>()
-            + self.tap_mults.capacity() * std::mem::size_of::<TapMultiplier>()
+            + self.tap_mults.capacity() * std::mem::size_of::<Option<TapMultiplier>>()
     }
 
     /// Accumulates this program's shared-table identities into `seen` and
@@ -186,7 +192,7 @@ impl FirProgram {
     /// LSB depth).
     pub(crate) fn collect_shared_tables(&self, seen: &mut Vec<usize>) -> usize {
         let mut bytes = 0usize;
-        for tap in &self.tap_mults {
+        for tap in self.tap_mults.iter().flatten() {
             if let Some(id) = tap.table_id() {
                 if !seen.contains(&id) {
                     seen.push(id);
@@ -317,17 +323,17 @@ impl FirFilter {
         // markedly cheaper than a modulo per tap in this hot loop).
         let mut idx = self.cursor;
         let mut acc: Option<i64> = None;
-        let tap_mults = self.program.tap_mults();
-        for (t, &c) in self.program.taps().iter().enumerate() {
+        for tap in self.program.tap_mults() {
             let sample = self.delay_line[idx];
             idx += 1;
             if idx == len {
                 idx = 0;
             }
-            if c == 0 {
+            // Zero taps have no multiplier.
+            let Some(tap) = tap else {
                 continue;
-            }
-            let product = self.backend.mul_tap(sample, &tap_mults[t]);
+            };
+            let product = self.backend.mul_tap(sample, tap);
             acc = Some(match acc {
                 None => product,
                 Some(sum) => self.backend.add(sum, product),
@@ -350,16 +356,16 @@ impl FirFilter {
     /// Resets the backend activity counters (ops, saturations, overflows),
     /// keeping configuration and signal state. Together with
     /// [`FirFilter::reset`] this returns the filter to its
-    /// freshly-constructed observable state without recompiling the per-tap
-    /// tables — the record-batched evaluation path relies on that.
+    /// freshly-constructed observable state without recompiling the taps —
+    /// the record-batched evaluation path relies on that.
     pub fn reset_counters(&mut self) {
         self.backend.reset_counters();
     }
 
     /// Heap bytes owned by this filter *instance*: the delay line. The
-    /// taps, tap-table handles, and arithmetic program live in the shared
+    /// taps, residual handles, and arithmetic program live in the shared
     /// [`FirProgram`] (billed once per configuration, see
-    /// [`FirProgram::program_bytes`]), and the compiled product tables
+    /// [`FirProgram::program_bytes`]), and the residual tables
     /// themselves are process-wide shared (see
     /// [`FirFilter::shared_table_bytes`]) — both are deliberately excluded:
     /// they are O(distinct configurations), not O(detectors).
@@ -368,8 +374,8 @@ impl FirFilter {
         self.delay_line.capacity() * std::mem::size_of::<i64>()
     }
 
-    /// Bytes of the distinct shared product tables this filter references
-    /// (each table counted once even when several taps share it). Shared
+    /// Bytes of the distinct shared residuals this filter references (each
+    /// counted once even when several taps share it). Shared
     /// process-wide across all detectors using the same configuration.
     #[must_use]
     pub fn shared_table_bytes(&self) -> usize {
@@ -482,7 +488,7 @@ mod tests {
         assert_eq!(fir.group_delay(), 16);
     }
 
-    /// The tap tables against the generic multiply: the same tap walk with
+    /// The compiled taps against the generic multiply: the same tap walk with
     /// [`ArithBackend::mul`] per nonzero tap and the stage adder chaining
     /// the products must give every output and every counter.
     #[test]
@@ -569,10 +575,30 @@ mod tests {
         // handles, billed once per configuration.
         assert!(approx.heap_bytes() < 1024, "{}", approx.heap_bytes());
         assert!(approx.program().program_bytes() < 1024);
-        // Shared: |±6| dedupes to one table, so 3 distinct magnitudes.
-        assert_eq!(approx.shared_table_bytes(), 3 * ((1 << 15) + 1) * 4);
+        // Shared: |±6| dedupes to one residual, so 3 distinct magnitudes,
+        // each of 2^k entries at k = 8.
+        assert_eq!(approx.shared_table_bytes(), 3 * (1 << 8) * 4);
         let exact = FirFilter::new("t", &[1, -6, 6, 31], 1, StageArith::exact());
         assert_eq!(exact.shared_table_bytes(), 0, "exact taps need no tables");
+    }
+
+    /// The derivative's zero tap has no multiplier block, so it compiles
+    /// no residual: only |1| and |2| are billed.
+    #[test]
+    fn zero_taps_compile_no_table() {
+        use crate::stages::derivative::{Derivative, TAPS};
+        for k in [2u32, 9, 16] {
+            let program = Arc::new(Derivative::program(StageArith::least_energy(k)));
+            let zeros: Vec<usize> = (0..TAPS.len()).filter(|&t| TAPS[t] == 0).collect();
+            assert_eq!(zeros, [2]);
+            assert!(program.tap_mults()[2].is_none());
+            let entries = (1usize << k).min((1 << 15) + 1);
+            assert_eq!(
+                FirFilter::from_program(program).shared_table_bytes(),
+                2 * entries * 4,
+                "k={k}"
+            );
+        }
     }
 
     #[test]

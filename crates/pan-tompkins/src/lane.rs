@@ -7,7 +7,7 @@
 //! exploits that: it batches N [`DetectorTail`]s behind
 //! structure-of-arrays stage state — one delay-line *row* per ring
 //! position holding every lane's sample — so each tick walks the shared
-//! compiled tap tables **once** and applies every tap to a contiguous
+//! compiled taps **once** and applies every tap to a contiguous
 //! lane slice. The per-tap dispatch (tap lookup, zero-skip, coefficient
 //! clamping) is amortized over all lanes and the inner lane loops are
 //! plain clamp/multiply/add over adjacent memory, which the compiler
@@ -16,9 +16,11 @@
 //! Approximate stages take the same register-blocked loops as exact ones.
 //! Once per block of ticks, the stage adder resolves to one
 //! [`approx_arith::ClosedForm`] and a FIR program's taps to one
-//! representation (native multiply or shared product table); each stage
-//! walk is monomorphized for the pair, so no lane loop matches on an adder
-//! kind or tap representation per element.
+//! representation (native multiply, or exact product plus shared residual);
+//! each stage walk is monomorphized for the pair, so no lane loop matches
+//! on an adder kind or tap representation per element. The squarer is
+//! likewise a native square or an exact square plus its residual, a loop
+//! that vectorizes either way.
 //!
 //! A one-lane bank has no lanes to block across, so each stage has a
 //! second walk that runs the same register blocks across *time*: a block
@@ -62,7 +64,9 @@
 
 use std::sync::Arc;
 
-use approx_arith::{with_adder_form, AdderForm, ClosedForm, OpCounter, TapMultiplier};
+use approx_arith::{
+    with_adder_form, AdderForm, ClosedForm, OpCounter, SquareMultiplier, TapMultiplier,
+};
 
 use crate::arith::{div_round, ArithCounters, ArithProgram};
 use crate::detector::DetectionResult;
@@ -471,8 +475,8 @@ struct Tap<'a> {
     t: usize,
     /// The coefficient, clamped into the multiplier range.
     cb: i64,
-    /// The program's compiled tap multipliers.
-    mults: &'a [TapMultiplier],
+    /// The program's compiled tap multipliers (`None` for zero taps).
+    mults: &'a [Option<TapMultiplier>],
 }
 
 /// How every tap of a FIR program multiplies. The multiplier configuration
@@ -487,8 +491,9 @@ trait TapMul: Copy {
     const SHARED_ROWS: bool = false;
 
     /// One tap's product function, resolved before its lane loop (`None`
-    /// only if the tap lacks the representation — a table tap of an exact
-    /// multiplier, which `LaneFir::new` rules out).
+    /// only if the tap lacks the representation — a zero tap, which every
+    /// walk skips, or a table tap of an exact multiplier, which
+    /// `LaneFir::new` rules out).
     fn product(tap: Tap<'_>) -> Option<impl Fn(i64) -> i64>;
 }
 
@@ -504,19 +509,20 @@ impl TapMul for NativeTaps {
     }
 }
 
-/// An approximate compiled multiplier: a gather from the tap's shared
-/// product table and the sign fold ([`approx_arith::TapTable`]).
+/// An approximate compiled multiplier: the exact product plus a gather
+/// from the tap's shared residual, and the sign fold
+/// ([`approx_arith::TapTable`]).
 #[derive(Clone, Copy)]
 struct TableTaps;
 
 impl TapMul for TableTaps {
-    /// A gather per tap and sample is what the lane walk pays; across time
-    /// the taps of one magnitude share the lookups.
+    /// A multiply and a gather per tap and sample is what the lane walk
+    /// pays; across time the taps of one magnitude share them.
     const SHARED_ROWS: bool = true;
 
     #[inline(always)]
     fn product(tap: Tap<'_>) -> Option<impl Fn(i64) -> i64> {
-        let table = tap.mults.get(tap.t)?.table()?;
+        let table = tap.mults.get(tap.t)?.as_ref()?.table()?;
         Some(move |ca| table.mul_clamped(ca))
     }
 }
@@ -586,8 +592,8 @@ impl LaneFir {
             .iter()
             .map(|&c| c.clamp(-mul_limit, mul_limit - 1))
             .collect();
-        // A tap of coefficient `c` and one of `−c` read the same product
-        // table under opposite sign folds, so their products are exact
+        // A tap of coefficient `c` and one of `−c` read the same residual
+        // under opposite sign folds, so their products are exact
         // negations of each other.
         let mut row_taps: Vec<usize> = Vec::new();
         let tap_rows = coeffs
@@ -618,7 +624,7 @@ impl LaneFir {
         // multiplier, sums by a ≤63-bit bus.
         debug_assert!(arith.mul_width() <= 32 && arith.adder_width() <= 63);
         let adder = arith.adder_form();
-        // An approximate multiplier compiles a product table for every
+        // An approximate multiplier compiles a residual for every nonzero
         // tap; an exact one multiplies natively.
         let taps = if arith.mul_is_exact() {
             TapRepr::Native
@@ -710,7 +716,7 @@ impl LaneFir {
 
     /// Fills the time walk's product rows over the history: row `g` holds
     /// the products of its row tap ([`LaneFir::row_taps`]) with every
-    /// clamped history sample — one table lookup per sample and distinct
+    /// clamped history sample — one residual product per sample and distinct
     /// coefficient magnitude.
     #[inline(always)]
     fn fill_rows<M: TapMul>(&mut self) {
@@ -821,8 +827,8 @@ impl<A: ClosedForm, M: TapMul> Blocked<(A, M), Lanes> for LaneFir {
     ///   through the stage adder's closed form `form`, the first nonzero
     ///   tap seeding the accumulators;
     /// * the taps multiply through the representation `M` shared by the
-    ///   whole program — native multiply or shared product table — so
-    ///   every lane loop runs one branch-free arm;
+    ///   whole program — native multiply or exact product plus shared
+    ///   residual — so every lane loop runs one branch-free arm;
     /// * the exact configuration is the ([`NativeTaps`],
     ///   [`approx_arith::adder::Wrap`]) instance: `ca * cb` and a
     ///   sign-extending wrap, which LLVM vectorizes with the machine's
@@ -889,9 +895,9 @@ impl<A: ClosedForm, M: TapMul> Blocked<(A, M), Ticks> for LaneFir {
     /// The tap walk for ticks `k0 .. k0 + W` of a one-lane bank — the
     /// lane walk's sum over the same operands in the same order: tap `t`'s
     /// frame is the history slice starting `t` samples before the block's
-    /// first tick. When the block filled its product rows, table taps read
+    /// first tick. When the block filled its product rows, residual taps read
     /// their magnitude's row, negated when their sign differs from the row
-    /// tap's (the sign fold is exact: `c` and `−c` read one table), and
+    /// tap's (the sign fold is exact: `c` and `−c` read one residual), and
     /// count saturations from the raw frame like every other tap.
     #[inline(always)]
     fn block<const W: usize>(&mut self, (form, _): (A, M), _: &[i64], k0: usize, out: &mut [i64]) {
@@ -947,27 +953,23 @@ impl<A: ClosedForm, M: TapMul> Blocked<(A, M), Ticks> for LaneFir {
     }
 }
 
-/// SoA squarer kernel: point-wise, one 16×16 multiplier per lane-sample.
+/// SoA squarer kernel: point-wise, one square per lane-sample — native when
+/// the multiplier is exact, else the exact square plus a gather from the
+/// shared residual ([`approx_arith::SquareTable`]). Both loops vectorize.
 #[derive(Debug, Clone)]
 struct LaneSqr {
-    program: Arc<ArithProgram>,
+    square: SquareMultiplier,
     sats: Vec<u64>,
     mul_limit: i64,
-    /// Whether the multiplier computes exactly: the tick then squares
-    /// natively, in a loop that vectorizes, instead of running the
-    /// composed multiplier per lane-sample.
-    exact: bool,
 }
 
 impl LaneSqr {
-    fn new(program: Arc<ArithProgram>, lanes: usize) -> Self {
-        let mul_limit = 1i64 << (program.mul_width() - 1);
-        let exact = program.is_exact();
+    fn new(square: SquareMultiplier, lanes: usize) -> Self {
+        let mul_limit = 1i64 << (square.width() - 1);
         Self {
             sats: vec![0; lanes],
             mul_limit,
-            exact,
-            program,
+            square,
         }
     }
 
@@ -990,49 +992,35 @@ impl LaneSqr {
     }
 }
 
-impl LaneSqr {
-    /// One square and its saturation count. Both operands clamp together,
-    /// counting two saturation events like the scalar backend. An `EXACT`
-    /// square is `cv * cv` (as in [`NativeTaps`]: no i64 overflow, both
-    /// operands are clamped to the ≤32-bit datapath), so loops over it
-    /// auto-vectorize.
-    #[inline(always)]
-    fn square<const EXACT: bool>(program: &ArithProgram, limit: i64, v: i64) -> (i64, u64) {
-        let cv = v.clamp(-limit, limit - 1);
-        let p = if EXACT {
-            cv * cv
-        } else {
-            program.mul_raw_clamped(cv, cv)
-        };
-        (p, 2 * u64::from(cv != v))
-    }
+/// One square and its saturation count. Both operands clamp together,
+/// counting two saturation events like the scalar backend; `sq` squares the
+/// clamped value — natively as `cv * cv` (no i64 overflow: both operands
+/// are clamped to the ≤32-bit datapath) or through the residual.
+#[inline(always)]
+fn square(limit: i64, v: i64, sq: &impl Fn(i64) -> i64) -> (i64, u64) {
+    let cv = v.clamp(-limit, limit - 1);
+    (sq(cv), 2 * u64::from(cv != v))
+}
 
-    /// The time walk's flat pointwise loop: every element is lane 0's.
-    #[inline(always)]
-    fn square_lane<const EXACT: bool>(&mut self, x: &[i64], out: &mut [i64]) {
-        let mut sats = 0;
-        for (o, &v) in out.iter_mut().zip(x) {
-            let (p, s) = Self::square::<EXACT>(&self.program, self.mul_limit, v);
-            *o = p;
-            sats += s;
-        }
-        self.sats[0] += sats;
+/// The time walk's flat pointwise loop: every element is lane 0's.
+#[inline(always)]
+fn square_lane(sats: &mut [u64], limit: i64, x: &[i64], out: &mut [i64], sq: impl Fn(i64) -> i64) {
+    let mut total = 0;
+    for (o, &v) in out.iter_mut().zip(x) {
+        let (p, s) = square(limit, v, &sq);
+        *o = p;
+        total += s;
     }
+    sats[0] += total;
+}
 
-    /// The lane walk's tick: element `k` is lane `k`'s.
-    #[inline(always)]
-    fn square_row<const EXACT: bool>(&mut self, x: &[i64], out: &mut [i64]) {
-        let Self {
-            program,
-            sats,
-            mul_limit,
-            ..
-        } = self;
-        for ((o, &v), s) in out.iter_mut().zip(x).zip(sats.iter_mut()) {
-            let (p, n) = Self::square::<EXACT>(program, *mul_limit, v);
-            *o = p;
-            *s += n;
-        }
+/// The lane walk's tick: element `k` is lane `k`'s.
+#[inline(always)]
+fn square_row(sats: &mut [u64], limit: i64, x: &[i64], out: &mut [i64], sq: impl Fn(i64) -> i64) {
+    for ((o, &v), s) in out.iter_mut().zip(x).zip(sats.iter_mut()) {
+        let (p, n) = square(limit, v, &sq);
+        *o = p;
+        *s += n;
     }
 }
 
@@ -1043,19 +1031,27 @@ impl Stage<()> for LaneSqr {
 
     #[inline(always)]
     fn tick(&mut self, (): (), x: &[i64], out: &mut [i64]) {
-        if self.exact {
-            self.square_row::<true>(x, out);
-        } else {
-            self.square_row::<false>(x, out);
+        let Self {
+            square,
+            sats,
+            mul_limit,
+        } = self;
+        match square.table() {
+            None => square_row(sats, *mul_limit, x, out, |cv| cv * cv),
+            Some(table) => square_row(sats, *mul_limit, x, out, |cv| table.square_clamped(cv)),
         }
     }
 
     #[inline(always)]
     fn time_walk(&mut self, (): (), x: &[i64], out: &mut [i64]) {
-        if self.exact {
-            self.square_lane::<true>(x, out);
-        } else {
-            self.square_lane::<false>(x, out);
+        let Self {
+            square,
+            sats,
+            mul_limit,
+        } = self;
+        match square.table() {
+            None => square_lane(sats, *mul_limit, x, out, |cv| cv * cv),
+            Some(table) => square_lane(sats, *mul_limit, x, out, |cv| table.square_clamped(cv)),
         }
     }
 }
@@ -1309,7 +1305,7 @@ impl LaneBank {
             lpf: LaneFir::new(Arc::clone(engine.lpf_program()), lanes),
             hpf: LaneFir::new(Arc::clone(engine.hpf_program()), lanes),
             der: LaneFir::new(Arc::clone(engine.der_program()), lanes),
-            sqr: LaneSqr::new(Arc::clone(engine.sqr_program()), lanes),
+            sqr: LaneSqr::new(engine.square().clone(), lanes),
             mwi: LaneMwi::new(engine.mwi_program(), lanes),
             tails: (0..lanes).map(|_| DetectorTail::new(&config)).collect(),
             ticks: vec![0; lanes],
@@ -1469,30 +1465,13 @@ impl LaneBank {
         let config = *self.engine.config();
         let mut events = Vec::new();
         self.tails[lane].finish(config.max_misalignment(), &mut events);
-        let t = self.ticks[lane];
-        let ops = [
-            op_counter(t * self.lpf.muls_per_tick, t * self.lpf.adds_per_tick),
-            op_counter(t * self.hpf.muls_per_tick, t * self.hpf.adds_per_tick),
-            op_counter(t * self.der.muls_per_tick, t * self.der.adds_per_tick),
-            op_counter(t, 0),
-            op_counter(0, t * (WINDOW as u64 - 1)),
-        ];
-        let saturations = [
-            self.lpf.sats[lane] + t * self.lpf.coeff_sats_per_tick,
-            self.hpf.sats[lane] + t * self.hpf.coeff_sats_per_tick,
-            self.der.sats[lane] + t * self.der.coeff_sats_per_tick,
-            self.sqr.sats[lane],
-            0,
-        ];
-        let add_overflows = [
-            self.lpf.ovfs[lane],
-            self.hpf.ovfs[lane],
-            self.der.ovfs[lane],
-            0,
-            self.mwi.ovfs[lane],
-        ];
-        let total_delay = self.engine.total_delay();
-        let result = self.tails[lane].take_result(ops, saturations, add_overflows, total_delay);
+        let counters = self.lane_counters(lane);
+        let result = self.tails[lane].take_result(
+            counters.map(|c| c.ops),
+            counters.map(|c| c.mul_saturations),
+            counters.map(|c| c.add_overflows),
+            self.engine.total_delay(),
+        );
         self.lpf.reset_lane(lane);
         self.hpf.reset_lane(lane);
         self.der.reset_lane(lane);
@@ -1529,33 +1508,11 @@ impl LaneBank {
         w.put_seq_i64(&self.hpf.lane_delay_snapshot(lane));
         w.put_seq_i64(&self.der.lane_delay_snapshot(lane));
         w.put_seq_i64(&self.mwi.lane_window_snapshot(lane));
-        let t = self.ticks[lane];
-        let ops = [
-            op_counter(t * self.lpf.muls_per_tick, t * self.lpf.adds_per_tick),
-            op_counter(t * self.hpf.muls_per_tick, t * self.hpf.adds_per_tick),
-            op_counter(t * self.der.muls_per_tick, t * self.der.adds_per_tick),
-            op_counter(t, 0),
-            op_counter(0, t * (WINDOW as u64 - 1)),
-        ];
-        let saturations = [
-            self.lpf.sats[lane] + t * self.lpf.coeff_sats_per_tick,
-            self.hpf.sats[lane] + t * self.hpf.coeff_sats_per_tick,
-            self.der.sats[lane] + t * self.der.coeff_sats_per_tick,
-            self.sqr.sats[lane],
-            0,
-        ];
-        let add_overflows = [
-            self.lpf.ovfs[lane],
-            self.hpf.ovfs[lane],
-            self.der.ovfs[lane],
-            0,
-            self.mwi.ovfs[lane],
-        ];
-        for stage in 0..5 {
-            w.put_u64(ops[stage].adds());
-            w.put_u64(ops[stage].muls());
-            w.put_u64(saturations[stage]);
-            w.put_u64(add_overflows[stage]);
+        for c in self.lane_counters(lane) {
+            w.put_u64(c.ops.adds());
+            w.put_u64(c.ops.muls());
+            w.put_u64(c.mul_saturations);
+            w.put_u64(c.add_overflows);
         }
         self.tails[lane].encode(&mut w);
         Ok(snapshot::seal(
@@ -1628,19 +1585,10 @@ impl LaneBank {
         }
         let n = tail.samples_seen();
         let t = n as u64;
-        let expected_ops = [
-            (t * self.lpf.muls_per_tick, t * self.lpf.adds_per_tick),
-            (t * self.hpf.muls_per_tick, t * self.hpf.adds_per_tick),
-            (t * self.der.muls_per_tick, t * self.der.adds_per_tick),
-            (t, 0),
-            (0, t * (WINDOW as u64 - 1)),
-        ];
-        for (c, &(muls, adds)) in counters.iter().zip(expected_ops.iter()) {
-            if c.ops.muls() != muls || c.ops.adds() != adds {
-                return Err(SnapshotError::Corrupt(
-                    "stage operation counts do not match the sample count",
-                ));
-            }
+        if counters.map(|c| c.ops) != self.stage_ops(t) {
+            return Err(SnapshotError::Corrupt(
+                "stage operation counts do not match the sample count",
+            ));
         }
         // The FIR totals fold in a constant coefficient-side share per
         // tick; the data-dependent remainder is what the lane arrays hold.
@@ -1680,6 +1628,47 @@ impl LaneBank {
         self.ticks[lane] = t;
         self.tails[lane] = tail;
         Ok(())
+    }
+
+    /// The five stages' operation counts over `t` ticks: data-independent,
+    /// so the kernels hoist them to per-tick constants and this
+    /// materializes them.
+    fn stage_ops(&self, t: u64) -> [OpCounter; 5] {
+        [
+            op_counter(t * self.lpf.muls_per_tick, t * self.lpf.adds_per_tick),
+            op_counter(t * self.hpf.muls_per_tick, t * self.hpf.adds_per_tick),
+            op_counter(t * self.der.muls_per_tick, t * self.der.adds_per_tick),
+            op_counter(t, 0),
+            op_counter(0, t * (WINDOW as u64 - 1)),
+        ]
+    }
+
+    /// One lane's five stage counters, as its result reports them and its
+    /// snapshot carries them: [`LaneBank::stage_ops`] over its ticks, the
+    /// FIR saturations with the constant coefficient-side share folded in,
+    /// and the overflows.
+    fn lane_counters(&self, lane: usize) -> [ArithCounters; 5] {
+        let t = self.ticks[lane];
+        let ops = self.stage_ops(t);
+        let saturations = [
+            self.lpf.sats[lane] + t * self.lpf.coeff_sats_per_tick,
+            self.hpf.sats[lane] + t * self.hpf.coeff_sats_per_tick,
+            self.der.sats[lane] + t * self.der.coeff_sats_per_tick,
+            self.sqr.sats[lane],
+            0,
+        ];
+        let add_overflows = [
+            self.lpf.ovfs[lane],
+            self.hpf.ovfs[lane],
+            self.der.ovfs[lane],
+            0,
+            self.mwi.ovfs[lane],
+        ];
+        std::array::from_fn(|stage| ArithCounters {
+            ops: ops[stage],
+            mul_saturations: saturations[stage],
+            add_overflows: add_overflows[stage],
+        })
     }
 
     /// Heap bytes of the bank's SoA stage state and scratch matrices — the
@@ -1726,8 +1715,8 @@ impl LaneBank {
             + self.tails[lane].heap_bytes()
     }
 
-    /// Bytes of the distinct process-wide shared per-tap product tables,
-    /// billed once however many lanes run. See [`DetectorEngine::shared_table_bytes`].
+    /// Bytes of the distinct process-wide shared residuals, billed once
+    /// however many lanes run. See [`DetectorEngine::shared_table_bytes`].
     #[must_use]
     pub fn shared_table_bytes(&self) -> usize {
         self.engine.shared_table_bytes()
@@ -1916,7 +1905,7 @@ mod tests {
             high_water = high_water.max(bank.lane_state_bytes(0));
         }
         // The marginal session cost stays at the scalar bounded budget,
-        // with config and tap tables billed once to the engine.
+        // with config and residual tables billed once to the engine.
         assert!(
             high_water < 12 * 1024,
             "per-lane high water {high_water} bytes"

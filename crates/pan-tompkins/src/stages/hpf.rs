@@ -48,7 +48,7 @@ impl HighPassFilter {
         Self::from_program(std::sync::Arc::new(Self::program(arith)))
     }
 
-    /// Compiles the stage's shared [`FirProgram`] (taps, gain, tap tables)
+    /// Compiles the stage's shared [`FirProgram`] (taps, gain, tap residuals)
     /// for the given arithmetic — built once and shared across detector
     /// states/lanes.
     #[must_use]

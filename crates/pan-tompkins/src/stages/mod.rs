@@ -57,12 +57,12 @@ pub trait Stage {
     fn reset_counters(&mut self);
 
     /// Bytes of live per-instance state (stack size of the stage plus its
-    /// owned heap: delay lines, windows, tap-table handles). Excludes the
-    /// process-wide shared product tables, which are O(configurations) —
+    /// owned heap: delay lines, windows, residual handles). Excludes the
+    /// process-wide shared residual tables, which are O(configurations) —
     /// see [`crate::FirFilter::shared_table_bytes`].
     fn state_bytes(&self) -> usize;
 
-    /// Bytes of the process-wide shared per-tap product tables this stage
+    /// Bytes of the process-wide shared per-tap residuals this stage
     /// references (0 for stages without compiled taps).
     fn shared_table_bytes(&self) -> usize {
         let mut seen = Vec::new();

@@ -822,8 +822,8 @@ impl StreamingQrsDetector {
     /// bounded), the classifier's candidate state, the event queues, and
     /// the bank's block scratch (inter-stage rows, FIR history and product
     /// rows — sized by the longest push, up to 64 samples, and dead between
-    /// pushes). Excludes the shared engine and the process-wide per-tap
-    /// product tables; see [`StreamingQrsDetector::shared_table_bytes`].
+    /// pushes). Excludes the shared engine and the process-wide residual
+    /// tables; see [`StreamingQrsDetector::shared_table_bytes`].
     #[must_use]
     pub fn heap_bytes(&self) -> usize {
         self.bank.state_bytes() - std::mem::size_of::<LaneBank>()
@@ -842,11 +842,11 @@ impl StreamingQrsDetector {
         std::mem::size_of::<Self>() + self.heap_bytes()
     }
 
-    /// Bytes of the distinct shared per-tap product tables the FIR stages
-    /// reference — each table counted once, even when two stages share it
-    /// (LPF and HPF at the same LSB depth share e.g. the |1| table). These
-    /// live behind `Arc`s in a process-wide cache keyed by `(width, LSBs,
-    /// kinds, |coefficient|)` and are shared by every detector with the
+    /// Bytes of the distinct shared residual tables the FIR taps and the
+    /// squarer reference — each counted once, even when two stages share
+    /// it (LPF and HPF at the same LSB depth share e.g. the |1| residual).
+    /// These live behind `Arc`s in a process-wide cache keyed by `(width,
+    /// LSBs, kinds, |coefficient| or square)` and are shared by every detector with the
     /// same configuration — amortised state, reported separately from
     /// [`StreamingQrsDetector::state_bytes`] for honesty.
     #[must_use]
@@ -911,7 +911,7 @@ impl StreamingQrsDetector {
 
     /// Like [`StreamingQrsDetector::finish`], but leaves the detector
     /// ready for the next record instead of consuming it: configuration
-    /// and compiled per-tap tables are kept, while all signal state,
+    /// and compiled taps are kept, while all signal state,
     /// counters, and classifier state reset — the returned result and
     /// subsequent pushes are bit-for-bit what a freshly constructed
     /// detector would produce. This is the record-batched evaluation
@@ -1212,15 +1212,16 @@ mod tests {
         assert!(det.state_bytes() < 16 * 1024);
     }
 
-    /// A table two stages share (same LSB depth, same coefficient
+    /// A residual two stages share (same LSB depth, same coefficient
     /// magnitude) is billed once in the detector-level total.
     #[test]
     fn shared_table_accounting_dedupes_across_stages() {
         // All stages at 4 LSBs: tap magnitudes are LPF {1..6}, HPF {1,31},
-        // DER {0,1,2} (every tap compiles, zero included) — 11 per-stage
-        // tables but only 8 distinct magnitudes.
+        // DER {1,2} (the zero tap compiles none), plus the squarer's own
+        // residual — 11 per-stage residuals but only 8 distinct, each of
+        // 2^4 entries.
         let det = StreamingQrsDetector::new(PipelineConfig::least_energy([4, 4, 4, 4, 4]));
-        let table = ((1 << 15) + 1) * 4;
+        let table = (1 << 4) * 4;
         let per_stage_sum = 11 * table;
         assert_eq!(det.shared_table_bytes(), 8 * table);
         assert!(det.shared_table_bytes() < per_stage_sum);

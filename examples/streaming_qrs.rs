@@ -190,7 +190,7 @@ fn main() {
         );
     }
     println!(
-        "shared across all lanes: {} B engine + {} B tap tables, billed once",
+        "shared across all lanes: {} B engine + {} B residual tables, billed once",
         engine.engine_bytes(),
         bank.shared_table_bytes()
     );
