@@ -4,11 +4,15 @@
 //! Three sections:
 //!
 //! 1. **Footprint gate** — streams records of growing length through a
-//!    [`Footprint::Bounded`] detector, sampling
-//!    [`StreamingQrsDetector::state_bytes`] every chunk. Fails (exit 1) if
-//!    the high-water mark exceeds the fixed budget (64 KiB) or grows with
-//!    the record length, or if the bounded event stream ever diverges from
-//!    the retaining mode. This is the *measured* O(1) bound — CI's
+//!    [`Footprint::Bounded`] detector, each on a thread of its own,
+//!    sampling [`StreamingQrsDetector::state_bytes`] (session state) and
+//!    the thread's [`block_scratch_bytes`] every chunk. Fails (exit 1) if
+//!    the session plus its thread's block scratch exceeds the fixed budget
+//!    (64 KiB), if the session high-water grows with the record length, or
+//!    if the bounded event stream ever diverges from the retaining mode.
+//!    It also fails unless the block scratch is billed once per thread: two
+//!    16-lane banks of different configurations pushing on one thread must
+//!    leave it at one bank's size. This is the *measured* O(1) bound — CI's
 //!    bench-smoke job runs it via `--check`.
 //! 2. **Footprint table** — bounded vs retaining live-state bytes across
 //!    record lengths, plus the shared (amortised) residual-table bytes.
@@ -22,15 +26,21 @@
 //! machine-readable artifact — CI uploads it so the repo accumulates a
 //! perf trajectory across PRs.
 
+use std::sync::Arc;
 use std::time::Instant;
 
 use ecg::EcgRecord;
 use hwmodel::report::fmt_f64;
-use pan_tompkins::{Footprint, PipelineConfig, StreamEvent, StreamingQrsDetector};
+use pan_tompkins::{
+    block_scratch_bytes, DetectorEngine, Footprint, LaneBank, PipelineConfig, StreamEvent,
+    StreamingQrsDetector,
+};
 use xbiosip::quality_eval::{evaluate_across_records, EvalOptions, Evaluator};
 
 /// The fixed live-state budget the bounded mode must stay under,
-/// independent of record length: 64 KiB — sensor-node SRAM scale.
+/// independent of record length: 64 KiB — sensor-node SRAM scale. It holds
+/// one session plus the block scratch of the thread that runs it, which is
+/// what a single-session sensor node has to fit.
 const BUDGET_BYTES: usize = 64 * 1024;
 
 /// Record lengths swept by the gate (samples at 200 Hz: 30 s to 5 min).
@@ -73,18 +83,41 @@ fn record_of_len(len: usize) -> EcgRecord {
 
 /// Allowance for live-state bytes that legitimately do not appear in a
 /// snapshot blob: struct sizes (`size_of::<LaneBank>` and friends), the
-/// bank's block scratch and scratch queues (sized by the push, dead
-/// between pushes), and the slack between `Vec`/`VecDeque` *capacity*
-/// (what [`StreamingQrsDetector::state_bytes`] bills) and *length* (what
-/// the codec serializes) for the fixed-size containers. The growth-
-/// proportional capacity slack of the retained signals is covered
+/// tails' scratch queues, and the slack between `Vec`/`VecDeque`
+/// *capacity* (what [`StreamingQrsDetector::state_bytes`] bills) and
+/// *length* (what the codec serializes) for the fixed-size containers. The
+/// growth-proportional capacity slack of the retained signals is covered
 /// separately at the call site: amortized `Vec` growth doubles, so
 /// capacity can reach 2x length right after a doubling and the billed
-/// state may exceed the serialized lengths by up to one extra blob.
-const SNAPSHOT_SLACK_BYTES: usize = 16 * 1024;
+/// state may exceed the serialized lengths by up to one extra blob. The
+/// block scratch is not session state, so it needs no allowance: the
+/// gate's bounded sessions read at most 6 212 B over twice their blob.
+const SNAPSHOT_SLACK_BYTES: usize = 8 * 1024;
 
-/// Streams `record` through a detector with the given footprint, returning
-/// the event stream and the state-bytes high-water mark.
+/// High-water marks of one streamed session.
+#[derive(Debug, Clone, Copy, Default)]
+struct HighWater {
+    /// [`StreamingQrsDetector::state_bytes`]: session state, block scratch
+    /// excluded.
+    session: usize,
+    /// Session state plus the thread's [`block_scratch_bytes`] — what the
+    /// budget holds.
+    with_scratch: usize,
+}
+
+impl HighWater {
+    fn max(self, other: Self) -> Self {
+        Self {
+            session: self.session.max(other.session),
+            with_scratch: self.with_scratch.max(other.with_scratch),
+        }
+    }
+}
+
+/// Streams `record` through a detector with the given footprint on a
+/// thread of its own, so the thread's block scratch is sized by this
+/// session's pushes alone, and returns the event stream and the
+/// high-water marks.
 ///
 /// En route (mid-record and at the last push boundary) it cross-checks the
 /// accounting against the snapshot codec: everything `state_bytes` bills
@@ -92,21 +125,41 @@ const SNAPSHOT_SLACK_BYTES: usize = 16 * 1024;
 /// billed live state (plus its 32-byte header), and the billed state can
 /// exceed the blob only by capacity slack (at most one extra blob, from
 /// `Vec` doubling on the retained signals) plus the documented
-/// [`SNAPSHOT_SLACK_BYTES`] struct/scratch allowance. An accounting drift
+/// [`SNAPSHOT_SLACK_BYTES`] struct allowance. An accounting drift
 /// in either direction — a field serialized but not billed, or billed
 /// but not serialized — trips this before it reaches a release.
 fn stream_high_water(
     config: PipelineConfig,
     footprint: Footprint,
     record: &EcgRecord,
-) -> (Vec<StreamEvent>, usize) {
+) -> (Vec<StreamEvent>, HighWater) {
+    std::thread::scope(|s| {
+        s.spawn(|| stream_on_this_thread(config, footprint, record))
+            .join()
+            .expect("footprint session thread panicked")
+    })
+}
+
+fn stream_on_this_thread(
+    config: PipelineConfig,
+    footprint: Footprint,
+    record: &EcgRecord,
+) -> (Vec<StreamEvent>, HighWater) {
     let mut det = StreamingQrsDetector::new(config.with_footprint(footprint));
     let mut events = Vec::new();
-    let mut high_water = det.state_bytes();
+    let fresh = det.state_bytes();
+    let mut high_water = HighWater {
+        session: fresh,
+        with_scratch: fresh + block_scratch_bytes(),
+    };
     let checkpoints = [record.len() / 2 / CHUNK, record.len().div_ceil(CHUNK) - 1];
     for (i, chunk) in record.samples().chunks(CHUNK).enumerate() {
         events.extend(det.push(chunk));
-        high_water = high_water.max(det.state_bytes());
+        let session = det.state_bytes();
+        high_water = high_water.max(HighWater {
+            session,
+            with_scratch: session + block_scratch_bytes(),
+        });
         if checkpoints.contains(&i) {
             let blob = det.snapshot().unwrap_or_else(|e| {
                 eprintln!("ACCOUNTING: {config} {footprint:?}: snapshot failed: {e}");
@@ -138,18 +191,17 @@ fn stream_high_water(
     (events, high_water)
 }
 
-/// Section 1: the budget + no-growth + equivalence gate. Returns the
-/// bounded high-water mark at the longest gate record (for the JSON
-/// artifact); exits non-zero on any violation.
-fn footprint_gate() -> usize {
-    let mut worst_bounded = 0usize;
+/// Section 1: the budget + no-growth + equivalence gate. Returns the worst
+/// bounded high-water marks over every configuration and record length
+/// (for the report and the JSON artifact); exits non-zero on any violation.
+fn footprint_gate() -> HighWater {
+    let mut worst_bounded = HighWater::default();
     for config in gate_configs() {
         let mut bounded_marks = Vec::new();
         for len in GATE_LENGTHS {
             let record = record_of_len(len);
             let (retained_events, _) = stream_high_water(config, Footprint::Retain, &record);
-            let (bounded_events, bounded_mark) =
-                stream_high_water(config, Footprint::Bounded, &record);
+            let (bounded_events, bounded) = stream_high_water(config, Footprint::Bounded, &record);
             if bounded_events != retained_events {
                 eprintln!("DIVERGENCE: {config} len {len}: bounded events != retaining events");
                 std::process::exit(1);
@@ -163,15 +215,16 @@ fn footprint_gate() -> usize {
                 eprintln!("DIVERGENCE: {config} len {len}: gate workload produced no beats");
                 std::process::exit(1);
             }
-            if bounded_mark > BUDGET_BYTES {
+            if bounded.with_scratch > BUDGET_BYTES {
                 eprintln!(
-                    "BUDGET: {config} len {len}: bounded state hit {bounded_mark} bytes \
-                     (budget {BUDGET_BYTES})"
+                    "BUDGET: {config} len {len}: bounded state plus block scratch hit {} bytes \
+                     (budget {BUDGET_BYTES})",
+                    bounded.with_scratch
                 );
                 std::process::exit(1);
             }
-            bounded_marks.push(bounded_mark);
-            worst_bounded = worst_bounded.max(bounded_mark);
+            bounded_marks.push(bounded.session);
+            worst_bounded = worst_bounded.max(bounded);
         }
         // No growth with record length: the longest record's high-water
         // mark must not exceed the shortest's by more than ring-capacity
@@ -188,16 +241,64 @@ fn footprint_gate() -> usize {
     worst_bounded
 }
 
+/// The scratch half of section 1: on one fresh thread, a 16-lane exact
+/// bank pushes, then a 16-lane B9 bank pushes the same frames. The thread's
+/// block scratch must read the same after the second bank as after the
+/// first — one scratch per thread, sized by the widest bank, not one per
+/// bank. Returns that size; exits non-zero if it changed or is smaller
+/// than the six full-width inter-stage matrices it must hold.
+fn scratch_gate() -> usize {
+    const LANES: usize = 16;
+    let record = xbiosip_bench::experiment_record();
+    let samples = record.samples();
+    let frames: Vec<i32> = (0..2_000)
+        .flat_map(|t| (0..LANES).map(move |lane| samples[(t + 97 * lane) % samples.len()]))
+        .collect();
+    // The exact design, then B9.
+    let banks = gate_configs().into_iter().take(2).map(|config| {
+        let engine = DetectorEngine::new(config.with_footprint(Footprint::Bounded));
+        LaneBank::new(Arc::new(engine), LANES)
+    });
+    let readings: Vec<usize> = std::thread::scope(|s| {
+        s.spawn(|| {
+            banks
+                .map(|mut bank| {
+                    for push in frames.chunks(250 * LANES) {
+                        let _ = bank.push(push);
+                    }
+                    block_scratch_bytes()
+                })
+                .collect()
+        })
+        .join()
+        .expect("scratch gate thread panicked")
+    });
+    let (one_bank, two_banks) = (readings[0], readings[1]);
+    let matrices = 6 * 64 * LANES * std::mem::size_of::<i64>();
+    if two_banks != one_bank || one_bank < matrices {
+        eprintln!(
+            "SCRATCH: a thread's block scratch read {one_bank} B after one {LANES}-lane bank \
+             and {two_banks} B after a second (expected equal, and at least the {matrices} B \
+             of inter-stage matrices)"
+        );
+        std::process::exit(1);
+    }
+    one_bank
+}
+
 /// Section 2: the footprint table.
 fn footprint_table() {
     let config = PipelineConfig::least_energy([10, 12, 2, 8, 16]);
     println!("live detector state (B9 design, {CHUNK}-sample chunks):");
-    println!("  samples   bounded       retaining");
+    println!("  samples   bounded session   + block scratch   retaining session");
     for len in GATE_LENGTHS {
         let record = record_of_len(len);
         let (_, bounded) = stream_high_water(config, Footprint::Bounded, &record);
         let (_, retained) = stream_high_water(config, Footprint::Retain, &record);
-        println!("  {len:>7}   {bounded:>7} B     {retained:>9} B");
+        println!(
+            "  {len:>7}   {:>13} B   {:>13} B   {:>15} B",
+            bounded.session, bounded.with_scratch, retained.session
+        );
     }
     let det = StreamingQrsDetector::new(config.with_footprint(Footprint::Bounded));
     println!(
@@ -266,14 +367,15 @@ fn bounded_throughput() -> f64 {
 
 /// Writes the machine-readable artifact (hand-rolled JSON — the build
 /// environment is offline, no serde).
-fn write_json(path: &str, bounded_high_water: usize, throughput: f64) {
+fn write_json(path: &str, bounded: HighWater, throughput: f64) {
     let json = format!(
         "{{\n  \"pr\": 4,\n  \"budget_bytes\": {BUDGET_BYTES},\n  \
-         \"bounded_state_bytes_high_water\": {bounded_high_water},\n  \
+         \"bounded_state_bytes_high_water\": {},\n  \
+         \"bounded_state_plus_block_scratch_bytes_high_water\": {},\n  \
          \"gate_record_lengths\": [{}, {}, {}],\n  \
          \"streaming_samples_per_sec\": {throughput:.0},\n  \
          \"chunk_samples\": {CHUNK}\n}}\n",
-        GATE_LENGTHS[0], GATE_LENGTHS[1], GATE_LENGTHS[2]
+        bounded.session, bounded.with_scratch, GATE_LENGTHS[0], GATE_LENGTHS[1], GATE_LENGTHS[2]
     );
     if let Err(e) = std::fs::write(path, json) {
         eprintln!("failed to write {path}: {e}");
@@ -297,13 +399,16 @@ fn main() {
 
     let t0 = Instant::now();
     let high_water = footprint_gate();
+    let scratch = scratch_gate();
     println!(
         "footprint gate: {} configurations x {:?}-sample records — bounded events == retaining, \
-         state <= {} B high-water (budget {BUDGET_BYTES} B), no growth with record length \
-         ({:.2?})\n",
+         session state <= {} B high-water (block scratch excluded), session + its thread's \
+         block scratch <= {} B (budget {BUDGET_BYTES} B), no growth with record length; \
+         two 16-lane banks on one thread share one {scratch} B block scratch ({:.2?})\n",
         gate_configs().len(),
         GATE_LENGTHS,
-        high_water,
+        high_water.session,
+        high_water.with_scratch,
         t0.elapsed()
     );
 

@@ -18,8 +18,9 @@
 //! 2. **Bounded latency** — the p99 ingest latency (from the hub's
 //!    integer-µs histogram of enqueue → chunk fully ingested; the
 //!    watermark backpressure is what bounds it) must stay under
-//!    `--p99-ceiling-ms` (default 5000). The JSON keys still say
-//!    `push_to_event`; events can trail ingestion by up to 58 samples.
+//!    `--p99-ceiling-ms` (default 5000). The JSON names it
+//!    `ingest_lag_{p50,p99,max}_us`: it is not push-to-event time, since
+//!    events can trail ingestion by up to 58 samples.
 //!
 //! `--check` exits non-zero when either fails — CI's bench-smoke job
 //! runs a reduced 10 k-session profile via
@@ -351,9 +352,9 @@ fn write_json(path: &str, n: &LoadNumbers) {
          \"ingest_samples_per_s\": {:.0},\n  \
          \"replay_secs\": {:.2},\n  \
          \"drain_secs\": {:.2},\n  \
-         \"push_to_event_p50_us\": {},\n  \
-         \"push_to_event_p99_us\": {},\n  \
-         \"push_to_event_max_us\": {},\n  \
+         \"ingest_lag_p50_us\": {},\n  \
+         \"ingest_lag_p99_us\": {},\n  \
+         \"ingest_lag_max_us\": {},\n  \
          \"lanes_total\": {},\n  \"lanes_occupied_final\": {},\n  \
          \"demotions\": {},\n  \"promotions\": {},\n  \
          \"busy_rejections\": {},\n  \"stale_drops\": {},\n  \

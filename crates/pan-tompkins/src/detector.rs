@@ -206,7 +206,10 @@ impl QrsDetector {
     /// Runs the full pipeline and detection over a record's samples: one
     /// push of the whole record into a one-lane [`LaneBank`] under
     /// [`Footprint::Retain`] (a one-lane bank runs its stage kernels in
-    /// register blocks across time), then that lane's result.
+    /// register blocks across time), then that lane's result. The push
+    /// works in the calling thread's block scratch (see
+    /// [`crate::block_scratch_bytes`]), so repeated calls on one thread
+    /// reuse it.
     #[must_use]
     pub fn detect(&mut self, samples: &[i32]) -> DetectionResult {
         let config = self.config.with_footprint(Footprint::Retain);

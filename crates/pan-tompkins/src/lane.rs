@@ -62,6 +62,7 @@
 //! `tests/one_lane_time_walk.rs`, the pinned golden trace and 4-lane
 //! fixture, and CI's `ext_lane_speed --check` gate.
 
+use std::cell::Cell;
 use std::sync::Arc;
 
 use approx_arith::{
@@ -571,14 +572,6 @@ struct LaneFir {
     /// its sign differs from the row tap's, else `0`; unused for zero
     /// taps).
     tap_rows: Vec<(usize, i64)>,
-    /// Time-walk scratch, reused across blocks: the linear history (the
-    /// ring's `rows − 1` newest samples, oldest first, then the block)
-    /// and the per-magnitude product rows over it.
-    hist: Vec<i64>,
-    prods: Vec<i64>,
-    /// Whether `prods` holds the current block's rows (see
-    /// [`LaneFir::rows_pay`]); otherwise each tap takes its own products.
-    rows_filled: bool,
 }
 
 impl LaneFir {
@@ -645,9 +638,6 @@ impl LaneFir {
             taps,
             row_taps,
             tap_rows,
-            hist: Vec::new(),
-            prods: Vec::new(),
-            rows_filled: false,
             lanes,
             program,
         }
@@ -664,12 +654,14 @@ impl LaneFir {
     }
 
     /// Runs the stage over a block of lane rows (see [`Walk`]), with the
-    /// adder form and tap representation matched once for the whole block.
-    fn run(&mut self, x: &[i64], out: &mut [i64]) {
-        let taps = self.taps;
-        with_adder_form!(self.adder, form => match taps {
-            TapRepr::Native => run_walk(Walk { stage: &mut *self, arith: (form, NativeTaps), x, out }),
-            TapRepr::Table => run_walk(Walk { stage: &mut *self, arith: (form, TableTaps), x, out }),
+    /// adder form and tap representation matched once for the whole block;
+    /// a time walk works in the thread's `scratch`.
+    fn run(&mut self, x: &[i64], out: &mut [i64], scratch: &mut FirScratch) {
+        let (adder, taps) = (self.adder, self.taps);
+        let stage = &mut FirWalk { fir: self, scratch };
+        with_adder_form!(adder, form => match taps {
+            TapRepr::Native => run_walk(Walk { stage, arith: (form, NativeTaps), x, out }),
+            TapRepr::Table => run_walk(Walk { stage, arith: (form, TableTaps), x, out }),
         });
     }
 
@@ -704,11 +696,7 @@ impl LaneFir {
     }
 
     fn heap_bytes(&self) -> usize {
-        (self.delay.capacity()
-            + self.coeffs.capacity()
-            + self.hist.capacity()
-            + self.prods.capacity())
-            * std::mem::size_of::<i64>()
+        (self.delay.capacity() + self.coeffs.capacity()) * std::mem::size_of::<i64>()
             + (self.sats.capacity() + self.ovfs.capacity()) * std::mem::size_of::<u64>()
             + self.row_taps.capacity() * std::mem::size_of::<usize>()
             + self.tap_rows.capacity() * std::mem::size_of::<(usize, i64)>()
@@ -719,29 +707,21 @@ impl LaneFir {
     /// clamped history sample — one residual product per sample and distinct
     /// coefficient magnitude.
     #[inline(always)]
-    fn fill_rows<M: TapMul>(&mut self) {
-        let Self {
-            program,
-            mul_limit,
-            coeffs,
-            row_taps,
-            hist,
-            prods,
-            ..
-        } = self;
-        let limit = *mul_limit;
+    fn fill_rows<M: TapMul>(&self, hist: &[i64], prods: &mut Vec<i64>) {
+        let limit = self.mul_limit;
         let len = hist.len();
-        // xanalyze: begin-allow(alloc) — stage-owned scratch: cleared, not
+        // xanalyze: begin-allow(alloc) — thread-owned scratch: cleared, not
         // dropped, each block, so it reaches its high-water size (rows ×
-        // history length) on the first block and never grows after.
+        // history length) on the thread's first long block and never grows
+        // after.
         prods.clear();
-        prods.resize(row_taps.len() * len, 0);
+        prods.resize(self.row_taps.len() * len, 0);
         // xanalyze: end-allow(alloc)
-        for (row, &t) in prods.chunks_exact_mut(len.max(1)).zip(row_taps.iter()) {
+        for (row, &t) in prods.chunks_exact_mut(len.max(1)).zip(self.row_taps.iter()) {
             let tap = Tap {
                 t,
-                cb: coeffs[t],
-                mults: program.tap_mults(),
+                cb: self.coeffs[t],
+                mults: self.program.tap_mults(),
             };
             let mul = M::product(tap);
             // Same contract as the lane walk: `LaneFir::new` picks `M` only
@@ -754,15 +734,10 @@ impl LaneFir {
             }
         }
     }
-}
 
-impl<A: ClosedForm, M: TapMul> Stage<(A, M)> for LaneFir {
-    fn lanes(&self) -> usize {
-        self.lanes
-    }
-
+    /// Advances every lane one sample (see [`Stage::tick`]).
     #[inline(always)]
-    fn tick(&mut self, arith: (A, M), x: &[i64], out: &mut [i64]) {
+    fn tick<A: ClosedForm, M: TapMul>(&mut self, arith: (A, M), x: &[i64], out: &mut [i64]) {
         let lanes = self.lanes;
         let rows = self.program.taps().len();
         self.cursor = if self.cursor == 0 {
@@ -774,47 +749,79 @@ impl<A: ClosedForm, M: TapMul> Stage<(A, M)> for LaneFir {
         Blocked::<_, Lanes>::blocks(self, arith, x, lanes, out);
     }
 
-    /// Lays the ring's `rows − 1` newest samples and the block out as one
-    /// linear history, so every tap's frame of `W` consecutive ticks is a
+    /// The time walk of a one-lane bank (see [`Stage::time_walk`]). Lays
+    /// the ring's `rows − 1` newest samples and the block out as one linear
+    /// history, so every tap's frame of `W` consecutive ticks is a
     /// contiguous slice of it; then walks the block and rewrites the ring
     /// from the history's newest `rows` samples, at cursor 0 (legal by
-    /// rotation invariance).
+    /// rotation invariance). The history and product rows are the thread's
+    /// `scratch`, which the LPF, HPF and derivative use in turn: each block
+    /// rebuilds the history, and hands the walk product rows only when it
+    /// has just filled them.
     #[inline(always)]
-    fn time_walk(&mut self, arith: (A, M), x: &[i64], out: &mut [i64]) {
+    fn time_walk<A: ClosedForm, M: TapMul>(
+        &mut self,
+        (form, taps): (A, M),
+        x: &[i64],
+        out: &mut [i64],
+        scratch: &mut FirScratch,
+    ) {
         if x.is_empty() {
             return;
         }
         let rows = self.coeffs.len();
-        let Self {
-            delay,
-            cursor,
-            hist,
-            ..
-        } = self;
+        let FirScratch { hist, prods } = scratch;
         // The walk leaves the ring at cursor 0 and a restore loads it at
         // the current cursor, so a one-lane ring stays at 0; rotating
         // first keeps the history copy free of a divide per sample should
         // it ever sit elsewhere.
-        delay.rotate_left(*cursor);
-        *cursor = 0;
-        // xanalyze: begin-allow(alloc) — stage-owned scratch: cleared, not
-        // dropped, each block, so it reaches its high-water size
-        // (`rows − 1 + BLOCK_TICKS`) on the first block and never grows
-        // after.
+        self.delay.rotate_left(self.cursor);
+        self.cursor = 0;
+        // xanalyze: begin-allow(alloc) — thread-owned scratch: cleared, not
+        // dropped, each block, so it reaches its high-water size (the
+        // longest ring's `rows − 1` plus `BLOCK_TICKS`) on the thread's
+        // first full block and never grows after.
         hist.clear();
-        hist.extend(delay[..rows - 1].iter().rev());
+        hist.extend(self.delay[..rows - 1].iter().rev());
         hist.extend_from_slice(x);
         // xanalyze: end-allow(alloc)
-        self.rows_filled = M::SHARED_ROWS && self.rows_pay(x.len());
-        if self.rows_filled {
-            self.fill_rows::<M>();
-        }
-        Blocked::<_, Ticks>::blocks(self, arith, x, x.len(), out);
-        let newest = &self.hist[self.hist.len() - rows..];
+        let products = if M::SHARED_ROWS && self.rows_pay(x.len()) {
+            self.fill_rows::<M>(hist, prods);
+            Some(&prods[..])
+        } else {
+            None
+        };
+        Blocked::<_, Ticks>::blocks(self, (form, taps, products), hist, x.len(), out);
+        let newest = &hist[hist.len() - rows..];
         for (d, &v) in self.delay.iter_mut().zip(newest.iter().rev()) {
             *d = v;
         }
-        self.cursor = 0;
+    }
+}
+
+/// A FIR stage as [`run_walk`] drives it: the stage and the thread's
+/// [`FirScratch`], which only the time walk uses. The walks themselves are
+/// `LaneFir` methods that take the two as separate arguments: walked
+/// through this struct's two references, the exact one-lane walk ran
+/// about 25 % slower.
+struct FirWalk<'a> {
+    fir: &'a mut LaneFir,
+    scratch: &'a mut FirScratch,
+}
+
+impl<A: ClosedForm, M: TapMul> Stage<(A, M)> for FirWalk<'_> {
+    fn lanes(&self) -> usize {
+        self.fir.lanes
+    }
+
+    #[inline(always)]
+    fn tick(&mut self, arith: (A, M), x: &[i64], out: &mut [i64]) {
+        self.fir.tick(arith, x, out);
+    }
+
+    #[inline(always)]
+    fn time_walk(&mut self, arith: (A, M), x: &[i64], out: &mut [i64]) {
+        self.fir.time_walk(arith, x, out, self.scratch);
     }
 }
 
@@ -891,16 +898,22 @@ impl<A: ClosedForm, M: TapMul> Blocked<(A, M), Lanes> for LaneFir {
     }
 }
 
-impl<A: ClosedForm, M: TapMul> Blocked<(A, M), Ticks> for LaneFir {
+impl<A: ClosedForm, M: TapMul> Blocked<(A, M, Option<&[i64]>), Ticks> for LaneFir {
     /// The tap walk for ticks `k0 .. k0 + W` of a one-lane bank — the
     /// lane walk's sum over the same operands in the same order: tap `t`'s
-    /// frame is the history slice starting `t` samples before the block's
-    /// first tick. When the block filled its product rows, residual taps read
-    /// their magnitude's row, negated when their sign differs from the row
-    /// tap's (the sign fold is exact: `c` and `−c` read one residual), and
-    /// count saturations from the raw frame like every other tap.
+    /// frame is the slice of the history `hist` starting `t` samples before
+    /// the block's first tick. Given the block's product rows, residual taps
+    /// read their magnitude's row, negated when their sign differs from the
+    /// row tap's (the sign fold is exact: `c` and `−c` read one residual),
+    /// and count saturations from the raw frame like every other tap.
     #[inline(always)]
-    fn block<const W: usize>(&mut self, (form, _): (A, M), _: &[i64], k0: usize, out: &mut [i64]) {
+    fn block<const W: usize>(
+        &mut self,
+        (form, _, products): (A, M, Option<&[i64]>),
+        hist: &[i64],
+        k0: usize,
+        out: &mut [i64],
+    ) {
         let Self {
             program,
             sats,
@@ -908,9 +921,6 @@ impl<A: ClosedForm, M: TapMul> Blocked<(A, M), Ticks> for LaneFir {
             mul_limit,
             coeffs,
             tap_rows,
-            hist,
-            prods,
-            rows_filled,
             ..
         } = self;
         let limit = *mul_limit;
@@ -926,7 +936,7 @@ impl<A: ClosedForm, M: TapMul> Blocked<(A, M), Ticks> for LaneFir {
             let at = rows - 1 + k0 - t;
             let mut frame = [0i64; W];
             frame.copy_from_slice(&hist[at..at + W]);
-            if M::SHARED_ROWS && *rows_filled {
+            if let (true, Some(prods)) = (M::SHARED_ROWS, products) {
                 block.count_saturations(limit, &frame);
                 let mut p = [0i64; W];
                 p.copy_from_slice(&prods[row * len + at..row * len + at + W]);
@@ -1230,6 +1240,12 @@ impl<A: ClosedForm> Blocked<A, Ticks> for LaneMwi {
 /// record. Every lane is bit-identical to the scalar reference run over
 /// its samples (see the [module docs](self)).
 ///
+/// A bank holds session state only: stage delay lines, the MWI window,
+/// counters and tails. The buffers a push works in — the inter-stage
+/// matrices and the FIR time walk's history and product rows — are the
+/// calling thread's block scratch, borrowed for the push and billed once
+/// per thread by [`block_scratch_bytes`].
+///
 /// # Example
 ///
 /// ```
@@ -1273,23 +1289,88 @@ pub struct LaneBank {
     sqr: LaneSqr,
     mwi: LaneMwi,
     tails: Vec<DetectorTail>,
-    // Inter-stage scratch matrices: up to [`BLOCK_TICKS`] row-major lane
-    // rows per stage output (`m[t * lanes + lane]`), so the stage kernels
-    // run a whole block before the per-lane tails consume their columns.
+}
+
+/// Ticks the stage kernels advance between tail hand-offs. Large enough to
+/// amortise the per-lane tail-call overhead across a block, small enough
+/// that the six inter-stage matrices of a 16-lane bank (`6 × BLOCK_TICKS ×
+/// 16 × 8` bytes = 48 KiB of the thread's [`BlockScratch`]) stay
+/// cache-resident.
+const BLOCK_TICKS: usize = 64;
+
+/// The buffers a push works in and leaves dead, one per thread
+/// ([`SCRATCH`]): every push on the thread takes it at entry and puts it
+/// back at exit, so banks hold only session state and the scratch is sized
+/// by the widest bank and longest push the thread runs. Nothing in it
+/// carries meaning from one push, bank or stage to the next: each block
+/// writes whatever it reads first.
+#[derive(Debug, Default)]
+struct BlockScratch {
+    /// Inter-stage matrices: up to [`BLOCK_TICKS`] row-major lane rows
+    /// (`m[t * lanes + lane]`) of the samples in and of each stage's
+    /// outputs, so the stage kernels run a whole block before the per-lane
+    /// tails consume their columns.
     m_x0: Vec<i64>,
     m_a: Vec<i64>,
     m_b: Vec<i64>,
     m_c: Vec<i64>,
     m_d: Vec<i64>,
     m_e: Vec<i64>,
-    scratch_events: Vec<StreamEvent>,
+    /// One lane's settled events, drained into the push's return value.
+    events: Vec<StreamEvent>,
+    /// The FIR time walk's buffers, which the LPF, HPF and derivative use
+    /// in turn.
+    fir: FirScratch,
 }
 
-/// Ticks the stage kernels advance between tail hand-offs. Large enough to
-/// amortise the per-lane tail-call overhead across a block, small enough
-/// that the six scratch matrices stay cache-resident and the per-lane state
-/// budget holds (`6 * BLOCK_TICKS * 8` bytes of scratch per lane).
-const BLOCK_TICKS: usize = 64;
+/// The FIR time walk's part of the [`BlockScratch`].
+#[derive(Debug, Default)]
+struct FirScratch {
+    /// The linear history: the ring's `rows − 1` newest samples, oldest
+    /// first, then the block.
+    hist: Vec<i64>,
+    /// The per-magnitude product rows over the history, filled by blocks
+    /// long enough that they pay (see [`LaneFir::rows_pay`]).
+    prods: Vec<i64>,
+}
+
+impl BlockScratch {
+    fn heap_bytes(&self) -> usize {
+        (self.m_x0.capacity()
+            + self.m_a.capacity()
+            + self.m_b.capacity()
+            + self.m_c.capacity()
+            + self.m_d.capacity()
+            + self.m_e.capacity()
+            + self.fir.hist.capacity()
+            + self.fir.prods.capacity())
+            * std::mem::size_of::<i64>()
+            + self.events.capacity() * std::mem::size_of::<StreamEvent>()
+    }
+}
+
+thread_local! {
+    /// The calling thread's [`BlockScratch`]. A `Cell`, not a `RefCell`: a
+    /// push takes the value out and sets it back, so no borrow can fail.
+    static SCRATCH: Cell<BlockScratch> = Cell::new(BlockScratch::default());
+}
+
+/// Heap bytes of the calling thread's block scratch: the inter-stage
+/// matrices, event buffer and FIR time-walk buffers that every push on the
+/// thread borrows (see [`LaneBank`]). They are billed here, once per
+/// thread, and in no session's [`LaneBank::state_bytes`]; 0 on a thread
+/// that has pushed nothing.
+#[must_use]
+pub fn block_scratch_bytes() -> usize {
+    SCRATCH
+        .try_with(|cell| {
+            let scratch = cell.take();
+            let bytes = scratch.heap_bytes();
+            cell.set(scratch);
+            bytes
+        })
+        .unwrap_or(0)
+}
 
 impl LaneBank {
     /// Creates a bank of `lanes` fresh sessions over a shared engine.
@@ -1309,13 +1390,6 @@ impl LaneBank {
             mwi: LaneMwi::new(engine.mwi_program(), lanes),
             tails: (0..lanes).map(|_| DetectorTail::new(&config)).collect(),
             ticks: vec![0; lanes],
-            m_x0: Vec::new(),
-            m_a: Vec::new(),
-            m_b: Vec::new(),
-            m_c: Vec::new(),
-            m_d: Vec::new(),
-            m_e: Vec::new(),
-            scratch_events: Vec::new(),
             lanes,
             engine,
         }
@@ -1378,19 +1452,31 @@ impl LaneBank {
     /// walking one stage over the whole block before the next is a pure
     /// reordering of the tick-by-tick chain, and each stage matches its
     /// adder form and SIMD level once per block (see [`run_at`]).
-    fn stage_block(&mut self) {
-        self.lpf.run(&self.m_x0, &mut self.m_a);
-        self.hpf.run(&self.m_a, &mut self.m_b);
-        self.der.run(&self.m_b, &mut self.m_c);
-        self.sqr.run(&self.m_c, &mut self.m_d);
-        self.mwi.run(&self.m_d, &mut self.m_e);
+    fn stage_block(&mut self, scratch: &mut BlockScratch) {
+        let BlockScratch {
+            m_x0,
+            m_a,
+            m_b,
+            m_c,
+            m_d,
+            m_e,
+            fir,
+            ..
+        } = scratch;
+        self.lpf.run(m_x0, m_a, fir);
+        self.hpf.run(m_a, m_b, fir);
+        self.der.run(m_b, m_c, fir);
+        self.sqr.run(m_c, m_d);
+        self.mwi.run(m_d, m_e);
     }
 
     /// The push of the bank and of the one-lane solo facade
     /// ([`crate::StreamingQrsDetector::push`]): runs the stage kernels over
     /// `frames` in blocks of up to [`BLOCK_TICKS`] ticks, hands each block
     /// to the lanes' tails, then settles every lane and returns its events,
-    /// lane by lane, as `event(lane, event)` builds them.
+    /// lane by lane, as `event(lane, event)` builds them. It works in the
+    /// thread's [`BlockScratch`], taken at entry and put back at exit (a
+    /// thread whose locals are already torn down works in a fresh one).
     pub(crate) fn push_impl<E>(
         &mut self,
         frames: &[i32],
@@ -1404,33 +1490,30 @@ impl LaneBank {
             "frames must be whole ticks: {} samples across {lanes} lanes",
             frames.len()
         );
+        let mut scratch = SCRATCH.try_with(Cell::take).unwrap_or_default();
         let config = *self.engine.config();
         let shift = config.input_shift;
         for block in frames.chunks(BLOCK_TICKS * lanes) {
             let ticks = block.len() / lanes;
             let len = ticks * lanes;
+            let s = &mut scratch;
             // xanalyze: begin-allow(alloc) — amortized block scratch: the
-            // six bank-owned matrices are cleared or resized in place, never
-            // dropped, so they reach their high-water size (`BLOCK_TICKS ×
-            // lanes`) on the first full block and never grow after.
-            self.m_x0.clear();
-            self.m_x0
-                .extend(block.iter().map(|&v| i64::from(v) << shift));
-            self.m_a.resize(len, 0);
-            self.m_b.resize(len, 0);
-            self.m_c.resize(len, 0);
-            self.m_d.resize(len, 0);
-            self.m_e.resize(len, 0);
+            // thread's six matrices are cleared or resized in place, never
+            // dropped, so they reach their high-water size (`BLOCK_TICKS` ×
+            // the widest bank's lanes) on the thread's first full block of
+            // that bank and never grow after.
+            s.m_x0.clear();
+            s.m_x0.extend(block.iter().map(|&v| i64::from(v) << shift));
+            s.m_a.resize(len, 0);
+            s.m_b.resize(len, 0);
+            s.m_c.resize(len, 0);
+            s.m_d.resize(len, 0);
+            s.m_e.resize(len, 0);
             // xanalyze: end-allow(alloc)
-            self.stage_block();
+            self.stage_block(s);
             for (lane, tail) in self.tails.iter_mut().enumerate() {
                 let tap = taps.as_mut().map(|t| &mut t[lane]);
-                tail.ingest_batch(
-                    lanes,
-                    lane,
-                    [&self.m_a, &self.m_b, &self.m_c, &self.m_d, &self.m_e],
-                    tap,
-                );
+                tail.ingest_batch(lanes, lane, [&s.m_a, &s.m_b, &s.m_c, &s.m_d, &s.m_e], tap);
             }
             for t in &mut self.ticks {
                 *t += ticks as u64;
@@ -1439,13 +1522,14 @@ impl LaneBank {
         let mut events = Vec::new();
         let max_misalignment = config.max_misalignment();
         for (lane, tail) in self.tails.iter_mut().enumerate() {
-            tail.settle(false, max_misalignment, &mut self.scratch_events);
+            tail.settle(false, max_misalignment, &mut scratch.events);
             // xanalyze: begin-allow(alloc) — the returned events: an empty
             // `Vec` owns no heap, so a push allocates here only when it
             // confirms a beat (about one per lane per second of signal).
-            events.extend(self.scratch_events.drain(..).map(|e| event(lane, e)));
+            events.extend(scratch.events.drain(..).map(|e| event(lane, e)));
             // xanalyze: end-allow(alloc)
         }
+        let _ = SCRATCH.try_with(|cell| cell.set(scratch));
         events
     }
 
@@ -1671,27 +1755,22 @@ impl LaneBank {
         })
     }
 
-    /// Heap bytes of the bank's SoA stage state and scratch matrices — the
-    /// lane-shared kernels, excluding the tails.
+    /// Heap bytes of the bank's SoA stage state — the lane-shared kernels,
+    /// excluding the tails.
     fn soa_heap_bytes(&self) -> usize {
         self.lpf.heap_bytes()
             + self.hpf.heap_bytes()
             + self.der.heap_bytes()
             + self.sqr.heap_bytes()
             + self.mwi.heap_bytes()
-            + (self.m_x0.capacity()
-                + self.m_a.capacity()
-                + self.m_b.capacity()
-                + self.m_c.capacity()
-                + self.m_d.capacity()
-                + self.m_e.capacity())
-                * std::mem::size_of::<i64>()
             + self.ticks.capacity() * std::mem::size_of::<u64>()
     }
 
     /// Total live state of the whole bank in bytes: the struct, the SoA
-    /// stage state, and every lane's tail. The shared engine is billed
-    /// separately, once, via [`DetectorEngine::engine_bytes`].
+    /// stage state, and every lane's tail — session state only. The shared
+    /// engine is billed separately, once, via
+    /// [`DetectorEngine::engine_bytes`], and the block scratch a push
+    /// borrows once per thread, via [`block_scratch_bytes`].
     #[must_use]
     pub fn state_bytes(&self) -> usize {
         std::mem::size_of::<Self>()
@@ -1701,13 +1780,13 @@ impl LaneBank {
                 .iter()
                 .map(|t| std::mem::size_of::<DetectorTail>() + t.heap_bytes())
                 .sum::<usize>()
-            + self.scratch_events.capacity() * std::mem::size_of::<StreamEvent>()
     }
 
     /// One lane's share of the live state: its slice of the SoA stage
-    /// state and scratch matrices plus its own tail — the marginal cost of
-    /// one more session on the shared engine, flat in the record length
-    /// under [`crate::Footprint::Bounded`].
+    /// state plus its own tail — the marginal cost of one more session on
+    /// the shared engine, flat in the record length under
+    /// [`crate::Footprint::Bounded`]. Like [`LaneBank::state_bytes`], it
+    /// excludes the thread's [`block_scratch_bytes`].
     #[must_use]
     pub fn lane_state_bytes(&self, lane: usize) -> usize {
         self.soa_heap_bytes() / self.lanes
@@ -1905,19 +1984,120 @@ mod tests {
             high_water = high_water.max(bank.lane_state_bytes(0));
         }
         // The marginal session cost stays at the scalar bounded budget,
-        // with config and residual tables billed once to the engine.
+        // with config and residual tables billed once to the engine and
+        // the block scratch once to the thread (6 160 B per lane and
+        // 50 248 B per bank measured).
         assert!(
-            high_water < 12 * 1024,
+            high_water < 8 * 1024,
             "per-lane high water {high_water} bytes"
         );
         assert!(high_water > 1024, "suspiciously small: {high_water}");
-        assert!(bank.state_bytes() < lanes * 16 * 1024 + 4096);
+        assert!(
+            bank.state_bytes() < lanes * 7 * 1024,
+            "bank state {} bytes",
+            bank.state_bytes()
+        );
         assert!(engine.engine_bytes() < 8 * 1024);
         assert_eq!(
             bank.shared_table_bytes(),
             engine.shared_table_bytes(),
             "lane bank must not re-bill the shared tables"
         );
+    }
+
+    /// Five banks take turns on one thread, so every push finds the block
+    /// scratch as another bank left it: matrices of another width, and the
+    /// FIR history and product rows of another stage or configuration. The
+    /// push lengths straddle `rows_pay`'s switch points (HPF from 3 ticks,
+    /// derivative from 5, LPF from 13), so blocks that fill product rows
+    /// and blocks that do not follow each other in every order. Every lane
+    /// must still equal the scalar reference over its samples.
+    #[test]
+    fn scratch_never_leaks_between_banks() {
+        const LENGTHS: [usize; 10] = [1, 2, 3, 4, 5, 12, 13, 64, 65, 250];
+        enum Pusher {
+            Bank(LaneBank),
+            Solo(StreamingQrsDetector),
+        }
+        let n = 2 * LENGTHS.iter().sum::<usize>() + 97;
+        // Every fifth session runs hot enough to saturate the multipliers.
+        let session = |seed: usize| -> Vec<i32> {
+            let gain = if seed % 5 == 1 { 400 } else { 1 };
+            pulse_train(n, 150 + 7 * (seed % 11), 180 + 13 * (seed % 7))
+                .into_iter()
+                .map(|v| v * gain)
+                .collect()
+        };
+        let b9 = PipelineConfig::least_energy([10, 12, 2, 8, 16]);
+        let b5 = PipelineConfig::least_energy([4, 4, 2, 4, 8]);
+        let mut seed = 0;
+        let mut runs: Vec<_> = [
+            (PipelineConfig::exact(), 16),
+            (b9, 16),
+            (b5, 3),
+            (b9, 1),
+            (b5, 1),
+        ]
+        .into_iter()
+        .map(|(config, lanes)| {
+            let engine = Arc::new(DetectorEngine::new(config));
+            let pusher = if lanes == 1 {
+                Pusher::Solo(StreamingQrsDetector::from_engine(engine))
+            } else {
+                Pusher::Bank(LaneBank::new(engine, lanes))
+            };
+            let signals: Vec<Vec<i32>> = (0..lanes)
+                .map(|_| {
+                    seed += 1;
+                    session(seed)
+                })
+                .collect();
+            (config, pusher, signals, vec![Vec::new(); lanes])
+        })
+        .collect();
+        let mut at = vec![0; runs.len()];
+        let mut step = 0;
+        while at.iter().any(|&t| t < n) {
+            for (r, (_, pusher, signals, events)) in runs.iter_mut().enumerate() {
+                // Offset per bank, so consecutive pushes differ in length.
+                let len = LENGTHS[(step + 3 * r) % LENGTHS.len()].min(n - at[r]);
+                let ticks = at[r]..at[r] + len;
+                at[r] += len;
+                match pusher {
+                    Pusher::Solo(det) => events[0].extend(det.push(&signals[0][ticks])),
+                    Pusher::Bank(bank) => {
+                        let frames: Vec<i32> = ticks
+                            .flat_map(|t| signals.iter().map(move |s| s[t]))
+                            .collect();
+                        for le in bank.push(&frames) {
+                            events[le.lane].push(le.event);
+                        }
+                    }
+                }
+            }
+            step += 1;
+        }
+        for (r, (config, pusher, signals, mut events)) in runs.into_iter().enumerate() {
+            let results: Vec<DetectionResult> = match pusher {
+                Pusher::Solo(det) => {
+                    let (trailing, result) = det.finish();
+                    events[0].extend(trailing);
+                    vec![result]
+                }
+                Pusher::Bank(mut bank) => (0..signals.len())
+                    .map(|lane| {
+                        let (trailing, result) = bank.finish_lane(lane);
+                        events[lane].extend(trailing);
+                        result
+                    })
+                    .collect(),
+            };
+            for (lane, (signal, result)) in signals.iter().zip(results).enumerate() {
+                let (solo_events, solo_result) = oracle::detect_chunked(config, signal, 64);
+                assert_eq!(events[lane], solo_events, "bank {r} lane {lane} events");
+                assert_eq!(result, solo_result, "bank {r} lane {lane} result");
+            }
+        }
     }
 
     #[test]

@@ -70,7 +70,7 @@ pub use config::{Footprint, PipelineConfig, StageKind};
 pub use detector::{DetectionResult, QrsDetector};
 pub use engine::DetectorEngine;
 pub use fir::FirFilter;
-pub use lane::{simd_level_name, LaneBank};
+pub use lane::{block_scratch_bytes, simd_level_name, LaneBank};
 pub use snapshot::SnapshotError;
 pub use streaming::{StreamEvent, StreamingQrsDetector};
 pub use threshold::{OnlineClassifier, ThresholdConfig};

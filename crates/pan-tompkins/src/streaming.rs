@@ -62,13 +62,16 @@
 //! [`PipelineConfig::with_footprint`]) keeps only:
 //!
 //! * the stage delay lines and the MWI window (fixed),
-//! * the bank's block scratch — inter-stage rows and the FIR history and
-//!   product rows, sized by the longest push up to the 64-tick kernel
-//!   block (fixed, and dead between pushes),
 //! * a pruned HPF ring covering the oldest still-confirmable alignment
 //!   window (`O(longest RR interval)` samples),
 //! * the classifier's still-revisitable candidates (see
 //!   [`OnlineClassifier::for_config`]).
+//!
+//! The buffers a push works in — inter-stage rows and the FIR history and
+//! product rows, sized by the longest push up to the 64-tick kernel block —
+//! are not session state: they are dead between pushes, so every push on a
+//! thread borrows the thread's one block scratch, billed once per thread by
+//! [`crate::block_scratch_bytes`].
 //!
 //! The emitted event stream is bit-for-bit identical to the retaining
 //! mode for every chunking (property-tested, and gated in CI by
@@ -819,11 +822,10 @@ impl StreamingQrsDetector {
 
     /// Heap bytes owned by this detector right now: stage delay lines, the
     /// signal store (full vectors when retaining, the pruned HPF ring when
-    /// bounded), the classifier's candidate state, the event queues, and
-    /// the bank's block scratch (inter-stage rows, FIR history and product
-    /// rows — sized by the longest push, up to 64 samples, and dead between
-    /// pushes). Excludes the shared engine and the process-wide residual
-    /// tables; see [`StreamingQrsDetector::shared_table_bytes`].
+    /// bounded), the classifier's candidate state and the event queues.
+    /// Excludes the shared engine, the process-wide residual tables (see
+    /// [`StreamingQrsDetector::shared_table_bytes`]) and the block scratch
+    /// every push on the thread borrows (see [`crate::block_scratch_bytes`]).
     #[must_use]
     pub fn heap_bytes(&self) -> usize {
         self.bank.state_bytes() - std::mem::size_of::<LaneBank>()
@@ -832,11 +834,13 @@ impl StreamingQrsDetector {
     /// Total live per-session state in bytes: the facade struct plus
     /// [`StreamingQrsDetector::heap_bytes`] — the one-lane bank's
     /// [`LaneBank::state_bytes`]. Under [`Footprint::Bounded`] this stays
-    /// flat in the record length (the CI budget gate
-    /// `ext_memory_footprint --check` measures exactly this); under
-    /// [`Footprint::Retain`] it grows linearly. The shared engine is
-    /// reported separately by [`DetectorEngine::engine_bytes`] — billed
-    /// once per configuration, not per session.
+    /// flat in the record length; under [`Footprint::Retain`] it grows
+    /// linearly. The shared engine is reported separately by
+    /// [`DetectorEngine::engine_bytes`] — billed once per configuration,
+    /// not per session — and the block scratch by
+    /// [`crate::block_scratch_bytes`], once per thread. The CI budget gate
+    /// `ext_memory_footprint --check` holds this plus the thread's scratch
+    /// to 64 KiB.
     #[must_use]
     pub fn state_bytes(&self) -> usize {
         std::mem::size_of::<Self>() + self.heap_bytes()
@@ -1200,6 +1204,12 @@ mod tests {
             bounded_long < 64 * 1024,
             "bounded state {bounded_long} above the 64 KiB budget"
         );
+        // Session state only: the block scratch a push borrows is billed to
+        // the thread (6 200 B measured).
+        assert!(
+            bounded_long < 8 * 1024,
+            "bounded state {bounded_long} bills more than the session"
+        );
         let retained_short = high_water(Footprint::Retain, 6_000);
         let retained_long = high_water(Footprint::Retain, 30_000);
         assert!(
@@ -1209,7 +1219,8 @@ mod tests {
         // The shared tables exist but are not billed to the detector.
         let det = StreamingQrsDetector::new(config.with_footprint(Footprint::Bounded));
         assert!(det.shared_table_bytes() > 0);
-        assert!(det.state_bytes() < 16 * 1024);
+        // A fresh session: 3 672 B measured.
+        assert!(det.state_bytes() < 4 * 1024, "{} bytes", det.state_bytes());
     }
 
     /// A residual two stages share (same LSB depth, same coefficient

@@ -128,9 +128,11 @@ fn main() {
         "bounded mode must not retain signals"
     );
     println!(
-        "bounded footprint: same {bounded_peaks} beats from {} B of live state \
-         (high-water; retaining mode needed {} B for this record) ✔",
+        "bounded footprint: same {bounded_peaks} beats from {} B of live session state \
+         plus {} B of this thread's block scratch (high-water; retaining mode needed {} B \
+         for this record) ✔",
         high_water,
+        pan_tompkins::block_scratch_bytes(),
         {
             let mut retain = StreamingQrsDetector::new(config);
             for chunk in record.samples().chunks(20) {
@@ -190,8 +192,10 @@ fn main() {
         );
     }
     println!(
-        "shared across all lanes: {} B engine + {} B residual tables, billed once",
+        "shared across all lanes: {} B engine + {} B residual tables, billed once, \
+         and {} B of block scratch, once per thread",
         engine.engine_bytes(),
-        bank.shared_table_bytes()
+        bank.shared_table_bytes(),
+        pan_tompkins::block_scratch_bytes()
     );
 }
