@@ -221,8 +221,8 @@ impl ResidualRef<'_> {
 /// coefficient, evaluated as the exact product plus one residual lookup.
 ///
 /// The coefficient is clamped into the signed datapath range at
-/// construction, the way the saturating fixed-point front-end
-/// (`pan_tompkins::ArithBackend::mul`) clamps its operands;
+/// construction, the way the saturating fixed-point front-end of the
+/// detector's stage kernels clamps every multiplier operand;
 /// [`TapMultiplier::coeff_saturates`] reports whether that happened so
 /// callers can keep their per-operand saturation counters exact.
 #[derive(Clone)]

@@ -33,44 +33,5 @@ fn bench_pipeline(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_stages(c: &mut Criterion) {
-    use approx_arith::StageArith;
-    use pan_tompkins::stages::{HighPassFilter, LowPassFilter, Stage};
-
-    let input: Vec<i64> = (0..2000).map(|i| ((i % 200) as i64 - 100) * 40).collect();
-    let mut group = c.benchmark_group("stage_2k_samples");
-    group.sample_size(10);
-    group.measurement_time(std::time::Duration::from_secs(5));
-    group.bench_function("lpf_exact", |b| {
-        b.iter_batched(
-            || LowPassFilter::new(StageArith::exact()),
-            |mut s| black_box(s.process_signal(&input).len()),
-            BatchSize::SmallInput,
-        );
-    });
-    group.bench_function("lpf_approx_k10", |b| {
-        b.iter_batched(
-            || LowPassFilter::new(StageArith::least_energy(10)),
-            |mut s| black_box(s.process_signal(&input).len()),
-            BatchSize::SmallInput,
-        );
-    });
-    group.bench_function("hpf_exact", |b| {
-        b.iter_batched(
-            || HighPassFilter::new(StageArith::exact()),
-            |mut s| black_box(s.process_signal(&input).len()),
-            BatchSize::SmallInput,
-        );
-    });
-    group.bench_function("hpf_approx_k12", |b| {
-        b.iter_batched(
-            || HighPassFilter::new(StageArith::least_energy(12)),
-            |mut s| black_box(s.process_signal(&input).len()),
-            BatchSize::SmallInput,
-        );
-    });
-    group.finish();
-}
-
-criterion_group!(benches, bench_pipeline, bench_stages);
+criterion_group!(benches, bench_pipeline);
 criterion_main!(benches);

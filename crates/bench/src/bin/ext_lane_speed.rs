@@ -6,7 +6,7 @@
 //! 1. **Equivalence gate** — pipeline configurations × lane counts × push
 //!    granularities: every lane of a [`LaneBank`] must reproduce the
 //!    scalar reference run over its samples ([`pan_tompkins::oracle`]: the
-//!    stage objects one sample at a time, which share no code with the
+//!    five stages one sample at a time, which share no code with the
 //!    lane kernels) exactly — event stream, peaks, and every
 //!    operation/saturation/overflow counter. Any divergence exits non-zero.
 //! 2. **Aggregate throughput** — lane-samples/second through banks of 1 to

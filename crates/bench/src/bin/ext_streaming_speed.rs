@@ -6,7 +6,7 @@
 //! 1. **Equivalence gate** — several pipeline configurations × chunk sizes
 //!    (single samples up to whole-record) over the synthetic paper record;
 //!    batch [`QrsDetector::detect`] must equal the scalar reference
-//!    pipeline ([`pan_tompkins::oracle`], the stage objects one sample at
+//!    pipeline ([`pan_tompkins::oracle`], the five stages one sample at
 //!    a time) in every `DetectionResult` field, the streaming
 //!    [`StreamingQrsDetector`] must equal both, and the event stream must
 //!    be the reference's for every chunking. Any divergence exits non-zero

@@ -157,15 +157,17 @@ impl DetectionResult {
         total
     }
 
-    /// Multiplier operands clamped into the datapath range, per stage
-    /// (pipeline order; see [`crate::ArithBackend::saturation_events`]).
+    /// Multiplier operands clamped into the 16-bit datapath range, per
+    /// stage (pipeline order): a multiplication in which both operands
+    /// clamp, like a clamped squarer input, contributes two.
     #[must_use]
     pub fn saturations(&self) -> &[u64; 5] {
         &self.saturations
     }
 
-    /// Additions whose exact sum wrapped the adder bus, per stage
-    /// (pipeline order; see [`crate::ArithBackend::add_overflow_events`]).
+    /// Additions whose exact sum did not fit the 32-bit adder bus and
+    /// therefore wrapped (silently, as the hardware bus would), per stage
+    /// (pipeline order).
     #[must_use]
     pub fn add_overflows(&self) -> &[u64; 5] {
         &self.add_overflows
@@ -436,7 +438,7 @@ mod tests {
             .collect();
         let lpf_out = netlist_fir(&input, &lpf::TAPS, lpf::GAIN, arith(StageKind::Lpf));
         assert_eq!(lpf_out, s.lpf, "LPF");
-        let hpf_out = netlist_fir(&s.lpf, &hpf::taps(), hpf::GAIN, arith(StageKind::Hpf));
+        let hpf_out = netlist_fir(&s.lpf, &hpf::TAPS, hpf::GAIN, arith(StageKind::Hpf));
         assert_eq!(hpf_out, s.hpf, "HPF");
         let der_out = netlist_fir(
             &s.hpf,

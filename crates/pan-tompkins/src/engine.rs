@@ -18,9 +18,7 @@ use approx_arith::SquareMultiplier;
 use crate::arith::ArithProgram;
 use crate::config::{PipelineConfig, StageKind};
 use crate::fir::FirProgram;
-use crate::stages::{
-    mwi, Derivative, HighPassFilter, LowPassFilter, MovingWindowIntegrator, Squarer,
-};
+use crate::stages::{derivative, hpf, lpf, mwi};
 
 /// The compiled, shareable half of a detector: configuration plus the five
 /// stage programs. Cheap to clone (the programs are `Arc`-shared); usually
@@ -41,19 +39,20 @@ pub struct DetectorEngine {
 
 impl DetectorEngine {
     /// Compiles the stage programs (including the residuals of the three
-    /// FIR stages' taps and of the squarer) for one pipeline configuration.
+    /// FIR stages' taps and of the squarer) for one pipeline configuration,
+    /// from the paper's stage constants ([`crate::stages`]).
     #[must_use]
     pub fn new(config: PipelineConfig) -> Self {
-        let sqr = Squarer::program(config.stage(StageKind::Squarer));
+        let fir =
+            |kind, taps: &[i64], gain| Arc::new(FirProgram::new(taps, gain, config.stage(kind)));
+        let sqr = ArithProgram::new(config.stage(StageKind::Squarer));
         Self {
-            lpf: Arc::new(LowPassFilter::program(config.stage(StageKind::Lpf))),
-            hpf: Arc::new(HighPassFilter::program(config.stage(StageKind::Hpf))),
-            der: Arc::new(Derivative::program(config.stage(StageKind::Derivative))),
+            lpf: fir(StageKind::Lpf, &lpf::TAPS, lpf::GAIN),
+            hpf: fir(StageKind::Hpf, &hpf::TAPS, hpf::GAIN),
+            der: fir(StageKind::Derivative, &derivative::TAPS, derivative::GAIN),
             square: sqr.compile_square(),
             sqr: Arc::new(sqr),
-            mwi: Arc::new(MovingWindowIntegrator::program(
-                config.stage(StageKind::Mwi),
-            )),
+            mwi: Arc::new(ArithProgram::new(config.stage(StageKind::Mwi))),
             config,
         }
     }

@@ -1,4 +1,4 @@
-//! Streaming FIR filter over an [`ArithBackend`].
+//! The compiled program of an FIR stage.
 //!
 //! The filter is the netlist the paper synthesizes: one multiplier block per
 //! nonzero tap and a chain of adder blocks accumulating the products (the
@@ -8,31 +8,28 @@
 //! scale.
 //!
 //! Every nonzero tap is specialised into a [`approx_arith::TapMultiplier`]
-//! at construction, so the hot loop pays an exact multiply plus one
-//! residual lookup per tap instead of a full word-level multiplier walk —
-//! bit-for-bit identical to the generic multiply, counters included (see
-//! [`crate::arith::ArithBackend::mul_tap`]). A zero tap has no multiplier
-//! block in the netlist, so it compiles none.
+//! at compilation, so a kernel pays an exact multiply plus one residual
+//! lookup per tap instead of a full word-level multiplier walk —
+//! bit-for-bit identical to the generic multiply. A zero tap has no
+//! multiplier block in the netlist, so it compiles none.
 //!
-//! The immutable half of a filter — taps, gain, compiled taps, and
-//! the arithmetic program — lives in [`FirProgram`] behind an [`Arc`], so
-//! many filter instances (detector sessions, lanes of a
-//! [`crate::lane::LaneBank`]) share one compiled program; the per-instance
-//! [`FirFilter`] carries only the delay line and activity counters.
+//! A [`FirProgram`] is immutable and shared behind an [`Arc`] by every
+//! lane of every [`crate::lane::LaneBank`] of its configuration (and by
+//! the scalar reference, [`crate::oracle`]); the lanes carry only the
+//! delay lines and activity counters.
 
 use std::sync::Arc;
 
 use approx_arith::TapMultiplier;
 
-use crate::arith::{div_round, ArithBackend, ArithProgram};
+use crate::arith::{div_round, ArithProgram};
 
 /// The shared immutable half of an FIR filter: coefficient taps, gain, the
 /// compiled per-tap multipliers, and the stage's arithmetic program.
 /// Built once per configuration and shared behind an [`Arc`] by every
-/// filter instance (scalar detectors and lane banks alike).
+/// lane that runs the stage.
 #[derive(Debug)]
 pub struct FirProgram {
-    name: &'static str,
     taps: Vec<i64>,
     gain: i64,
     /// `log2(gain)` when the gain is a power of two — the rescaling
@@ -53,12 +50,7 @@ impl FirProgram {
     ///
     /// Panics if `taps` is empty or `gain` is not positive.
     #[must_use]
-    pub fn new(
-        name: &'static str,
-        taps: &[i64],
-        gain: i64,
-        arith: approx_arith::StageArith,
-    ) -> Self {
+    pub fn new(taps: &[i64], gain: i64, arith: approx_arith::StageArith) -> Self {
         assert!(!taps.is_empty(), "FIR filter needs at least one tap");
         assert!(gain > 0, "FIR gain must be positive");
         let arith = Arc::new(ArithProgram::new(arith));
@@ -67,7 +59,6 @@ impl FirProgram {
             .map(|&c| (c != 0).then(|| arith.compile_tap(c)))
             .collect();
         Self {
-            name,
             taps: taps.to_vec(),
             gain,
             gain_shift: (gain as u64)
@@ -78,22 +69,11 @@ impl FirProgram {
         }
     }
 
-    /// Filter name.
-    #[must_use]
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
-
     /// The coefficient taps.
+    #[inline]
     #[must_use]
     pub fn taps(&self) -> &[i64] {
         &self.taps
-    }
-
-    /// Gain divided out of each output.
-    #[must_use]
-    pub fn gain(&self) -> i64 {
-        self.gain
     }
 
     /// The gain as a power-of-two shift, when it is one (`Some(0)` for
@@ -111,22 +91,9 @@ impl FirProgram {
 
     /// The compiled per-tap multipliers, aligned with the taps (`None` for
     /// zero taps).
+    #[inline]
     pub(crate) fn tap_mults(&self) -> &[Option<TapMultiplier>] {
         &self.tap_mults
-    }
-
-    /// Number of multiplier blocks (nonzero taps).
-    #[must_use]
-    pub fn multipliers(&self) -> u32 {
-        // WIDTH: tap counts are bounded by the filter order (tens), far
-        // below u32::MAX.
-        self.taps.iter().filter(|t| **t != 0).count() as u32
-    }
-
-    /// Number of adder blocks (multipliers − 1).
-    #[must_use]
-    pub fn adders(&self) -> u32 {
-        self.multipliers().saturating_sub(1)
     }
 
     /// Group delay in samples.
@@ -204,198 +171,26 @@ impl FirProgram {
     }
 }
 
-/// A streaming integer FIR filter with explicit operator counts.
-///
-/// # Example
-///
-/// ```
-/// use approx_arith::StageArith;
-/// use pan_tompkins::FirFilter;
-///
-/// // A 3-tap moving-average filter with gain 3.
-/// let mut fir = FirFilter::new("avg", &[1, 1, 1], 3, StageArith::exact());
-/// assert_eq!(fir.multipliers(), 3);
-/// assert_eq!(fir.adders(), 2);
-/// let out: Vec<i64> = [3, 3, 3, 9].iter().map(|x| fir.process(*x)).collect();
-/// assert_eq!(out, vec![1, 2, 3, 5]);
-/// ```
-#[derive(Debug, Clone)]
-pub struct FirFilter {
-    program: Arc<FirProgram>,
-    backend: ArithBackend,
-    delay_line: Vec<i64>,
-    cursor: usize,
-}
-
-impl FirFilter {
-    /// Creates a filter with integer `taps` (c₀ applies to the newest
-    /// sample), a positive `gain` divided out of every output, and the
-    /// stage's approximation parameters.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `taps` is empty or `gain` is not positive.
-    #[must_use]
-    pub fn new(
-        name: &'static str,
-        taps: &[i64],
-        gain: i64,
-        arith: approx_arith::StageArith,
-    ) -> Self {
-        Self::from_program(Arc::new(FirProgram::new(name, taps, gain, arith)))
-    }
-
-    /// Creates a filter instance over an existing shared program: fresh
-    /// delay line and counters, no tap recompilation.
-    #[must_use]
-    pub fn from_program(program: Arc<FirProgram>) -> Self {
-        let backend = ArithBackend::from_program(Arc::clone(program.arith()));
-        let delay_line = vec![0; program.taps().len()];
-        Self {
-            program,
-            backend,
-            delay_line,
-            cursor: 0,
-        }
-    }
-
-    /// The shared program this filter instance runs.
-    #[must_use]
-    pub fn program(&self) -> &Arc<FirProgram> {
-        &self.program
-    }
-
-    /// Filter name.
-    #[must_use]
-    pub fn name(&self) -> &'static str {
-        self.program.name()
-    }
-
-    /// The coefficient taps.
-    #[must_use]
-    pub fn taps(&self) -> &[i64] {
-        self.program.taps()
-    }
-
-    /// Gain divided out of each output.
-    #[must_use]
-    pub fn gain(&self) -> i64 {
-        self.program.gain()
-    }
-
-    /// Number of multiplier blocks (nonzero taps).
-    #[must_use]
-    pub fn multipliers(&self) -> u32 {
-        self.program.multipliers()
-    }
-
-    /// Number of adder blocks (multipliers − 1).
-    #[must_use]
-    pub fn adders(&self) -> u32 {
-        self.program.adders()
-    }
-
-    /// Group delay in samples (see [`FirProgram::group_delay`]).
-    #[must_use]
-    pub fn group_delay(&self) -> usize {
-        self.program.group_delay()
-    }
-
-    /// The arithmetic backend (for counters).
-    #[must_use]
-    pub fn backend(&self) -> &ArithBackend {
-        &self.backend
-    }
-
-    /// Feeds one input sample and returns the filter output at this step.
-    pub fn process(&mut self, x: i64) -> i64 {
-        // Circular delay line: cursor points at the slot of the newest
-        // sample.
-        let len = self.delay_line.len();
-        self.cursor = if self.cursor == 0 {
-            len - 1
-        } else {
-            self.cursor - 1
-        };
-        self.delay_line[self.cursor] = x;
-
-        // Walk the delay line with a wrapping index (a conditional reset is
-        // markedly cheaper than a modulo per tap in this hot loop).
-        let mut idx = self.cursor;
-        let mut acc: Option<i64> = None;
-        for tap in self.program.tap_mults() {
-            let sample = self.delay_line[idx];
-            idx += 1;
-            if idx == len {
-                idx = 0;
-            }
-            // Zero taps have no multiplier.
-            let Some(tap) = tap else {
-                continue;
-            };
-            let product = self.backend.mul_tap(sample, tap);
-            acc = Some(match acc {
-                None => product,
-                Some(sum) => self.backend.add(sum, product),
-            });
-        }
-        self.program.rescale(acc.unwrap_or(0))
-    }
-
-    /// Filters a whole signal, returning one output per input.
-    pub fn process_signal(&mut self, signal: &[i64]) -> Vec<i64> {
-        signal.iter().map(|x| self.process(*x)).collect()
-    }
-
-    /// Resets the delay line (keeps configuration and counters).
-    pub fn reset(&mut self) {
-        self.delay_line.fill(0);
-        self.cursor = 0;
-    }
-
-    /// Resets the backend activity counters (ops, saturations, overflows),
-    /// keeping configuration and signal state. Together with
-    /// [`FirFilter::reset`] this returns the filter to its
-    /// freshly-constructed observable state without recompiling the taps —
-    /// the record-batched evaluation path relies on that.
-    pub fn reset_counters(&mut self) {
-        self.backend.reset_counters();
-    }
-
-    /// Heap bytes owned by this filter *instance*: the delay line. The
-    /// taps, residual handles, and arithmetic program live in the shared
-    /// [`FirProgram`] (billed once per configuration, see
-    /// [`FirProgram::program_bytes`]), and the residual tables
-    /// themselves are process-wide shared (see
-    /// [`FirFilter::shared_table_bytes`]) — both are deliberately excluded:
-    /// they are O(distinct configurations), not O(detectors).
-    #[must_use]
-    pub fn heap_bytes(&self) -> usize {
-        self.delay_line.capacity() * std::mem::size_of::<i64>()
-    }
-
-    /// Bytes of the distinct shared residuals this filter references (each
-    /// counted once even when several taps share it). Shared
-    /// process-wide across all detectors using the same configuration.
-    #[must_use]
-    pub fn shared_table_bytes(&self) -> usize {
-        let mut seen = Vec::new();
-        self.collect_shared_tables(&mut seen)
-    }
-
-    /// See [`FirProgram::collect_shared_tables`].
-    pub(crate) fn collect_shared_tables(&self, seen: &mut Vec<usize>) -> usize {
-        self.program.collect_shared_tables(seen)
-    }
-}
-
 #[cfg(test)]
 mod tests {
+    //! Programs run on the scalar reference filter ([`crate::oracle::FirFilter`]).
+
     use super::*;
+    use crate::arith::sum_overflows;
+    use crate::oracle::FirFilter;
     use approx_arith::StageArith;
 
+    fn program(taps: &[i64], gain: i64, arith: StageArith) -> Arc<FirProgram> {
+        Arc::new(FirProgram::new(taps, gain, arith))
+    }
+
     fn exact(taps: &[i64], gain: i64) -> FirFilter {
-        FirFilter::new("t", taps, gain, StageArith::exact())
+        FirFilter::from_program(program(taps, gain, StageArith::exact()))
+    }
+
+    /// Multiplier blocks compiled: one per nonzero tap.
+    fn compiled_taps(program: &FirProgram) -> usize {
+        program.tap_mults().iter().flatten().count()
     }
 
     #[test]
@@ -425,25 +220,31 @@ mod tests {
 
     #[test]
     fn zero_taps_use_no_multipliers() {
-        let fir = exact(&[2, 1, 0, -1, -2], 8);
-        assert_eq!(fir.multipliers(), 4);
-        assert_eq!(fir.adders(), 3);
+        let taps = [2, 1, 0, -1, -2];
+        assert_eq!(compiled_taps(&program(&taps, 8, StageArith::exact())), 4);
+        let mut fir = exact(&taps, 8);
+        let _ = fir.process(5);
+        assert_eq!(fir.counters().ops.muls(), 4);
+        assert_eq!(fir.counters().ops.adds(), 3);
     }
 
     #[test]
     fn operator_counts_match_paper_stage_arithmetic() {
         // LPF taps -> 11 multipliers, 10 adders.
-        let lpf = exact(&[1, 2, 3, 4, 5, 6, 5, 4, 3, 2, 1], 36);
-        assert_eq!(lpf.multipliers(), 11);
-        assert_eq!(lpf.adders(), 10);
+        let taps = [1, 2, 3, 4, 5, 6, 5, 4, 3, 2, 1];
+        assert_eq!(compiled_taps(&program(&taps, 36, StageArith::exact())), 11);
+        let mut lpf = exact(&taps, 36);
+        let _ = lpf.process(5);
+        assert_eq!(lpf.counters().ops.muls(), 11);
+        assert_eq!(lpf.counters().ops.adds(), 10);
     }
 
     #[test]
     fn activity_counter_counts_blocks_per_sample() {
         let mut fir = exact(&[1, 2, 3], 1);
         let _ = fir.process(5);
-        assert_eq!(fir.backend().ops().muls(), 3);
-        assert_eq!(fir.backend().ops().adds(), 2);
+        assert_eq!(fir.counters().ops.muls(), 3);
+        assert_eq!(fir.counters().ops.adds(), 2);
     }
 
     #[test]
@@ -455,25 +256,15 @@ mod tests {
     }
 
     #[test]
-    fn reset_clears_state_only() {
-        let mut fir = exact(&[1, 1], 1);
-        let _ = fir.process(9);
-        fir.reset();
-        let out = fir.process(1);
-        assert_eq!(out, 1, "stale delay-line state after reset");
-        assert!(fir.backend().ops().muls() > 0, "counters survive reset");
-    }
-
-    #[test]
     fn group_delay_of_symmetric_filter() {
-        let fir = exact(&[1, 2, 3, 2, 1], 9);
+        let fir = program(&[1, 2, 3, 2, 1], 9, StageArith::exact());
         assert_eq!(fir.group_delay(), 2);
     }
 
     #[test]
     fn group_delay_of_antisymmetric_filter() {
         // The derivative's taps.
-        let fir = exact(&[2, 1, 0, -1, -2], 1);
+        let fir = program(&[2, 1, 0, -1, -2], 1, StageArith::exact());
         assert_eq!(fir.group_delay(), 2);
     }
 
@@ -484,13 +275,14 @@ mod tests {
         // term x[n−16]) is 16.
         let mut taps = [-1i64; 32];
         taps[16] = 31;
-        let fir = exact(&taps, 32);
+        let fir = program(&taps, 32, StageArith::exact());
         assert_eq!(fir.group_delay(), 16);
     }
 
-    /// The compiled taps against the generic multiply: the same tap walk with
-    /// [`ArithBackend::mul`] per nonzero tap and the stage adder chaining
-    /// the products must give every output and every counter.
+    /// The compiled taps against the generic multiply: the same tap walk
+    /// with the generic compiled product of the clamped operands per
+    /// nonzero tap and the stage adder chaining the products must give
+    /// every output and every counter.
     #[test]
     fn per_tap_tables_match_generic_engines_exactly() {
         use approx_arith::{FullAdderKind, Mult2x2Kind};
@@ -500,8 +292,11 @@ mod tests {
             StageArith::least_energy(8),
             StageArith::new(14, Mult2x2Kind::V2, FullAdderKind::Ama2),
         ] {
-            let mut tapped = FirFilter::new("t", &taps, 1, stage);
-            let mut generic = ArithBackend::new(stage);
+            let program = program(&taps, 1, stage);
+            let mut tapped = FirFilter::from_program(Arc::clone(&program));
+            let arith = program.arith();
+            let limit = 1i64 << (arith.mul_width() - 1);
+            let (mut muls, mut adds, mut saturations, mut overflows) = (0u64, 0u64, 0u64, 0u64);
             let mut newest_first = vec![0i64; taps.len()];
             let mut x = -20_000i64;
             for step in 0..600 {
@@ -511,90 +306,76 @@ mod tests {
                 let mut acc = None;
                 for (&c, &sample) in taps.iter().zip(&newest_first) {
                     if c != 0 {
-                        let p = generic.mul(sample, c);
-                        acc = Some(acc.map_or(p, |sum| generic.add(sum, p)));
+                        let (cs, cc) =
+                            (sample.clamp(-limit, limit - 1), c.clamp(-limit, limit - 1));
+                        saturations += u64::from(cs != sample) + u64::from(cc != c);
+                        muls += 1;
+                        let p = arith.multiplier().mul_signed_clamped(cs, cc);
+                        acc = Some(acc.map_or(p, |sum| {
+                            adds += 1;
+                            overflows += u64::from(sum_overflows(sum, p, arith.adder_width()));
+                            arith.adder().add(sum, p)
+                        }));
                     }
                 }
                 assert_eq!(tapped.process(x), acc.unwrap_or(0), "step {step}");
             }
-            assert_eq!(tapped.backend().ops(), generic.ops());
-            assert_eq!(
-                tapped.backend().saturation_events(),
-                generic.saturation_events()
-            );
-            assert_eq!(
-                tapped.backend().add_overflow_events(),
-                generic.add_overflow_events()
-            );
+            let counters = tapped.counters();
+            assert_eq!((counters.ops.muls(), counters.ops.adds()), (muls, adds));
+            assert_eq!(counters.mul_saturations, saturations);
+            assert_eq!(counters.add_overflows, overflows);
         }
     }
 
     #[test]
     fn shared_program_instances_are_independent_and_identical() {
-        let program = Arc::new(FirProgram::new(
-            "t",
-            &[1, 2, 1],
-            4,
-            StageArith::least_energy(6),
-        ));
-        let mut a = FirFilter::from_program(Arc::clone(&program));
-        let mut b = FirFilter::from_program(Arc::clone(&program));
-        let mut fresh = FirFilter::new("t", &[1, 2, 1], 4, StageArith::least_energy(6));
+        let shared = program(&[1, 2, 1], 4, StageArith::least_energy(6));
+        let mut a = FirFilter::from_program(Arc::clone(&shared));
+        let mut b = FirFilter::from_program(Arc::clone(&shared));
+        let mut fresh =
+            FirFilter::from_program(program(&[1, 2, 1], 4, StageArith::least_energy(6)));
         let input = [5i64, -9, 300, 40_000, 12];
         let ya = a.process_signal(&input);
         assert_eq!(ya, fresh.process_signal(&input));
-        assert_eq!(a.backend().ops(), fresh.backend().ops());
+        assert_eq!(a.counters().ops, fresh.counters().ops);
         // The sibling instance saw none of it.
-        assert_eq!(b.backend().ops().muls(), 0);
+        assert_eq!(b.counters().ops.muls(), 0);
         assert_eq!(b.process_signal(&input), ya);
     }
 
     #[test]
-    fn reset_counters_restores_fresh_observable_state() {
-        let mut fir = FirFilter::new("t", &[1, 2, 1], 4, StageArith::least_energy(6));
-        let _ = fir.process_signal(&[40_000, -40_000, 7]);
-        assert!(fir.backend().ops().muls() > 0);
-        fir.reset();
-        fir.reset_counters();
-        assert_eq!(fir.backend().ops().muls(), 0);
-        assert_eq!(fir.backend().saturation_events(), 0);
-        let mut fresh = FirFilter::new("t", &[1, 2, 1], 4, StageArith::least_energy(6));
-        let input = [5i64, -9, 300, 0, 12];
-        assert_eq!(
-            fir.process_signal(&input),
-            fresh.process_signal(&input),
-            "reset filter must behave like a fresh one"
-        );
-        assert_eq!(fir.backend().ops(), fresh.backend().ops());
-    }
-
-    #[test]
     fn memory_accounting_separates_owned_from_shared() {
-        let approx = FirFilter::new("t", &[1, -6, 6, 31], 1, StageArith::least_energy(8));
-        // Instance-owned: just the delay line. Program-owned: taps + tap
-        // handles, billed once per configuration.
-        assert!(approx.heap_bytes() < 1024, "{}", approx.heap_bytes());
-        assert!(approx.program().program_bytes() < 1024);
+        let approx = program(&[1, -6, 6, 31], 1, StageArith::least_energy(8));
+        // Program-owned: taps + tap handles, billed once per configuration.
+        assert!(approx.program_bytes() < 1024, "{}", approx.program_bytes());
         // Shared: |±6| dedupes to one residual, so 3 distinct magnitudes,
-        // each of 2^k entries at k = 8.
-        assert_eq!(approx.shared_table_bytes(), 3 * (1 << 8) * 4);
-        let exact = FirFilter::new("t", &[1, -6, 6, 31], 1, StageArith::exact());
-        assert_eq!(exact.shared_table_bytes(), 0, "exact taps need no tables");
+        // each of 2^k entries at k = 8 — and a second pass over the same
+        // identities bills nothing again.
+        let mut seen = Vec::new();
+        assert_eq!(approx.collect_shared_tables(&mut seen), 3 * (1 << 8) * 4);
+        assert_eq!(seen.len(), 3);
+        assert_eq!(approx.collect_shared_tables(&mut seen), 0);
+        let exact = program(&[1, -6, 6, 31], 1, StageArith::exact());
+        assert_eq!(
+            exact.collect_shared_tables(&mut Vec::new()),
+            0,
+            "exact taps need no tables"
+        );
     }
 
     /// The derivative's zero tap has no multiplier block, so it compiles
     /// no residual: only |1| and |2| are billed.
     #[test]
     fn zero_taps_compile_no_table() {
-        use crate::stages::derivative::{Derivative, TAPS};
+        use crate::stages::derivative::{GAIN, TAPS};
         for k in [2u32, 9, 16] {
-            let program = Arc::new(Derivative::program(StageArith::least_energy(k)));
+            let program = program(&TAPS, GAIN, StageArith::least_energy(k));
             let zeros: Vec<usize> = (0..TAPS.len()).filter(|&t| TAPS[t] == 0).collect();
             assert_eq!(zeros, [2]);
             assert!(program.tap_mults()[2].is_none());
             let entries = (1usize << k).min((1 << 15) + 1);
             assert_eq!(
-                FirFilter::from_program(program).shared_table_bytes(),
+                program.collect_shared_tables(&mut Vec::new()),
                 2 * entries * 4,
                 "k={k}"
             );
@@ -606,13 +387,10 @@ mod tests {
         let taps = [3i64, -1, 2];
         let a = [4i64, -2, 7, 0, 3];
         let b = [1i64, 1, -5, 2, 2];
-        let mut fa = exact(&taps, 1);
-        let mut fb = exact(&taps, 1);
-        let mut fab = exact(&taps, 1);
         let sum: Vec<i64> = a.iter().zip(&b).map(|(x, y)| x + y).collect();
-        let ya = fa.process_signal(&a);
-        let yb = fb.process_signal(&b);
-        let yab = fab.process_signal(&sum);
+        let ya = exact(&taps, 1).process_signal(&a);
+        let yb = exact(&taps, 1).process_signal(&b);
+        let yab = exact(&taps, 1).process_signal(&sum);
         for i in 0..a.len() {
             assert_eq!(yab[i], ya[i] + yb[i], "superposition failed at {i}");
         }
@@ -621,12 +399,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one tap")]
     fn empty_taps_rejected() {
-        let _ = exact(&[], 1);
+        let _ = FirProgram::new(&[], 1, StageArith::exact());
     }
 
     #[test]
     #[should_panic(expected = "positive")]
     fn zero_gain_rejected() {
-        let _ = exact(&[1], 0);
+        let _ = FirProgram::new(&[1], 0, StageArith::exact());
     }
 }

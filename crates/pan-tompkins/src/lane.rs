@@ -4,7 +4,7 @@
 //! The streaming detector spends ~99% of its time in the five filter
 //! stages, and the pipeline is embarrassingly lane-parallel across
 //! sessions (monitored patients, leads, corpus records). A [`LaneBank`]
-//! exploits that: it batches N [`DetectorTail`]s behind
+//! exploits that: it batches N `DetectorTail`s behind
 //! structure-of-arrays stage state — one delay-line *row* per ring
 //! position holding every lane's sample — so each tick walks the shared
 //! compiled taps **once** and applies every tap to a contiguous
@@ -33,7 +33,7 @@
 //!
 //! Every lane's event stream and final [`DetectionResult`] are **bit
 //! identical** to the scalar reference pipeline ([`crate::oracle`]: the
-//! public stage objects, one sample at a time) over that lane's samples —
+//! five stages one sample at a time) over that lane's samples —
 //! for every chunking, bank width, footprint, and stage arithmetic. The
 //! kernels guarantee this by construction:
 //!
@@ -55,7 +55,7 @@
 //!   adder evaluates;
 //! * everything downstream of the stages — classifier, alignment queue,
 //!   event emission — *is* the scalar code: each lane owns the same
-//!   [`DetectorTail`] the scalar reference drives.
+//!   `DetectorTail` the scalar reference drives.
 //!
 //! The contract is enforced against that reference by
 //! `tests/streaming_equivalence.rs`, the one-lane sweep in
@@ -827,7 +827,7 @@ impl<A: ClosedForm, M: TapMul> Stage<(A, M)> for FirWalk<'_> {
 
 impl<A: ClosedForm, M: TapMul> Blocked<(A, M), Lanes> for LaneFir {
     /// The tap walk for lanes `lane0 .. lane0 + W` — bit-identical, lane
-    /// by lane, to the scalar [`crate::fir::FirFilter::process`]:
+    /// by lane, to the scalar [`crate::oracle::FirFilter::process`]:
     ///
     /// * the row walk wraps from the newest sample exactly like the scalar
     ///   loop's index, skips zero taps, and sums products left to right

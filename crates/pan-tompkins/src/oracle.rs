@@ -1,16 +1,17 @@
 //! Test oracles: reference implementations production never runs.
 //!
-//! * [`ScalarDetector`] — the five public stage objects
-//!   ([`crate::stages`]) driven one sample at a time into the decision
-//!   tail (`DetectorTail`) every bank lane owns. [`crate::QrsDetector`],
-//!   [`crate::StreamingQrsDetector`] and every [`crate::LaneBank`] lane run
-//!   the SoA stage kernels; this keeps an implementation of the five
-//!   stages that shares none of their kernel code (only the compiled stage
-//!   programs and the decision tail), so equivalence tests and the `ext_*`
-//!   gates have something independent to compare them with (and a
-//!   per-sample speed to measure them against). Its results are
-//!   bit-identical to theirs by contract: events, peaks, decisions, stage
-//!   signals, and every operation/saturation/overflow counter.
+//! * [`ScalarDetector`] — the five stages computed one sample at a time
+//!   (a delay-line FIR per filter stage, the generic squarer, the MWI's
+//!   adder chain) and driven into the decision tail every bank lane owns.
+//!   [`crate::QrsDetector`], [`crate::StreamingQrsDetector`] and every
+//!   [`crate::LaneBank`] lane run the SoA stage kernels; this keeps an
+//!   implementation of the five stages that shares none of their kernel
+//!   code (only the compiled stage programs and the decision tail), so
+//!   equivalence tests and the `ext_*` gates have something independent to
+//!   compare them with (and a per-sample speed to measure them against).
+//!   Its results are bit-identical to theirs by contract: events, peaks,
+//!   decisions, stage signals, and every operation/saturation/overflow
+//!   counter.
 //! * [`float_classify`] — the paper's decision logic transcribed in `f64`,
 //!   as a batch pass over a whole MWI signal: the reference the integer
 //!   decision kernel ([`crate::decision::FixedDecision`], run by
@@ -21,14 +22,171 @@
 
 use std::sync::Arc;
 
+use approx_arith::TapMultiplier;
+
+use crate::arith::{div_round, sum_overflows, ArithCounters, ArithProgram};
 use crate::config::PipelineConfig;
 use crate::detector::DetectionResult;
 use crate::engine::DetectorEngine;
-use crate::stages::{
-    Derivative, HighPassFilter, LowPassFilter, MovingWindowIntegrator, Squarer, Stage,
-};
+use crate::fir::FirProgram;
+use crate::stages::mwi::WINDOW;
 use crate::streaming::{DetectorTail, StreamEvent};
 use crate::threshold::{PeakClass, PeakDecision, ThresholdConfig};
+
+/// A stage's arithmetic as the scalar reference runs it: the program's
+/// adder and multiplier blocks, every operation counted.
+#[derive(Debug, Clone)]
+pub(crate) struct Counted {
+    program: Arc<ArithProgram>,
+    pub(crate) counters: ArithCounters,
+}
+
+impl Counted {
+    pub(crate) fn new(program: Arc<ArithProgram>) -> Self {
+        Self {
+            program,
+            counters: ArithCounters::default(),
+        }
+    }
+
+    /// Adds through the adder block, wrapping the bus; an exact sum the
+    /// bus cannot hold counts an overflow.
+    #[inline]
+    pub(crate) fn add(&mut self, a: i64, b: i64) -> i64 {
+        self.counters.ops.count_add();
+        self.counters.add_overflows += u64::from(sum_overflows(a, b, self.program.adder_width()));
+        self.program.adder().add(a, b)
+    }
+
+    /// Multiplies `a` by a compiled coefficient. The operand saturates into
+    /// the signed datapath range first; each clamped operand, the
+    /// coefficient's included, counts one saturation.
+    #[inline]
+    pub(crate) fn mul_tap(&mut self, a: i64, tap: &TapMultiplier) -> i64 {
+        self.counters.ops.count_mul();
+        let limit = 1i64 << (tap.width() - 1);
+        let ca = a.clamp(-limit, limit - 1);
+        self.counters.mul_saturations += u64::from(ca != a) + u64::from(tap.coeff_saturates());
+        tap.mul_clamped(ca)
+    }
+
+    /// Squares through the generic compiled multiply: the clamped operand
+    /// feeds both inputs, so a clamp counts two saturations.
+    pub(crate) fn square(&mut self, x: i64) -> i64 {
+        self.counters.ops.count_mul();
+        let limit = 1i64 << (self.program.mul_width() - 1);
+        let cx = x.clamp(-limit, limit - 1);
+        self.counters.mul_saturations += 2 * u64::from(cx != x);
+        self.program.multiplier().mul_signed_clamped(cx, cx)
+    }
+}
+
+/// One FIR stage on the scalar reference: a circular delay line walked
+/// newest first, one counted product per nonzero tap chained through the
+/// stage adder, the gain divided out exactly.
+#[derive(Debug, Clone)]
+pub struct FirFilter {
+    program: Arc<FirProgram>,
+    arith: Counted,
+    delay_line: Vec<i64>,
+    cursor: usize,
+}
+
+impl FirFilter {
+    /// A filter over a compiled program: zeroed delay line and counters.
+    #[must_use]
+    pub fn from_program(program: Arc<FirProgram>) -> Self {
+        Self {
+            arith: Counted::new(Arc::clone(program.arith())),
+            delay_line: vec![0; program.taps().len()],
+            cursor: 0,
+            program,
+        }
+    }
+
+    /// Feeds one input sample and returns the filter output at this step.
+    pub fn process(&mut self, x: i64) -> i64 {
+        // Circular delay line: cursor points at the slot of the newest
+        // sample.
+        let len = self.delay_line.len();
+        self.cursor = if self.cursor == 0 {
+            len - 1
+        } else {
+            self.cursor - 1
+        };
+        self.delay_line[self.cursor] = x;
+
+        // Walk the delay line with a wrapping index (a conditional reset is
+        // markedly cheaper than a modulo per tap in this hot loop).
+        let mut idx = self.cursor;
+        let mut acc: Option<i64> = None;
+        for tap in self.program.tap_mults() {
+            let sample = self.delay_line[idx];
+            idx += 1;
+            if idx == len {
+                idx = 0;
+            }
+            // Zero taps have no multiplier.
+            let Some(tap) = tap else {
+                continue;
+            };
+            let product = self.arith.mul_tap(sample, tap);
+            acc = Some(match acc {
+                None => product,
+                Some(sum) => self.arith.add(sum, product),
+            });
+        }
+        self.program.rescale(acc.unwrap_or(0))
+    }
+
+    /// Filters a whole signal, returning one output per input.
+    pub fn process_signal(&mut self, signal: &[i64]) -> Vec<i64> {
+        signal.iter().map(|x| self.process(*x)).collect()
+    }
+
+    /// The activity counters so far.
+    pub(crate) fn counters(&self) -> ArithCounters {
+        self.arith.counters
+    }
+}
+
+/// The moving-window integrator on the scalar reference: the window's
+/// mean through the stage adder.
+#[derive(Debug, Clone)]
+pub(crate) struct Mwi {
+    arith: Counted,
+    window: Vec<i64>,
+    cursor: usize,
+}
+
+impl Mwi {
+    pub(crate) fn new(program: Arc<ArithProgram>) -> Self {
+        Self {
+            arith: Counted::new(program),
+            window: vec![0; WINDOW],
+            cursor: 0,
+        }
+    }
+
+    /// Feeds one input sample and returns the window mean at this step.
+    pub(crate) fn process(&mut self, x: i64) -> i64 {
+        self.window[self.cursor] = x;
+        self.cursor = (self.cursor + 1) % WINDOW;
+        // The RTL sums the window with a 29-adder chain every cycle; a
+        // running-sum shortcut would change which approximate additions
+        // happen, so we mirror the netlist faithfully.
+        let mut acc = self.window[0];
+        for &v in &self.window[1..] {
+            acc = self.arith.add(acc, v);
+        }
+        div_round(acc, WINDOW as i64)
+    }
+
+    /// The activity counters so far.
+    pub(crate) fn counters(&self) -> ArithCounters {
+        self.arith.counters
+    }
+}
 
 /// One detector session on the scalar reference pipeline, with the push
 /// and finish contract of [`crate::StreamingQrsDetector`].
@@ -36,28 +194,28 @@ use crate::threshold::{PeakClass, PeakDecision, ThresholdConfig};
 pub struct ScalarDetector {
     config: PipelineConfig,
     total_delay: usize,
-    lpf: LowPassFilter,
-    hpf: HighPassFilter,
-    der: Derivative,
-    sqr: Squarer,
-    mwi: MovingWindowIntegrator,
+    lpf: FirFilter,
+    hpf: FirFilter,
+    der: FirFilter,
+    sqr: Counted,
+    mwi: Mwi,
     tail: DetectorTail,
 }
 
 impl ScalarDetector {
     /// A fresh session: compiles an engine for `config` and builds the
-    /// stage objects over its programs.
+    /// five stages over its programs.
     #[must_use]
     pub fn new(config: PipelineConfig) -> Self {
         let engine = DetectorEngine::new(config);
         Self {
             config,
             total_delay: engine.total_delay(),
-            lpf: LowPassFilter::from_program(Arc::clone(engine.lpf_program())),
-            hpf: HighPassFilter::from_program(Arc::clone(engine.hpf_program())),
-            der: Derivative::from_program(Arc::clone(engine.der_program())),
-            sqr: Squarer::from_program(Arc::clone(engine.sqr_program())),
-            mwi: MovingWindowIntegrator::from_program(Arc::clone(engine.mwi_program())),
+            lpf: FirFilter::from_program(Arc::clone(engine.lpf_program())),
+            hpf: FirFilter::from_program(Arc::clone(engine.hpf_program())),
+            der: FirFilter::from_program(Arc::clone(engine.der_program())),
+            sqr: Counted::new(Arc::clone(engine.sqr_program())),
+            mwi: Mwi::new(Arc::clone(engine.mwi_program())),
             tail: DetectorTail::new(&config),
         }
     }
@@ -71,7 +229,7 @@ impl ScalarDetector {
             let a = self.lpf.process(x);
             let b = self.hpf.process(a);
             let c = self.der.process(b);
-            let d = self.sqr.process(c);
+            let d = self.sqr.square(c);
             let e = self.mwi.process(d);
             self.tail.ingest(a, b, c, d, e);
         }
@@ -87,11 +245,17 @@ impl ScalarDetector {
         let mut events = Vec::new();
         self.tail
             .finish(self.config.max_misalignment(), &mut events);
-        let stages: [&dyn Stage; 5] = [&self.lpf, &self.hpf, &self.der, &self.sqr, &self.mwi];
+        let counters = [
+            self.lpf.counters(),
+            self.hpf.counters(),
+            self.der.counters(),
+            self.sqr.counters,
+            self.mwi.counters(),
+        ];
         let result = self.tail.take_result(
-            stages.map(|s| s.ops()),
-            stages.map(|s| s.saturations()),
-            stages.map(|s| s.add_overflows()),
+            counters.map(|c| c.ops),
+            counters.map(|c| c.mul_saturations),
+            counters.map(|c| c.add_overflows),
             self.total_delay,
         );
         (events, result)

@@ -22,7 +22,7 @@
 //!   constructed once and shared behind an [`Arc`];
 //! * the per-session mutable state — stage delay lines, the MWI window,
 //!   the classifier, and the alignment/event bookkeeping (the
-//!   [`DetectorTail`]).
+//!   `DetectorTail`).
 //!
 //! [`StreamingQrsDetector`] keeps that state in the only lane of a
 //! one-lane [`LaneBank`]: a push is a bank push, whose stage kernels run
@@ -33,9 +33,9 @@
 //! sessions between them. Fleet deployments (many sessions, one
 //! configuration) build the engine once and call
 //! [`StreamingQrsDetector::from_engine`] — or batch whole groups of
-//! sessions through a wider [`LaneBank`]. The scalar stage objects of
-//! [`crate::stages`] survive as the reference the equivalence suites
-//! compare every path with ([`crate::oracle`]).
+//! sessions through a wider [`LaneBank`]. The per-sample scalar stages of
+//! [`crate::oracle`] survive as the reference the equivalence suites
+//! compare every path with.
 //!
 //! # How the pipeline streams
 //!

@@ -2,8 +2,8 @@
 //! `LaneBank` runs its stage kernels in register blocks across *time*, and
 //! batch `QrsDetector::detect` and `StreamingQrsDetector` are both such a
 //! bank, so every case here compares them with `oracle::detect_chunked` —
-//! the public stage objects, one sample at a time, which never touch the
-//! lane kernels — in events, peaks, decisions, stage signals and every
+//! the five stages one sample at a time, which never touch the lane
+//! kernels — in events, peaks, decisions, stage signals and every
 //! operation/saturation/overflow counter.
 //!
 //! The sweep is deterministic: every adder × multiplier kind at spread

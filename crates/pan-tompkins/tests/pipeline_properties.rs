@@ -1,11 +1,20 @@
-//! Property-based tests on pipeline invariants.
+//! Property-based tests on pipeline invariants. The per-stage properties
+//! read the stage signals a batch run retains, with no input shift, so
+//! each stage's input is the previous stage's retained output.
 
-use approx_arith::StageArith;
-use pan_tompkins::stages::{
-    Derivative, HighPassFilter, LowPassFilter, MovingWindowIntegrator, Squarer, Stage,
-};
+use pan_tompkins::detector::StageSignals;
 use pan_tompkins::{PipelineConfig, QrsDetector};
 use proptest::prelude::*;
+
+/// The retained stage signals of a `config` run over `samples` as given
+/// (input shift 0).
+fn stage_signals(mut config: PipelineConfig, samples: &[i32]) -> StageSignals {
+    config.input_shift = 0;
+    QrsDetector::new(config)
+        .detect(samples)
+        .expect_signals()
+        .clone()
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
@@ -13,12 +22,10 @@ proptest! {
     /// The exact LPF is linear: scaling the input scales the output (up to
     /// the rounding of the gain division).
     #[test]
-    fn lpf_homogeneity(samples in prop::collection::vec(-400i64..400, 50..120)) {
-        let mut f1 = LowPassFilter::new(StageArith::exact());
-        let mut f2 = LowPassFilter::new(StageArith::exact());
-        let doubled: Vec<i64> = samples.iter().map(|v| v * 2).collect();
-        let y1 = f1.process_signal(&samples);
-        let y2 = f2.process_signal(&doubled);
+    fn lpf_homogeneity(samples in prop::collection::vec(-400i32..400, 50..120)) {
+        let doubled: Vec<i32> = samples.iter().map(|v| v * 2).collect();
+        let y1 = stage_signals(PipelineConfig::exact(), &samples).lpf;
+        let y2 = stage_signals(PipelineConfig::exact(), &doubled).lpf;
         for (a, b) in y1.iter().zip(&y2) {
             // gain-36 division rounds per output: allow 1 LSB slack.
             prop_assert!((b - 2 * a).abs() <= 1, "{b} vs 2*{a}");
@@ -29,14 +36,12 @@ proptest! {
     /// the (settled) output unchanged.
     #[test]
     fn hpf_dc_invariance(
-        samples in prop::collection::vec(-400i64..400, 80..150),
-        dc in -500i64..500,
+        samples in prop::collection::vec(-400i32..400, 80..150),
+        dc in -500i32..500,
     ) {
-        let mut f1 = HighPassFilter::new(StageArith::exact());
-        let mut f2 = HighPassFilter::new(StageArith::exact());
-        let shifted: Vec<i64> = samples.iter().map(|v| v + dc).collect();
-        let y1 = f1.process_signal(&samples);
-        let y2 = f2.process_signal(&shifted);
+        let shifted: Vec<i32> = samples.iter().map(|v| v + dc).collect();
+        let y1 = stage_signals(PipelineConfig::exact(), &samples).hpf;
+        let y2 = stage_signals(PipelineConfig::exact(), &shifted).hpf;
         // After the 32-tap warm-up, outputs agree within rounding.
         for i in 40..samples.len() {
             prop_assert!((y1[i] - y2[i]).abs() <= 1, "at {i}: {} vs {}", y1[i], y2[i]);
@@ -46,31 +51,40 @@ proptest! {
     /// The squarer output is never negative, exact or approximate.
     #[test]
     fn squarer_nonnegative(
-        x in -30_000i64..30_000,
+        x in -30_000i32..30_000,
         k in 0u32..=16,
     ) {
-        let mut exact = Squarer::new(StageArith::exact());
-        let mut approx = Squarer::new(StageArith::least_energy(k));
-        prop_assert!(exact.process(x) >= 0);
-        prop_assert!(approx.process(x) >= 0);
+        // A biphasic pulse drives the squarer through both signs and up to
+        // the datapath limit.
+        let mut samples = vec![0i32; 64];
+        samples[20] = x;
+        samples[21] = -x / 2;
+        for config in [PipelineConfig::exact(), PipelineConfig::least_energy([0, 0, 0, k, 0])] {
+            let sqr = stage_signals(config, &samples).sqr;
+            prop_assert!(sqr.iter().all(|&y| y >= 0), "{sqr:?}");
+        }
     }
 
-    /// The exact MWI output is bounded by the input range (it is a mean).
+    /// The exact MWI output is bounded by its input range (it is a mean).
     #[test]
-    fn mwi_mean_bounded(samples in prop::collection::vec(0i64..100_000, 40..90)) {
-        let mut mwi = MovingWindowIntegrator::new(StageArith::exact());
-        let max = *samples.iter().max().expect("non-empty");
-        for y in mwi.process_signal(&samples) {
+    fn mwi_mean_bounded(samples in prop::collection::vec(-400i32..400, 40..90)) {
+        let s = stage_signals(PipelineConfig::exact(), &samples);
+        let max = *s.sqr.iter().max().expect("non-empty");
+        for &y in &s.mwi {
             prop_assert!(y >= 0 && y <= max, "mean {y} outside [0, {max}]");
         }
     }
 
-    /// The exact derivative of a constant signal is zero once settled.
+    /// The exact derivative of a constant signal is zero once settled. A
+    /// ramp on any offset reaches the derivative as a constant: the LPF
+    /// passes it delayed and the HPF turns it into DC.
     #[test]
-    fn derivative_kills_dc(level in -20_000i64..20_000) {
-        let mut der = Derivative::new(StageArith::exact());
-        let out = der.process_signal(&[level; 20]);
-        for &y in &out[5..] {
+    fn derivative_kills_dc(level in -10_000i32..10_000, slope in -200i32..200) {
+        let ramp: Vec<i32> = (0..80).map(|n| level + slope * n).collect();
+        let s = stage_signals(PipelineConfig::exact(), &ramp);
+        // LPF (11 taps) then HPF (32 taps) settle by sample 41.
+        prop_assert!(s.hpf[41..].iter().all(|&v| v == s.hpf[41]), "{:?}", s.hpf);
+        for &y in &s.der[45..] {
             prop_assert_eq!(y, 0);
         }
     }

@@ -6,8 +6,8 @@
 //!
 //! Batch detection, the streaming detector and every bank lane run the
 //! same lane kernels, so each property anchors on the scalar reference
-//! (`oracle::detect_chunked`: the public stage objects, one sample at a
-//! time), which shares none of their stage code.
+//! (`oracle::detect_chunked`: the five stages one sample at a time),
+//! which shares none of their stage code.
 
 use std::sync::Arc;
 

@@ -1,7 +1,7 @@
 //! Output-quality metrics for the XBioSiP reproduction.
 //!
 //! XBioSiP evaluates quality at two points (paper §4): after data
-//! pre-processing it uses *signal* metrics — [`psnr`] and the 1-D
+//! pre-processing it uses *signal* metrics — [`psnr`](mod@psnr) and the 1-D
 //! structural-similarity index [`ssim`] — and after the full application it
 //! uses the *application* metric, QRS [`peaks`] detection accuracy.
 //!

@@ -543,11 +543,13 @@ impl ShardWorker {
                 return;
             }
         }
-        // If the snapshot migration ever failed (it cannot for a live
+        // A backlog is drained on a solo detector (a lane session is
+        // demoted to one first); a drained lane session finishes in its
+        // lane. If the snapshot migration ever failed (it cannot for a live
         // session), the session's pending samples are dropped and the
         // lane state finishes as-is — still freeing the lane and slot.
-        let demoted = self.demote(slot).is_ok();
-        if demoted {
+        let backlog = matches!(self.sessions.get(slot), Some(Some(s)) if s.pending_samples > 0);
+        if backlog && self.demote(slot).is_ok() {
             self.ingest_solo(slot, usize::MAX);
         }
         let Some(entry) = self.sessions.get_mut(slot) else {

@@ -288,6 +288,69 @@ fn shard_drain_under_load_loses_nothing() {
     }
 }
 
+/// Closing a lane session whose queue is drained finishes it in its lane:
+/// no demotion through the snapshot codec, and the final result and events
+/// still equal the scalar reference's. One-lane banks keep the scheduler
+/// from demoting a starved bankmate, so every demotion counted here would
+/// come from a close.
+#[test]
+fn drained_lane_sessions_close_without_demotion() {
+    const SESSIONS: usize = 4;
+    const ROUNDS: usize = 6;
+    const CHUNK: usize = 250;
+    let mut hub = SessionHub::new(
+        ServiceConfig::default()
+            .with_shards(1)
+            .with_lanes_per_bank(1),
+    );
+    let client = hub.client();
+    let rx = hub.take_events().expect("events");
+    let config = PipelineConfig::least_energy([10, 12, 2, 8, 16]);
+
+    let sessions: Vec<(SessionId, Vec<i32>)> = (0..SESSIONS)
+        .map(|s| {
+            let id = client.open(config).expect("open");
+            (id, record_samples(s as u64 + 11, ROUNDS * CHUNK))
+        })
+        .collect();
+    for round in 0..ROUNDS {
+        for (id, signal) in &sessions {
+            client
+                .push(*id, &signal[round * CHUNK..(round + 1) * CHUNK])
+                .expect("push");
+        }
+    }
+    let total = (SESSIONS * ROUNDS * CHUNK) as u64;
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
+    while client.metrics().samples_in() < total {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "hub never drained its queues"
+        );
+        std::thread::sleep(std::time::Duration::from_millis(1));
+    }
+    for (id, _) in &sessions {
+        client.close(*id).expect("close");
+    }
+    let metrics = hub.shutdown();
+    let shard = &metrics.shards[0];
+    assert_eq!(
+        (shard.demotions, shard.promotions),
+        (0, 0),
+        "drained lane sessions must close in their lanes"
+    );
+
+    let mut events: HashMap<SessionId, Vec<StreamEvent>> = HashMap::new();
+    let mut closed: HashMap<SessionId, DetectionResult> = HashMap::new();
+    drain_events(&rx, &mut events, &mut closed);
+    for (id, signal) in &sessions {
+        let (want_events, want_result) =
+            pan_tompkins::oracle::detect_chunked(config, signal, CHUNK);
+        assert_eq!(events.remove(id).unwrap_or_default(), want_events, "{id}");
+        assert_eq!(closed.remove(id), Some(want_result), "{id}");
+    }
+}
+
 /// Stale ids fail closed: a closed session's id is `Gone` for every
 /// operation, double close has one winner, and a recycled slot never
 /// aliases the old id.

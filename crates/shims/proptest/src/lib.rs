@@ -184,7 +184,7 @@ pub mod collection {
         }
     }
 
-    /// The strategy returned by [`vec`].
+    /// The strategy returned by [`vec()`].
     #[derive(Debug, Clone)]
     pub struct VecStrategy<E> {
         element: E,

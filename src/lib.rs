@@ -41,23 +41,24 @@ pub use quality;
 pub use service;
 pub use xbiosip;
 
-/// The one obvious import surface for the whole reproduction.
-///
-/// Everything a deployment-shaped caller needs in a single glob:
-///
-/// * **Detection** — [`QrsDetector`] / [`DetectionResult`] batch runs,
-///   [`StreamingQrsDetector`] over its compiled [`DetectorEngine`] (a
-///   one-lane bank), [`StreamEvent`]s, and the multi-lane [`LaneBank`].
-/// * **Configuration** — [`PipelineConfig`] and its stage/threshold
-///   builders, [`StageKind`], [`Footprint`].
-/// * **Persistence** — [`SnapshotError`] and the snapshot codec riding on
-///   the streaming detector.
-/// * **Service** — the sharded [`SessionHub`] and its [`Client`] face:
-///   [`ServiceConfig`], [`SessionId`], [`SessionEvent`],
-///   [`SessionOutput`], [`ServiceError`]/[`PushError`], [`HubMetrics`].
-/// * **Evaluation** — [`Evaluator`] with [`EvalOptions`]/[`EvalMode`],
-///   [`QualityReport`], [`QualityConstraint`].
 pub mod prelude {
+    //! The one obvious import surface for the whole reproduction.
+    //!
+    //! Everything a deployment-shaped caller needs in a single glob:
+    //!
+    //! * **Detection** — [`QrsDetector`] / [`DetectionResult`] batch runs,
+    //!   [`StreamingQrsDetector`] over its compiled [`DetectorEngine`] (a
+    //!   one-lane bank), [`StreamEvent`]s, and the multi-lane [`LaneBank`].
+    //! * **Configuration** — [`PipelineConfig`] and its stage/threshold
+    //!   builders, [`StageKind`], [`Footprint`].
+    //! * **Persistence** — [`SnapshotError`] and the snapshot codec riding on
+    //!   the streaming detector.
+    //! * **Service** — the sharded [`SessionHub`] and its [`Client`] face:
+    //!   [`ServiceConfig`], [`SessionId`], [`SessionEvent`],
+    //!   [`SessionOutput`], [`ServiceError`]/[`PushError`], [`HubMetrics`].
+    //! * **Evaluation** — [`Evaluator`] with [`EvalOptions`]/[`EvalMode`],
+    //!   [`QualityReport`], [`QualityConstraint`].
+
     pub use pan_tompkins::{
         DetectionResult, DetectorEngine, Footprint, LaneBank, PipelineConfig, QrsDetector,
         SnapshotError, StageKind, StreamEvent, StreamingQrsDetector,
