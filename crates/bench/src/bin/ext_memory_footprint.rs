@@ -1,7 +1,7 @@
 //! **Extension experiment**: bounded-memory streaming detection — the
-//! CI-enforced footprint budget plus record-batched evaluation throughput.
+//! CI-enforced footprint budget.
 //!
-//! Three sections:
+//! Two sections:
 //!
 //! 1. **Footprint gate** — streams records of growing length through a
 //!    [`Footprint::Bounded`] detector, each on a thread of its own,
@@ -16,10 +16,6 @@
 //!    bench-smoke job runs it via `--check`.
 //! 2. **Footprint table** — bounded vs retaining live-state bytes across
 //!    record lengths, plus the shared (amortised) residual-table bytes.
-//! 3. **Record-batched evaluation** — `evaluate_records_with` (one
-//!    reused bounded detector per config) against
-//!    `evaluate_across_records` (fresh evaluator + batch detector per
-//!    record), same reports, wall-clock compared.
 //!
 //! `--check` runs only section 1 (the CI mode). `--json PATH` additionally
 //! writes the headline numbers (footprint bytes, throughput) as a
@@ -30,12 +26,10 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use ecg::EcgRecord;
-use hwmodel::report::fmt_f64;
 use pan_tompkins::{
     block_scratch_bytes, DetectorEngine, Footprint, LaneBank, PipelineConfig, StreamEvent,
     StreamingQrsDetector,
 };
-use xbiosip::quality_eval::{evaluate_across_records, EvalOptions, Evaluator};
 
 /// The fixed live-state budget the bounded mode must stay under,
 /// independent of record length: 64 KiB — sensor-node SRAM scale. It holds
@@ -307,46 +301,6 @@ fn footprint_table() {
     );
 }
 
-/// Section 3: record-batched bounded evaluation vs per-record evaluators.
-/// Returns (samples/s batched, samples/s per-record).
-fn record_batched_eval() -> (f64, f64) {
-    let records: Vec<EcgRecord> = (0..6).map(|i| record_of_len(8_000 + i * 1000)).collect();
-    let configs = gate_configs();
-    let total_samples: usize = records.len() * configs.len() * 8_500; // ~mean
-
-    let t0 = Instant::now();
-    let batched =
-        Evaluator::evaluate_records_with(&records, &configs, &EvalOptions::streaming(CHUNK));
-    let t_batched = t0.elapsed();
-    let t0 = Instant::now();
-    let reference = evaluate_across_records(&records, &configs);
-    let t_reference = t0.elapsed();
-    assert_eq!(batched, reference, "record-batched reports diverged");
-
-    let rate = |t: std::time::Duration| total_samples as f64 / t.as_secs_f64();
-    println!(
-        "record-batched evaluation ({} records x {} configs):",
-        records.len(),
-        configs.len()
-    );
-    println!(
-        "  evaluate_records_with:      {:>12} samples/s   ({t_batched:.2?})",
-        fmt_f64(rate(t_batched), 0)
-    );
-    println!(
-        "  evaluate_across_records:    {:>12} samples/s   ({t_reference:.2?})",
-        fmt_f64(rate(t_reference), 0)
-    );
-    println!(
-        "  reports identical; speedup {}x\n",
-        fmt_f64(
-            t_reference.as_secs_f64() / t_batched.as_secs_f64().max(1e-12),
-            2
-        )
-    );
-    (rate(t_batched), rate(t_reference))
-}
-
 /// Streaming throughput of the bounded detector on the paper record (for
 /// the JSON artifact): samples per second, best of a few repeats.
 fn bounded_throughput() -> f64 {
@@ -394,7 +348,7 @@ fn main() {
         .cloned();
     xbiosip_bench::banner(
         "Extension — bounded-memory streaming footprint",
-        "state-bytes budget gate + record-batched evaluation",
+        "state-bytes budget gate",
     );
 
     let t0 = Instant::now();
@@ -421,5 +375,4 @@ fn main() {
     }
 
     footprint_table();
-    let _ = record_batched_eval();
 }

@@ -54,5 +54,5 @@ pub mod resilience;
 pub use configs::{paper_configs, NamedConfig};
 pub use generation::{DesignGenerator, GenerationOutcome, StageSearchSpace};
 pub use pareto::{pareto_frontier, ParetoPoint};
-pub use quality_eval::{EvalMode, EvalOptions, Evaluator, QualityConstraint, QualityReport};
+pub use quality_eval::{EvalOptions, Evaluator, QualityConstraint, QualityReport};
 pub use resilience::{ResiliencePoint, ResilienceProfile};

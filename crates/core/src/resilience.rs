@@ -12,7 +12,7 @@ use hwmodel::module::Reductions;
 use hwmodel::{CalibratedModel, StageCost};
 use pan_tompkins::{PipelineConfig, StageKind};
 
-use crate::quality_eval::{EvalOptions, Evaluator, QualityReport};
+use crate::quality_eval::{evaluate_across_records, Evaluator, QualityReport};
 
 /// One point of a resilience sweep.
 #[derive(Debug, Clone, Copy)]
@@ -65,27 +65,19 @@ impl ResilienceProfile {
         Self::assemble(stage, &ariths, reports)
     }
 
-    /// Sweeps one stage over *many records at once* through the
-    /// record-batched bounded-streaming path
-    /// ([`Evaluator::evaluate_records_with`]): one reused detector per
-    /// sweep point drives the whole corpus, so no per-record signal vectors
-    /// or filter states are reallocated. Returns one profile per record, in
-    /// record order; each profile's points are bit-for-bit what a
-    /// per-record [`ResilienceProfile::analyze_up_to`] produces.
+    /// Sweeps one stage over *many records at once* through
+    /// [`evaluate_across_records`]: one evaluator per record, records
+    /// across the worker pool. Returns one profile per record, in record
+    /// order; each profile's points are bit-for-bit what a per-record
+    /// [`ResilienceProfile::analyze_up_to`] produces.
     #[must_use]
     pub fn analyze_records_up_to(
         records: &[EcgRecord],
         stage: StageKind,
         max_lsbs: u32,
-        chunk_size: usize,
     ) -> Vec<Self> {
         let (ariths, configs) = Self::sweep_grid(stage, max_lsbs);
-        let per_record = Evaluator::evaluate_records_with(
-            records,
-            &configs,
-            &EvalOptions::streaming(chunk_size),
-        );
-        per_record
+        evaluate_across_records(records, &configs)
             .into_iter()
             .map(|reports| Self::assemble(stage, &ariths, reports))
             .collect()
@@ -195,16 +187,15 @@ mod tests {
         assert!((profile.points[0].reductions.energy - 1.0).abs() < 1e-9);
     }
 
-    /// The record-batched sweep (bounded streaming, reused detectors) must
-    /// reproduce the per-record sweeps point for point.
+    /// The many-record sweep must reproduce the per-record sweeps point
+    /// for point.
     #[test]
     fn record_batched_sweep_matches_per_record_analysis() {
         let records = vec![
             ecg::nsrdb::paper_record().truncated(4000),
             ecg::nsrdb::paper_record().truncated(5000),
         ];
-        let profiles =
-            ResilienceProfile::analyze_records_up_to(&records, StageKind::Squarer, 8, 64);
+        let profiles = ResilienceProfile::analyze_records_up_to(&records, StageKind::Squarer, 8);
         assert_eq!(profiles.len(), records.len());
         for (record, profile) in records.iter().zip(&profiles) {
             let reference =

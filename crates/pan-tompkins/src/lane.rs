@@ -1433,20 +1433,6 @@ impl LaneBank {
         self.push_impl(frames, None, LaneEvent::at)
     }
 
-    /// Like [`LaneBank::push`], additionally appending each lane's HPF
-    /// outputs (the paper's pre-processed signal) to `hpf_out[lane]` —
-    /// the lane-batched counterpart of
-    /// [`crate::StreamingQrsDetector::push_tapped`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `frames.len()` is not a multiple of the lane count or
-    /// `hpf_out.len()` differs from it.
-    pub fn push_tapped(&mut self, frames: &[i32], hpf_out: &mut [Vec<i64>]) -> Vec<LaneEvent> {
-        assert_eq!(hpf_out.len(), self.lanes, "one HPF tap buffer per lane");
-        self.push_impl(frames, Some(hpf_out), LaneEvent::at)
-    }
-
     /// Runs the five stage kernels over the scratch matrices, stage by
     /// stage: each stage reads only its input rows and its own state, so
     /// walking one stage over the whole block before the next is a pure
@@ -1938,33 +1924,6 @@ mod tests {
         assert_eq!((lane0_second, result_second), (e, r), "reused lane");
         let (e, r) = oracle::detect_chunked(config, &long, 500);
         assert_eq!((lane1, result_long), (e, r), "neighbour lane");
-    }
-
-    #[test]
-    fn lane_tap_matches_scalar_tap() {
-        let signals = vec![pulse_train(2200, 170, 200), pulse_train(2200, 160, 230)];
-        let config =
-            PipelineConfig::least_energy([4, 4, 2, 4, 8]).with_footprint(Footprint::Bounded);
-        let engine = Arc::new(DetectorEngine::new(config));
-        let mut bank = LaneBank::new(engine, 2);
-        let mut taps = vec![Vec::new(), Vec::new()];
-        let frames = interleave(&signals);
-        for chunk in frames.chunks(2 * 33) {
-            let _ = bank.push_tapped(chunk, &mut taps);
-        }
-        for (lane, signal) in signals.iter().enumerate() {
-            let retain = config.with_footprint(Footprint::Retain);
-            let (_, scalar) = oracle::detect_chunked(retain, signal, 64);
-            assert_eq!(
-                taps[lane],
-                scalar.expect_signals().hpf,
-                "lane {lane} HPF tap"
-            );
-            let mut det = StreamingQrsDetector::new(config);
-            let mut solo_tap = Vec::new();
-            let _ = det.push_tapped(signal, &mut solo_tap);
-            assert_eq!(taps[lane], solo_tap, "lane {lane} solo HPF tap");
-        }
     }
 
     #[test]

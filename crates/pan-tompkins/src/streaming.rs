@@ -889,9 +889,9 @@ impl StreamingQrsDetector {
     /// chunk's HPF outputs (the paper's pre-processed signal, the
     /// PSNR/SSIM evaluation point) to `hpf_out`. This is how quality gates
     /// read the pre-processing output of a [`Footprint::Bounded`] run,
-    /// whose final result carries no signal vectors — the evaluator's
-    /// record-batched path streams the HPF tap into a reusable scratch
-    /// buffer instead of retaining five full signals per detector.
+    /// whose final result carries no signal vectors: every quality
+    /// evaluation streams its record through a bounded detector and scores
+    /// this tap, instead of retaining five full signals.
     pub fn push_tapped(&mut self, chunk: &[i32], hpf_out: &mut Vec<i64>) -> Vec<StreamEvent> {
         let taps = Some(std::slice::from_mut(hpf_out));
         self.bank.push_impl(chunk, taps, |_, event| event)
@@ -918,9 +918,9 @@ impl StreamingQrsDetector {
     /// and compiled taps are kept, while all signal state,
     /// counters, and classifier state reset — the returned result and
     /// subsequent pushes are bit-for-bit what a freshly constructed
-    /// detector would produce. This is the record-batched evaluation
-    /// workhorse: one detector (one set of table handles, one set of
-    /// buffers) drives an entire corpus.
+    /// detector would produce. The session hub's close path finishes solo
+    /// sessions with it, as it finishes lane sessions with
+    /// [`LaneBank::finish_lane`].
     #[must_use]
     pub fn finish_reset(&mut self) -> (Vec<StreamEvent>, DetectionResult) {
         self.bank.finish_lane(0)

@@ -56,8 +56,10 @@ pub mod prelude {
     //! * **Service** — the sharded [`SessionHub`] and its [`Client`] face:
     //!   [`ServiceConfig`], [`SessionId`], [`SessionEvent`],
     //!   [`SessionOutput`], [`ServiceError`]/[`PushError`], [`HubMetrics`].
-    //! * **Evaluation** — [`Evaluator`] with [`EvalOptions`]/[`EvalMode`],
-    //!   [`QualityReport`], [`QualityConstraint`].
+    //! * **Evaluation** — [`Evaluator`], which scores every design from one
+    //!   bounded, HPF-tapped stream, cut by [`EvalOptions`] (push size and
+    //!   checkpoints; [`EvalOptions::batch`] is the default options), into a
+    //!   [`QualityReport`] checked against [`QualityConstraint`]s.
 
     pub use pan_tompkins::{
         DetectionResult, DetectorEngine, Footprint, LaneBank, PipelineConfig, QrsDetector,
@@ -67,5 +69,5 @@ pub mod prelude {
         Client, HubMetrics, PushError, ServiceConfig, ServiceError, SessionEvent, SessionHub,
         SessionId, SessionOutput,
     };
-    pub use xbiosip::{EvalMode, EvalOptions, Evaluator, QualityConstraint, QualityReport};
+    pub use xbiosip::{EvalOptions, Evaluator, QualityConstraint, QualityReport};
 }

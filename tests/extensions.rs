@@ -1,7 +1,6 @@
 //! Cross-crate integration tests for the extension features: activity-based
 //! energy accounting, rhythm preservation, the LOA adder family, fault
-//! injection, and the bounded-memory streaming + record-batched evaluation
-//! path (DESIGN.md §7).
+//! injection, and bounded-memory streaming (DESIGN.md §7).
 
 use approx_arith::{FaultyAdder, LowerOrAdder, StageArith, StuckAtFault};
 use ecg::rhythm::{RhythmClass, RrStatistics};
@@ -106,9 +105,7 @@ fn single_msb_fault_breaks_detection_where_b9_does_not() {
 }
 
 /// End-to-end across the facade: a kilobyte-scale bounded detector finds
-/// the same beats the batch detector does on a realistic synthetic record,
-/// and the record-batched evaluator reproduces per-record evaluation while
-/// never materialising stage signals.
+/// the same beats the batch detector does on a realistic synthetic record.
 #[test]
 fn bounded_streaming_is_edge_deployable_end_to_end() {
     let record = EcgSynthesizer::new(SynthConfig {
@@ -138,26 +135,6 @@ fn bounded_streaming_is_edge_deployable_end_to_end() {
         high_water < 64 * 1024,
         "bounded live state {high_water} B above the sensor-node budget"
     );
-
-    // The facade's record-batched path agrees with per-record evaluation.
-    let records = vec![record.truncated(5_000), record.truncated(8_000)];
-    let configs = [PipelineConfig::exact(), config];
-    let batched = xbiosip::Evaluator::evaluate_records_with(
-        &records,
-        &configs,
-        &xbiosip::EvalOptions::streaming(20),
-    );
-    for (record, reports) in records.iter().zip(&batched) {
-        let evaluator = xbiosip::Evaluator::new(record);
-        for (cfg, report) in configs.iter().zip(reports) {
-            assert_eq!(
-                *report,
-                evaluator
-                    .evaluate_with(cfg, &xbiosip::EvalOptions::batch())
-                    .expect("non-checkpointed evaluation is infallible")
-            );
-        }
-    }
 }
 
 #[test]
