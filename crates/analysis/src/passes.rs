@@ -99,6 +99,7 @@ impl CheckConfig {
             alloc_scopes: [
                 (format!("{HOT}streaming.rs"), "push"),
                 (format!("{HOT}streaming.rs"), "ingest"),
+                (format!("{HOT}streaming.rs"), "ingest_batch"),
                 (format!("{HOT}threshold.rs"), "push"),
                 (format!("{HOT}lane.rs"), "push_impl"),
                 (format!("{HOT}lane.rs"), "stage_block"),
@@ -114,14 +115,11 @@ impl CheckConfig {
                 (format!("{HOT}lane.rs"), "accumulate"),
                 (format!("{HOT}lane.rs"), "product"),
                 // The time walks of one-lane banks and the helpers both
-                // walks share. Their scratch is stage-owned and reused
+                // walks share. Their scratch is the thread's, reused
                 // across blocks (audited allow regions).
                 (format!("{HOT}lane.rs"), "run_walk"),
                 (format!("{HOT}lane.rs"), "time_walk"),
-                (format!("{HOT}lane.rs"), "fill_rows"),
-                (format!("{HOT}lane.rs"), "chain"),
                 (format!("{HOT}lane.rs"), "window_chain"),
-                (format!("{HOT}lane.rs"), "count_saturations"),
                 (format!("{HOT}lane.rs"), "add_counts"),
                 (format!("{HOT}lane.rs"), "rescale_block"),
                 (format!("{HOT}lane.rs"), "square"),

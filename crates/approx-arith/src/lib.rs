@@ -52,7 +52,6 @@ pub mod full_adder;
 pub mod loa;
 pub mod mult2x2;
 pub mod multiplier;
-pub mod signed;
 pub mod tap;
 pub mod vhdl;
 pub mod word;
@@ -67,6 +66,5 @@ pub use full_adder::{FullAdder, FullAdderKind};
 pub use loa::LowerOrAdder;
 pub use mult2x2::Mult2x2Kind;
 pub use multiplier::RecursiveMultiplier;
-pub use signed::SignedMultiplier;
 pub use tap::{SquareMultiplier, SquareTable, TapMultiplier, TapTable};
 pub use word::Word;

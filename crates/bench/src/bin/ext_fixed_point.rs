@@ -22,13 +22,7 @@
 //! 3. **End-to-end streaming throughput** — the full bounded-footprint
 //!    detector, plus its live-state high-water mark.
 //!
-//! `--check` alone runs only section 1. `--json PATH` additionally runs
-//! the throughput sections (they feed the artifact) and writes the
-//! headline numbers; CI's bench-smoke passes both flags, so one
-//! invocation yields the gate *and* a fresh artifact — a few seconds of
-//! timing on a shared runner, indicative rather than rigorous. The
-//! committed `BENCH_pr5.json` at the repo root (the in-tree perf
-//! trajectory) was measured on the 1-core CI-class container.
+//! `--check` runs only section 1 (the CI mode).
 
 use std::time::Instant;
 
@@ -135,31 +129,9 @@ fn end_to_end_throughput() -> (f64, usize) {
     (record.len() as f64 / best.as_secs_f64(), high_water)
 }
 
-/// Writes the machine-readable artifact (hand-rolled JSON — the build
-/// environment is offline, no serde).
-fn write_json(path: &str, decision: f64, e2e: f64, high_water: usize) {
-    let json = format!(
-        "{{\n  \"pr\": 5,\n  \"decision_arith_default\": \"fixed\",\n  \
-         \"decision_samples_per_sec_fixed\": {decision:.0},\n  \
-         \"streaming_samples_per_sec_fixed_bounded\": {e2e:.0},\n  \
-         \"bounded_state_bytes_high_water\": {high_water},\n  \
-         \"chunk_samples\": 20\n}}\n"
-    );
-    if let Err(e) = std::fs::write(path, json) {
-        eprintln!("failed to write {path}: {e}");
-        std::process::exit(1);
-    }
-    println!("wrote {path}");
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let check_only = args.iter().any(|a| a == "--check");
-    let json_path = args
-        .iter()
-        .position(|a| a == "--json")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
     xbiosip_bench::banner(
         "Extension — integer-exact decision arithmetic",
         "Fixed vs float-reference equivalence gate + decision-path throughput",
@@ -173,7 +145,7 @@ fn main() {
         t0.elapsed()
     );
 
-    if check_only && json_path.is_none() {
+    if check_only {
         return;
     }
 
@@ -185,8 +157,4 @@ fn main() {
     println!("end-to-end bounded streaming (B9 design, 20-sample chunks):");
     println!("  fixed-point: {:>12} samples/s", fmt_f64(e2e, 0));
     println!("  bounded live-state high-water: {high_water} B\n");
-
-    if let Some(path) = &json_path {
-        write_json(path, decision, e2e, high_water);
-    }
 }

@@ -23,13 +23,11 @@
 //! the exact pipeline must reach ≥ 10× and the paper's B9 design ≥ 6×
 //! aggregate samples/s (vs its own scalar baseline), and a one-lane bank,
 //! whose kernels block across time, ≥ 3× for both, or the process exits
-//! non-zero — CI's bench-smoke job runs this, with `--json` recording the
-//! numbers (`BENCH_pr6.json` at the repo root holds the committed
-//! trajectory). The targets assume AVX-512; narrower hosts get
-//! width-scaled targets (see [`gate_target`]), ratios are normalized
-//! round-adjacent against the scalar baseline so clock drift cancels, and
-//! a failing sweep is remeasured up to [`GATE_ATTEMPTS`] times before the
-//! gate trips.
+//! non-zero — CI's bench-smoke job runs this. The targets assume AVX-512;
+//! narrower hosts get width-scaled targets (see [`gate_target`]), ratios
+//! are normalized round-adjacent against the scalar baseline so clock
+//! drift cancels, and a failing sweep is remeasured up to
+//! [`GATE_ATTEMPTS`] times before the gate trips.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -356,8 +354,8 @@ fn print_throughput(t: &Throughput) {
 }
 
 /// Section 3: the marginal per-lane state (high water over a bounded run)
-/// and the engine's once-billed bytes. Returns `(lane_state, engine)`.
-fn state_accounting() -> (usize, usize) {
+/// and the engine's once-billed bytes.
+fn state_accounting() {
     let config =
         PipelineConfig::least_energy([10, 12, 2, 8, 16]).with_footprint(Footprint::Bounded);
     let engine = Arc::new(DetectorEngine::new(config));
@@ -384,58 +382,11 @@ fn state_accounting() -> (usize, usize) {
         "  process-wide residual tables (shared): {} B\n",
         bank.shared_table_bytes()
     );
-    (high_water, engine.engine_bytes())
-}
-
-/// Writes the machine-readable artifact (hand-rolled JSON — the build
-/// environment is offline, no serde).
-fn write_json(path: &str, sweeps: &[Throughput], lane_state: usize, engine_bytes: usize) {
-    let mut body = String::from("{\n  \"pr\": 6,\n");
-    body.push_str(&format!(
-        "  \"simd_level\": \"{}\",\n",
-        pan_tompkins::simd_level_name()
-    ));
-    for t in sweeps {
-        body.push_str(&format!(
-            "  \"scalar_samples_per_sec_{}\": {:.0},\n",
-            t.label, t.scalar_rate
-        ));
-        let rows: Vec<String> = t
-            .rows
-            .iter()
-            .map(|(l, r, _)| format!("\"{l}\": {r:.0}"))
-            .collect();
-        body.push_str(&format!(
-            "  \"lane_aggregate_samples_per_sec_{}\": {{{}}},\n",
-            t.label,
-            rows.join(", ")
-        ));
-        body.push_str(&format!(
-            "  \"best_speedup_at_{GATE_LANES}plus_lanes_{}\": {:.2},\n",
-            t.label,
-            t.best_speedup(GATE_LANES)
-        ));
-    }
-    body.push_str(&format!(
-        "  \"lane_state_bytes_high_water\": {lane_state},\n  \
-         \"engine_bytes\": {engine_bytes},\n  \
-         \"ticks_per_push\": {TICKS_PER_PUSH}\n}}\n"
-    ));
-    if let Err(e) = std::fs::write(path, body) {
-        eprintln!("failed to write {path}: {e}");
-        std::process::exit(1);
-    }
-    println!("wrote {path}");
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let check = args.iter().any(|a| a == "--check");
-    let json_path = args
-        .iter()
-        .position(|a| a == "--json")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
     xbiosip_bench::banner(
         "Extension — multi-lane SoA stage kernels",
         "lane-vs-scalar equivalence gate + aggregate fleet throughput",
@@ -476,7 +427,7 @@ fn main() {
     for t in &sweeps {
         print_throughput(t);
     }
-    let (lane_state, engine_bytes) = state_accounting();
+    state_accounting();
 
     let mut failed = false;
     for ((_, label, full), sweep) in gates.iter().zip(&sweeps) {
@@ -512,9 +463,5 @@ fn main() {
     }
     if failed {
         std::process::exit(1);
-    }
-
-    if let Some(path) = &json_path {
-        write_json(path, &sweeps, lane_state, engine_bytes);
     }
 }

@@ -17,10 +17,7 @@
 //! 2. **Footprint table** — bounded vs retaining live-state bytes across
 //!    record lengths, plus the shared (amortised) residual-table bytes.
 //!
-//! `--check` runs only section 1 (the CI mode). `--json PATH` additionally
-//! writes the headline numbers (footprint bytes, throughput) as a
-//! machine-readable artifact — CI uploads it so the repo accumulates a
-//! perf trajectory across PRs.
+//! `--check` runs only section 1 (the CI mode).
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -85,7 +82,7 @@ fn record_of_len(len: usize) -> EcgRecord {
 /// capacity can reach 2x length right after a doubling and the billed
 /// state may exceed the serialized lengths by up to one extra blob. The
 /// block scratch is not session state, so it needs no allowance: the
-/// gate's bounded sessions read at most 6 212 B over twice their blob.
+/// gate's bounded sessions read at most 5 172 B over twice their blob.
 const SNAPSHOT_SLACK_BYTES: usize = 8 * 1024;
 
 /// High-water marks of one streamed session.
@@ -187,7 +184,7 @@ fn stream_on_this_thread(
 
 /// Section 1: the budget + no-growth + equivalence gate. Returns the worst
 /// bounded high-water marks over every configuration and record length
-/// (for the report and the JSON artifact); exits non-zero on any violation.
+/// (for the report); exits non-zero on any violation.
 fn footprint_gate() -> HighWater {
     let mut worst_bounded = HighWater::default();
     for config in gate_configs() {
@@ -301,51 +298,9 @@ fn footprint_table() {
     );
 }
 
-/// Streaming throughput of the bounded detector on the paper record (for
-/// the JSON artifact): samples per second, best of a few repeats.
-fn bounded_throughput() -> f64 {
-    let record = xbiosip_bench::experiment_record();
-    let config =
-        PipelineConfig::least_energy([10, 12, 2, 8, 16]).with_footprint(Footprint::Bounded);
-    let best = (0..4)
-        .map(|_| {
-            let t0 = Instant::now();
-            let (_, result) = StreamingQrsDetector::detect_chunked(config, record.samples(), CHUNK);
-            assert!(result.signals().is_none());
-            t0.elapsed()
-        })
-        .min()
-        .expect("repeats > 0");
-    record.len() as f64 / best.as_secs_f64()
-}
-
-/// Writes the machine-readable artifact (hand-rolled JSON — the build
-/// environment is offline, no serde).
-fn write_json(path: &str, bounded: HighWater, throughput: f64) {
-    let json = format!(
-        "{{\n  \"pr\": 4,\n  \"budget_bytes\": {BUDGET_BYTES},\n  \
-         \"bounded_state_bytes_high_water\": {},\n  \
-         \"bounded_state_plus_block_scratch_bytes_high_water\": {},\n  \
-         \"gate_record_lengths\": [{}, {}, {}],\n  \
-         \"streaming_samples_per_sec\": {throughput:.0},\n  \
-         \"chunk_samples\": {CHUNK}\n}}\n",
-        bounded.session, bounded.with_scratch, GATE_LENGTHS[0], GATE_LENGTHS[1], GATE_LENGTHS[2]
-    );
-    if let Err(e) = std::fs::write(path, json) {
-        eprintln!("failed to write {path}: {e}");
-        std::process::exit(1);
-    }
-    println!("wrote {path}");
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let check_only = args.iter().any(|a| a == "--check");
-    let json_path = args
-        .iter()
-        .position(|a| a == "--json")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
     xbiosip_bench::banner(
         "Extension — bounded-memory streaming footprint",
         "state-bytes budget gate",
@@ -366,10 +321,6 @@ fn main() {
         t0.elapsed()
     );
 
-    if let Some(path) = &json_path {
-        let throughput = bounded_throughput();
-        write_json(path, high_water, throughput);
-    }
     if check_only {
         return;
     }

@@ -18,15 +18,12 @@
 //! 2. **Bounded latency** — the p99 ingest latency (from the hub's
 //!    integer-µs histogram of enqueue → chunk fully ingested; the
 //!    watermark backpressure is what bounds it) must stay under
-//!    `--p99-ceiling-ms` (default 5000). The JSON names it
-//!    `ingest_lag_{p50,p99,max}_us`: it is not push-to-event time, since
-//!    events can trail ingestion by up to 58 samples.
+//!    `--p99-ceiling-ms` (default 5000). It is not push-to-event time,
+//!    since events can trail ingestion by up to 58 samples.
 //!
 //! `--check` exits non-zero when either fails — CI's bench-smoke job
 //! runs a reduced 10 k-session profile via
-//! `--check --sessions 10000`. `--json PATH` writes the headline
-//! numbers; the committed `BENCH_pr9.json` at the repo root holds the
-//! full 100 k-session run measured on the 1-core CI-class container.
+//! `--check --sessions 10000`.
 
 use std::collections::HashMap;
 use std::sync::mpsc::Receiver;
@@ -128,7 +125,6 @@ fn drain(
 
 struct LoadNumbers {
     sessions: usize,
-    samples_per_session: usize,
     total_samples: u64,
     open_secs: f64,
     replay_secs: f64,
@@ -326,7 +322,6 @@ fn run_load(sessions: usize, samples: usize) -> LoadNumbers {
 
     LoadNumbers {
         sessions,
-        samples_per_session: samples,
         total_samples,
         open_secs,
         replay_secs,
@@ -339,64 +334,9 @@ fn run_load(sessions: usize, samples: usize) -> LoadNumbers {
     }
 }
 
-fn write_json(path: &str, n: &LoadNumbers) {
-    let (occupied, lanes) = n.metrics.lane_occupancy();
-    let shards = n.metrics.shards.len();
-    let json = format!(
-        "{{\n  \"pr\": 9,\n  \
-         \"sessions_per_host\": {},\n  \
-         \"samples_per_session\": {},\n  \
-         \"total_samples\": {},\n  \
-         \"shards\": {},\n  \
-         \"open_per_s\": {:.0},\n  \
-         \"ingest_samples_per_s\": {:.0},\n  \
-         \"replay_secs\": {:.2},\n  \
-         \"drain_secs\": {:.2},\n  \
-         \"ingest_lag_p50_us\": {},\n  \
-         \"ingest_lag_p99_us\": {},\n  \
-         \"ingest_lag_max_us\": {},\n  \
-         \"lanes_total\": {},\n  \"lanes_occupied_final\": {},\n  \
-         \"demotions\": {},\n  \"promotions\": {},\n  \
-         \"busy_rejections\": {},\n  \"stale_drops\": {},\n  \
-         \"verified_sessions\": {}\n}}\n",
-        n.sessions,
-        n.samples_per_session,
-        n.total_samples,
-        shards,
-        n.sessions as f64 / n.open_secs,
-        n.total_samples as f64 / n.replay_secs,
-        n.replay_secs,
-        n.drain_secs,
-        n.p50_us,
-        n.p99_us,
-        n.max_us,
-        lanes,
-        occupied,
-        n.metrics.shards.iter().map(|s| s.demotions).sum::<u64>(),
-        n.metrics.shards.iter().map(|s| s.promotions).sum::<u64>(),
-        n.metrics
-            .shards
-            .iter()
-            .map(|s| s.busy_rejections)
-            .sum::<u64>(),
-        n.metrics.shards.iter().map(|s| s.stale_drops).sum::<u64>(),
-        n.verified,
-    );
-    if let Err(e) = std::fs::write(path, json) {
-        eprintln!("failed to write {path}: {e}");
-        std::process::exit(1);
-    }
-    println!("wrote {path}");
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let check = args.iter().any(|a| a == "--check");
-    let json_path = args
-        .iter()
-        .position(|a| a == "--json")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
     let sessions = args
         .iter()
         .position(|a| a == "--sessions")
@@ -458,10 +398,6 @@ fn main() {
          (close+drain {:.2} s)\n",
         n.verified, n.sessions, n.drain_secs
     );
-
-    if let Some(path) = &json_path {
-        write_json(path, &n);
-    }
 
     if check {
         if n.verified != n.sessions {

@@ -15,11 +15,7 @@
 //!    bounded (persist-every-beat-sized) and retaining (full-history)
 //!    blobs, plus the full freeze→thaw round-trip latency.
 //!
-//! `--check` alone runs only section 1. `--json PATH` additionally runs
-//! the throughput section and writes the headline numbers; CI's
-//! bench-smoke passes both flags. The committed `BENCH_pr8.json` at the
-//! repo root (the in-tree perf trajectory) was measured on the 1-core
-//! CI-class container.
+//! `--check` runs only section 1 (the CI mode).
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -214,45 +210,9 @@ fn codec_throughput(footprint: Footprint) -> (usize, f64, f64, f64) {
     )
 }
 
-/// Writes the machine-readable artifact (hand-rolled JSON — the build
-/// environment is offline, no serde).
-#[allow(clippy::too_many_arguments)]
-fn write_json(path: &str, bounded: (usize, f64, f64, f64), retain: (usize, f64, f64, f64)) {
-    let json = format!(
-        "{{\n  \"pr\": 8,\n  \"snapshot_version\": {},\n  \
-         \"bounded_blob_bytes\": {},\n  \
-         \"bounded_encode_mb_per_s\": {:.1},\n  \
-         \"bounded_decode_mb_per_s\": {:.1},\n  \
-         \"bounded_round_trip_us\": {:.1},\n  \
-         \"retain_blob_bytes\": {},\n  \
-         \"retain_encode_mb_per_s\": {:.1},\n  \
-         \"retain_decode_mb_per_s\": {:.1},\n  \
-         \"retain_round_trip_us\": {:.1}\n}}\n",
-        pan_tompkins::snapshot::VERSION,
-        bounded.0,
-        bounded.1,
-        bounded.2,
-        bounded.3,
-        retain.0,
-        retain.1,
-        retain.2,
-        retain.3,
-    );
-    if let Err(e) = std::fs::write(path, json) {
-        eprintln!("failed to write {path}: {e}");
-        std::process::exit(1);
-    }
-    println!("wrote {path}");
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let check_only = args.iter().any(|a| a == "--check");
-    let json_path = args
-        .iter()
-        .position(|a| a == "--json")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
     xbiosip_bench::banner(
         "Extension — deterministic snapshot/restore",
         "round-trip gate (solo + lane migration) + codec throughput",
@@ -266,7 +226,7 @@ fn main() {
         t0.elapsed()
     );
 
-    if check_only && json_path.is_none() {
+    if check_only {
         return;
     }
 
@@ -277,9 +237,5 @@ fn main() {
         println!("  encode:     {:>10} MB/s", fmt_f64(enc, 1));
         println!("  decode:     {:>10} MB/s", fmt_f64(dec, 1));
         println!("  round-trip: {:>10} us\n", fmt_f64(rt, 1));
-    }
-
-    if let Some(path) = &json_path {
-        write_json(path, bounded, retain);
     }
 }

@@ -33,13 +33,6 @@ pub fn banner(experiment: &str, workload: &str) {
     println!("================================================================");
 }
 
-/// Formats a reduction factor with sensible precision (`inf` for free
-/// designs).
-#[must_use]
-pub fn fmt_factor(v: f64) -> String {
-    hwmodel::report::fmt_f64(v, 2)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -49,11 +42,5 @@ mod tests {
         assert_eq!(experiment_record().len(), 20_000);
         assert_eq!(quick_record().len(), 8_000);
         assert_eq!(experiment_record().fs(), 200.0);
-    }
-
-    #[test]
-    fn fmt_factor_handles_infinity() {
-        assert_eq!(fmt_factor(f64::INFINITY), "inf");
-        assert_eq!(fmt_factor(2.5), "2.50");
     }
 }

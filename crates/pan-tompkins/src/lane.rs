@@ -24,7 +24,8 @@
 //!
 //! A one-lane bank has no lanes to block across, so each stage has a
 //! second walk that runs the same register blocks across *time*: a block
-//! of consecutive ticks of the one lane (see `Stage::time_walk`). Every
+//! of consecutive ticks of the one lane (see `Stage::time_walk`), each FIR
+//! tap's product taken as the lane walk takes it. Every
 //! single-session path is such a bank: batch detection
 //! ([`crate::QrsDetector::detect`]) is one push into one, and the
 //! streaming detector ([`crate::StreamingQrsDetector`]) wraps one.
@@ -395,20 +396,10 @@ impl<const W: usize> Block<W> {
         }
     }
 
-    /// Adds one row of products into the adder chain: the first row seeds
-    /// it, later rows accumulate through `form`.
-    #[inline(always)]
-    fn chain<A: ClosedForm>(&mut self, form: A, row: [i64; W]) {
-        if self.seeded {
-            self.accumulate(form, &row);
-        } else {
-            self.seed(row);
-        }
-    }
-
     /// One FIR tap over a frame: clamps each sample into the multiplier
-    /// range (counting saturations), multiplies it by `mul`, then chains
-    /// the products.
+    /// range (counting saturations) and multiplies it by `mul`. The first
+    /// tap's products seed the accumulators; later taps' add through
+    /// `form`.
     #[inline(always)]
     fn mac<A: ClosedForm>(
         &mut self,
@@ -426,15 +417,10 @@ impl<const W: usize> Block<W> {
             self.sat[k] += u64::from(ca != a);
             p[k] = mul(ca);
         }
-        self.chain(form, p);
-    }
-
-    /// Counts the frame's multiplier-operand saturations without
-    /// multiplying — for taps whose products were taken ahead of the walk.
-    #[inline(always)]
-    fn count_saturations(&mut self, limit: i64, frame: &[i64; W]) {
-        for (s, &a) in self.sat.iter_mut().zip(frame) {
-            *s += u64::from(a.max(-limit).min(limit - 1) != a);
+        if self.seeded {
+            self.accumulate(form, &p);
+        } else {
+            self.seed(p);
         }
     }
 }
@@ -485,12 +471,6 @@ struct Tap<'a> {
 /// ([`TapRepr`]) and [`LaneFir::run`] runs the walk monomorphized for it:
 /// no tap loop branches on the representation.
 trait TapMul: Copy {
-    /// Whether the time walk may take this representation's products once
-    /// per sample and distinct coefficient magnitude, into rows the taps
-    /// then read ([`LaneFir::fill_rows`]), instead of once per tap — it
-    /// does when the block is long enough ([`LaneFir::rows_pay`]).
-    const SHARED_ROWS: bool = false;
-
     /// One tap's product function, resolved before its lane loop (`None`
     /// only if the tap lacks the representation — a zero tap, which every
     /// walk skips, or a table tap of an exact multiplier, which
@@ -517,10 +497,6 @@ impl TapMul for NativeTaps {
 struct TableTaps;
 
 impl TapMul for TableTaps {
-    /// A multiply and a gather per tap and sample is what the lane walk
-    /// pays; across time the taps of one magnitude share them.
-    const SHARED_ROWS: bool = true;
-
     #[inline(always)]
     fn product(tap: Tap<'_>) -> Option<impl Fn(i64) -> i64> {
         let table = tap.mults.get(tap.t)?.as_ref()?.table()?;
@@ -565,13 +541,6 @@ struct LaneFir {
     /// for the pair.
     adder: AdderForm,
     taps: TapRepr,
-    /// Time walk: the first tap of each distinct nonzero coefficient
-    /// magnitude, whose products fill that magnitude's row.
-    row_taps: Vec<usize>,
-    /// Time walk, per tap: its magnitude's row and sign flip (`-1` when
-    /// its sign differs from the row tap's, else `0`; unused for zero
-    /// taps).
-    tap_rows: Vec<(usize, i64)>,
 }
 
 impl LaneFir {
@@ -584,27 +553,6 @@ impl LaneFir {
             .taps()
             .iter()
             .map(|&c| c.clamp(-mul_limit, mul_limit - 1))
-            .collect();
-        // A tap of coefficient `c` and one of `−c` read the same residual
-        // under opposite sign folds, so their products are exact
-        // negations of each other.
-        let mut row_taps: Vec<usize> = Vec::new();
-        let tap_rows = coeffs
-            .iter()
-            .enumerate()
-            .map(|(t, &cb)| {
-                if cb == 0 {
-                    return (0, 0);
-                }
-                let found = row_taps
-                    .iter()
-                    .position(|&r| coeffs[r].unsigned_abs() == cb.unsigned_abs());
-                let row = found.unwrap_or_else(|| {
-                    row_taps.push(t);
-                    row_taps.len() - 1
-                });
-                (row, -i64::from((coeffs[row_taps[row]] < 0) != (cb < 0)))
-            })
             .collect();
         let coeff_sats_per_tick = program
             .taps()
@@ -636,29 +584,17 @@ impl LaneFir {
             coeffs,
             adder,
             taps,
-            row_taps,
-            tap_rows,
             lanes,
             program,
         }
     }
 
-    /// Whether a time-walk block of `len` ticks should fill the product
-    /// rows: that costs one lookup per row and history sample (`rows − 1 +
-    /// len` samples), per-tap products one per nonzero tap and tick. Short
-    /// blocks, single-sample pushes above all, pay more for the history
-    /// than the rows save.
-    fn rows_pay(&self, len: usize) -> bool {
-        let history = self.coeffs.len() - 1 + len;
-        self.row_taps.len() * history < self.muls_per_tick as usize * len
-    }
-
     /// Runs the stage over a block of lane rows (see [`Walk`]), with the
     /// adder form and tap representation matched once for the whole block;
-    /// a time walk works in the thread's `scratch`.
-    fn run(&mut self, x: &[i64], out: &mut [i64], scratch: &mut FirScratch) {
+    /// a time walk lays its history out in the thread's `hist`.
+    fn run(&mut self, x: &[i64], out: &mut [i64], hist: &mut Vec<i64>) {
         let (adder, taps) = (self.adder, self.taps);
-        let stage = &mut FirWalk { fir: self, scratch };
+        let stage = &mut FirWalk { fir: self, hist };
         with_adder_form!(adder, form => match taps {
             TapRepr::Native => run_walk(Walk { stage, arith: (form, NativeTaps), x, out }),
             TapRepr::Table => run_walk(Walk { stage, arith: (form, TableTaps), x, out }),
@@ -698,41 +634,6 @@ impl LaneFir {
     fn heap_bytes(&self) -> usize {
         (self.delay.capacity() + self.coeffs.capacity()) * std::mem::size_of::<i64>()
             + (self.sats.capacity() + self.ovfs.capacity()) * std::mem::size_of::<u64>()
-            + self.row_taps.capacity() * std::mem::size_of::<usize>()
-            + self.tap_rows.capacity() * std::mem::size_of::<(usize, i64)>()
-    }
-
-    /// Fills the time walk's product rows over the history: row `g` holds
-    /// the products of its row tap ([`LaneFir::row_taps`]) with every
-    /// clamped history sample — one residual product per sample and distinct
-    /// coefficient magnitude.
-    #[inline(always)]
-    fn fill_rows<M: TapMul>(&self, hist: &[i64], prods: &mut Vec<i64>) {
-        let limit = self.mul_limit;
-        let len = hist.len();
-        // xanalyze: begin-allow(alloc) — thread-owned scratch: cleared, not
-        // dropped, each block, so it reaches its high-water size (rows ×
-        // history length) on the thread's first long block and never grows
-        // after.
-        prods.clear();
-        prods.resize(self.row_taps.len() * len, 0);
-        // xanalyze: end-allow(alloc)
-        for (row, &t) in prods.chunks_exact_mut(len.max(1)).zip(self.row_taps.iter()) {
-            let tap = Tap {
-                t,
-                cb: self.coeffs[t],
-                mults: self.program.tap_mults(),
-            };
-            let mul = M::product(tap);
-            // Same contract as the lane walk: `LaneFir::new` picks `M` only
-            // if every tap has it.
-            debug_assert!(mul.is_some(), "tap {t} lacks its representation");
-            if let Some(mul) = mul {
-                for (p, &a) in row.iter_mut().zip(hist.iter()) {
-                    *p = mul(a.max(-limit).min(limit - 1));
-                }
-            }
-        }
     }
 
     /// Advances every lane one sample (see [`Stage::tick`]).
@@ -754,23 +655,20 @@ impl LaneFir {
     /// history, so every tap's frame of `W` consecutive ticks is a
     /// contiguous slice of it; then walks the block and rewrites the ring
     /// from the history's newest `rows` samples, at cursor 0 (legal by
-    /// rotation invariance). The history and product rows are the thread's
-    /// `scratch`, which the LPF, HPF and derivative use in turn: each block
-    /// rebuilds the history, and hands the walk product rows only when it
-    /// has just filled them.
+    /// rotation invariance). The history is the thread's `hist`, which the
+    /// LPF, HPF and derivative use in turn: each block rebuilds it.
     #[inline(always)]
     fn time_walk<A: ClosedForm, M: TapMul>(
         &mut self,
-        (form, taps): (A, M),
+        arith: (A, M),
         x: &[i64],
         out: &mut [i64],
-        scratch: &mut FirScratch,
+        hist: &mut Vec<i64>,
     ) {
         if x.is_empty() {
             return;
         }
         let rows = self.coeffs.len();
-        let FirScratch { hist, prods } = scratch;
         // The walk leaves the ring at cursor 0 and a restore loads it at
         // the current cursor, so a one-lane ring stays at 0; rotating
         // first keeps the history copy free of a divide per sample should
@@ -785,13 +683,7 @@ impl LaneFir {
         hist.extend(self.delay[..rows - 1].iter().rev());
         hist.extend_from_slice(x);
         // xanalyze: end-allow(alloc)
-        let products = if M::SHARED_ROWS && self.rows_pay(x.len()) {
-            self.fill_rows::<M>(hist, prods);
-            Some(&prods[..])
-        } else {
-            None
-        };
-        Blocked::<_, Ticks>::blocks(self, (form, taps, products), hist, x.len(), out);
+        Blocked::<_, Ticks>::blocks(self, arith, hist, x.len(), out);
         let newest = &hist[hist.len() - rows..];
         for (d, &v) in self.delay.iter_mut().zip(newest.iter().rev()) {
             *d = v;
@@ -800,13 +692,13 @@ impl LaneFir {
 }
 
 /// A FIR stage as [`run_walk`] drives it: the stage and the thread's
-/// [`FirScratch`], which only the time walk uses. The walks themselves are
+/// history buffer, which only the time walk uses. The walks themselves are
 /// `LaneFir` methods that take the two as separate arguments: walked
 /// through this struct's two references, the exact one-lane walk ran
 /// about 25 % slower.
 struct FirWalk<'a> {
     fir: &'a mut LaneFir,
-    scratch: &'a mut FirScratch,
+    hist: &'a mut Vec<i64>,
 }
 
 impl<A: ClosedForm, M: TapMul> Stage<(A, M)> for FirWalk<'_> {
@@ -821,7 +713,7 @@ impl<A: ClosedForm, M: TapMul> Stage<(A, M)> for FirWalk<'_> {
 
     #[inline(always)]
     fn time_walk(&mut self, arith: (A, M), x: &[i64], out: &mut [i64]) {
-        self.fir.time_walk(arith, x, out, self.scratch);
+        self.fir.time_walk(arith, x, out, self.hist);
     }
 }
 
@@ -898,18 +790,15 @@ impl<A: ClosedForm, M: TapMul> Blocked<(A, M), Lanes> for LaneFir {
     }
 }
 
-impl<A: ClosedForm, M: TapMul> Blocked<(A, M, Option<&[i64]>), Ticks> for LaneFir {
+impl<A: ClosedForm, M: TapMul> Blocked<(A, M), Ticks> for LaneFir {
     /// The tap walk for ticks `k0 .. k0 + W` of a one-lane bank — the
-    /// lane walk's sum over the same operands in the same order: tap `t`'s
-    /// frame is the slice of the history `hist` starting `t` samples before
-    /// the block's first tick. Given the block's product rows, residual taps
-    /// read their magnitude's row, negated when their sign differs from the
-    /// row tap's (the sign fold is exact: `c` and `−c` read one residual),
-    /// and count saturations from the raw frame like every other tap.
+    /// lane walk's sum over the same operands in the same order, each tap's
+    /// product taken the same way: tap `t`'s frame is the slice of the
+    /// history `hist` starting `t` samples before the block's first tick.
     #[inline(always)]
     fn block<const W: usize>(
         &mut self,
-        (form, _, products): (A, M, Option<&[i64]>),
+        (form, _): (A, M),
         hist: &[i64],
         k0: usize,
         out: &mut [i64],
@@ -920,32 +809,20 @@ impl<A: ClosedForm, M: TapMul> Blocked<(A, M, Option<&[i64]>), Ticks> for LaneFi
             ovfs,
             mul_limit,
             coeffs,
-            tap_rows,
             ..
         } = self;
         let limit = *mul_limit;
         let tap_mults = program.tap_mults();
         let rows = coeffs.len();
-        let len = hist.len();
 
         let mut block = Block::<W>::new();
-        for (t, (&cb, &(row, flip))) in coeffs.iter().zip(tap_rows.iter()).enumerate() {
+        for (t, &cb) in coeffs.iter().enumerate() {
             if cb == 0 {
                 continue;
             }
             let at = rows - 1 + k0 - t;
             let mut frame = [0i64; W];
             frame.copy_from_slice(&hist[at..at + W]);
-            if let (true, Some(prods)) = (M::SHARED_ROWS, products) {
-                block.count_saturations(limit, &frame);
-                let mut p = [0i64; W];
-                p.copy_from_slice(&prods[row * len + at..row * len + at + W]);
-                for v in &mut p {
-                    *v = (*v ^ flip) - flip;
-                }
-                block.chain(form, p);
-                continue;
-            }
             let tap = Tap {
                 t,
                 cb,
@@ -1242,9 +1119,9 @@ impl<A: ClosedForm> Blocked<A, Ticks> for LaneMwi {
 ///
 /// A bank holds session state only: stage delay lines, the MWI window,
 /// counters and tails. The buffers a push works in — the inter-stage
-/// matrices and the FIR time walk's history and product rows — are the
-/// calling thread's block scratch, borrowed for the push and billed once
-/// per thread by [`block_scratch_bytes`].
+/// matrices and the FIR time walk's history — are the calling thread's
+/// block scratch, borrowed for the push and billed once per thread by
+/// [`block_scratch_bytes`].
 ///
 /// # Example
 ///
@@ -1318,20 +1195,10 @@ struct BlockScratch {
     m_e: Vec<i64>,
     /// One lane's settled events, drained into the push's return value.
     events: Vec<StreamEvent>,
-    /// The FIR time walk's buffers, which the LPF, HPF and derivative use
-    /// in turn.
-    fir: FirScratch,
-}
-
-/// The FIR time walk's part of the [`BlockScratch`].
-#[derive(Debug, Default)]
-struct FirScratch {
-    /// The linear history: the ring's `rows − 1` newest samples, oldest
+    /// The FIR time walk's linear history, which the LPF, HPF and
+    /// derivative use in turn: the ring's `rows − 1` newest samples, oldest
     /// first, then the block.
     hist: Vec<i64>,
-    /// The per-magnitude product rows over the history, filled by blocks
-    /// long enough that they pay (see [`LaneFir::rows_pay`]).
-    prods: Vec<i64>,
 }
 
 impl BlockScratch {
@@ -1342,8 +1209,7 @@ impl BlockScratch {
             + self.m_c.capacity()
             + self.m_d.capacity()
             + self.m_e.capacity()
-            + self.fir.hist.capacity()
-            + self.fir.prods.capacity())
+            + self.hist.capacity())
             * std::mem::size_of::<i64>()
             + self.events.capacity() * std::mem::size_of::<StreamEvent>()
     }
@@ -1356,7 +1222,7 @@ thread_local! {
 }
 
 /// Heap bytes of the calling thread's block scratch: the inter-stage
-/// matrices, event buffer and FIR time-walk buffers that every push on the
+/// matrices, event buffer and FIR time-walk history that every push on the
 /// thread borrows (see [`LaneBank`]). They are billed here, once per
 /// thread, and in no session's [`LaneBank::state_bytes`]; 0 on a thread
 /// that has pushed nothing.
@@ -1446,12 +1312,12 @@ impl LaneBank {
             m_c,
             m_d,
             m_e,
-            fir,
+            hist,
             ..
         } = scratch;
-        self.lpf.run(m_x0, m_a, fir);
-        self.hpf.run(m_a, m_b, fir);
-        self.der.run(m_b, m_c, fir);
+        self.lpf.run(m_x0, m_a, hist);
+        self.hpf.run(m_a, m_b, hist);
+        self.der.run(m_b, m_c, hist);
         self.sqr.run(m_c, m_d);
         self.mwi.run(m_d, m_e);
     }
@@ -1944,8 +1810,8 @@ mod tests {
         }
         // The marginal session cost stays at the scalar bounded budget,
         // with config and residual tables billed once to the engine and
-        // the block scratch once to the thread (6 160 B per lane and
-        // 50 248 B per bank measured).
+        // the block scratch once to the thread (6 048 B per lane and
+        // 49 208 B per bank measured).
         assert!(
             high_water < 8 * 1024,
             "per-lane high water {high_water} bytes"
@@ -1966,11 +1832,11 @@ mod tests {
 
     /// Five banks take turns on one thread, so every push finds the block
     /// scratch as another bank left it: matrices of another width, and the
-    /// FIR history and product rows of another stage or configuration. The
-    /// push lengths straddle `rows_pay`'s switch points (HPF from 3 ticks,
-    /// derivative from 5, LPF from 13), so blocks that fill product rows
-    /// and blocks that do not follow each other in every order. Every lane
-    /// must still equal the scalar reference over its samples.
+    /// FIR history of another stage, ring length or configuration — the
+    /// one buffer the LPF, HPF and derivative share. The push lengths
+    /// straddle the 16/8/4/1 register blocks and the 64-tick kernel block,
+    /// so histories of every length follow each other in every order.
+    /// Every lane must still equal the scalar reference over its samples.
     #[test]
     fn scratch_never_leaks_between_banks() {
         const LENGTHS: [usize; 10] = [1, 2, 3, 4, 5, 12, 13, 64, 65, 250];

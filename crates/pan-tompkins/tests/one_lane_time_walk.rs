@@ -27,7 +27,10 @@ use pan_tompkins::{
 const PUSHES: [usize; 6] = [1, 7, 63, 64, 65, 250];
 
 /// Every adder × multiplier kind at per-stage LSB depths spread over each
-/// stage's range, then the paper's designs.
+/// stage's range, then the paper's designs and two single-FIR designs at
+/// the extremes of the tap walk: an approximate HPF, whose 32 taps share 2
+/// coefficient magnitudes, and an approximate LPF at k = 16, whose residual
+/// holds 2^15 + 1 entries.
 fn configs() -> Vec<PipelineConfig> {
     let mut configs = Vec::new();
     for (m, &mult) in Mult2x2Kind::ALL.iter().enumerate() {
@@ -45,6 +48,8 @@ fn configs() -> Vec<PipelineConfig> {
         PipelineConfig::exact(),
         PipelineConfig::least_energy([10, 12, 2, 8, 16]),
         PipelineConfig::least_energy([4, 4, 2, 4, 8]),
+        PipelineConfig::least_energy([0, 16, 0, 0, 0]),
+        PipelineConfig::least_energy([16, 0, 0, 0, 0]),
     ]);
     configs
 }
