@@ -118,7 +118,18 @@ impl CheckConfig {
                 // walks share. Their scratch is the thread's, reused
                 // across blocks (audited allow regions).
                 (format!("{HOT}lane.rs"), "run_walk"),
+                (format!("{HOT}lane.rs"), "lane_walk"),
                 (format!("{HOT}lane.rs"), "time_walk"),
+                (format!("{HOT}lane.rs"), "open_history"),
+                (format!("{HOT}lane.rs"), "close_history"),
+                // The running-sum HPF kernels (DESIGN.md §9), which rebuild
+                // their products and sums in the thread's scratch.
+                (format!("{HOT}lane.rs"), "run_sum"),
+                (format!("{HOT}lane.rs"), "sum_lane_walk"),
+                (format!("{HOT}lane.rs"), "sum_time_walk"),
+                (format!("{HOT}lane.rs"), "map_products"),
+                (format!("{HOT}lane.rs"), "map_blocks"),
+                (format!("{HOT}lane.rs"), "rescale_row"),
                 (format!("{HOT}lane.rs"), "window_chain"),
                 (format!("{HOT}lane.rs"), "add_counts"),
                 (format!("{HOT}lane.rs"), "rescale_block"),

@@ -273,6 +273,17 @@ pub trait ClosedForm: Copy {
         let ext = self.ext();
         (self.raw(a, b) << ext) >> ext
     }
+
+    /// What the first operand `a` contributes to a sum: `raw(a, 0)`, not
+    /// sign-extended. For a separable form ([`AdderForm::is_separable`])
+    /// `raw(a, b) == lift(a) + b` for every pair, so
+    /// `add(a, b) == add(lift(a), b)`, and a left-to-right chain over
+    /// `p₀ … p_L` is `sext(Σ_{t<L} lift(p_t) + p_L)`: an associative sum.
+    #[inline(always)]
+    #[must_use]
+    fn lift(self, a: i64) -> i64 {
+        self.raw(a as u64, 0) as i64
+    }
 }
 
 /// `k = 0` or an accurate cell kind: plain two's-complement addition.
@@ -448,6 +459,20 @@ macro_rules! with_adder_form {
 }
 
 impl AdderForm {
+    /// Whether the form is separable: `raw(a, b) == lift(a) + b` for every
+    /// pair of operands (see [`ClosedForm::lift`]), so a chain of adds is
+    /// the sum of its lifted operands plus the last one. True exactly for
+    /// the exact adder and AMA5. AMA5's low `k` sum bits are `b`'s and its
+    /// carry into cell `k` is bit `k − 1` of `a`, so with
+    /// `lift(a) = (a & !low) + (a_{k−1} << k)` the sum is `lift(a) + b`.
+    /// AMA1–AMA3 carry through `b`'s low bits and AMA4's low sum bits are
+    /// `!a`, so no value of `a` alone stands in for it.
+    #[inline]
+    #[must_use]
+    pub fn is_separable(self) -> bool {
+        matches!(self, Self::Wrap(_) | Self::Ama5(_))
+    }
+
     /// [`ClosedForm::add`] of the resolved form.
     #[inline]
     #[must_use]
@@ -572,6 +597,53 @@ mod tests {
         }
     }
 
+    /// A FIR adder chain: `ops` folded left to right through `form`.
+    fn chain<F: ClosedForm>(form: F, ops: &[i64]) -> i64 {
+        ops[1..].iter().fold(ops[0], |acc, &p| form.add(acc, p))
+    }
+
+    /// The separable closed form of [`chain`]: every operand but the last
+    /// lifted, all summed, sign-extended from the bus width.
+    fn lifted_sum<F: ClosedForm>(form: F, ops: &[i64]) -> i64 {
+        let (&last, rest) = ops.split_last().expect("a chain has operands");
+        let sum = rest.iter().map(|&p| form.lift(p)).sum::<i64>() + last;
+        let ext = form.ext();
+        ((sum as u64) << ext) as i64 >> ext
+    }
+
+    /// Whether `add(a, b) == add(lift(a), b)` and every chain of two and
+    /// three operands equals its lifted sum, over every operand of a
+    /// `width`-bit bus.
+    fn separates<F: ClosedForm>(form: F, width: u32) -> bool {
+        let (min, max) = (-(1i64 << (width - 1)), (1i64 << (width - 1)) - 1);
+        (min..=max).all(|a| {
+            (min..=max).all(|b| {
+                form.add(a, b) == form.add(form.lift(a), b)
+                    && chain(form, &[a, b]) == lifted_sum(form, &[a, b])
+                    && (min..=max).all(|c| chain(form, &[a, b, c]) == lifted_sum(form, &[a, b, c]))
+            })
+        })
+    }
+
+    /// Exhaustive at a 5-bit bus, every depth and every cell kind: the
+    /// identities hold exactly where `is_separable` says so. At `k = 0`
+    /// every kind resolves to the exact adder; at every `k ≥ 1` AMA1–AMA4
+    /// break them, so the wired AMA4 (`Wired<true>`) cannot share AMA5's
+    /// flag.
+    #[test]
+    fn separable_forms_are_exactly_those_whose_chains_are_lifted_sums() {
+        const W: u32 = 5;
+        for kind in FullAdderKind::ALL {
+            for k in 0..=W {
+                let form = RippleCarryAdder::new(W, k, kind).form();
+                let holds = with_adder_form!(form, f => separates(f, W));
+                assert_eq!(holds, form.is_separable(), "{kind} k={k}");
+                let want = k == 0 || matches!(kind, FullAdderKind::Accurate | FullAdderKind::Ama5);
+                assert_eq!(form.is_separable(), want, "{kind} k={k}");
+            }
+        }
+    }
+
     #[test]
     fn ama5_fast_path_matches_reference_bitwise() {
         for k in 0..=16u32 {
@@ -686,6 +758,26 @@ mod tests {
             let exact = Word::new(a + b, 32).value();
             let approx = adder.add(a, b);
             prop_assert!((approx - exact).abs() <= adder.error_bound());
+        }
+
+        /// Sampled on the 32-bit bus at every depth: exact and AMA5 chains
+        /// of up to 40 operands, wrapping sums included, equal their
+        /// lifted sums, and every adjacent pair separates.
+        #[test]
+        fn prop_separable_chains_are_lifted_sums_on_the_32_bit_bus(
+            ops in prop::collection::vec(-(1i64 << 31)..(1i64 << 31), 1..=40),
+            k in 0u32..=32,
+            kind_idx in 0usize..2,
+        ) {
+            let kind = [FullAdderKind::Accurate, FullAdderKind::Ama5][kind_idx];
+            let form = RippleCarryAdder::new(32, k, kind).form();
+            prop_assert!(form.is_separable());
+            with_adder_form!(form, f => {
+                prop_assert_eq!(chain(f, &ops), lifted_sum(f, &ops), "{} k={}", kind, k);
+                for pair in ops.windows(2) {
+                    prop_assert_eq!(f.add(pair[0], pair[1]), f.add(f.lift(pair[0]), pair[1]));
+                }
+            });
         }
 
         #[test]

@@ -93,12 +93,18 @@ fn gate_configs() -> Vec<PipelineConfig> {
     // whose carry chain is the one closed form that is neither a wire nor
     // the exact chain.
     let v2_ama3 = |k| StageArith::new(k, Mult2x2Kind::V2, FullAdderKind::Ama3);
+    // AMA4 is wired like AMA5 but not separable, so its HPF keeps the tap
+    // walk where the exact and AMA5 HPFs run as a running sum.
+    let ama4 = |k| StageArith::new(k, Mult2x2Kind::V1, FullAdderKind::Ama4);
     vec![
         PipelineConfig::exact(),
         // The paper's B9 design, and a mid point in the bounded footprint.
         PipelineConfig::least_energy([10, 12, 2, 8, 16]),
         PipelineConfig::least_energy([4, 4, 2, 4, 8]).with_footprint(Footprint::Bounded),
         PipelineConfig::from_stages([v2_ama3(8), v2_ama3(10), v2_ama3(2), v2_ama3(6), v2_ama3(12)]),
+        // The running-sum HPF at the stage's deepest approximation.
+        PipelineConfig::least_energy([0, 16, 0, 0, 0]),
+        PipelineConfig::from_stages([ama4(10), ama4(12), ama4(2), ama4(8), ama4(16)]),
     ]
 }
 

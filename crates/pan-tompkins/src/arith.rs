@@ -92,6 +92,12 @@ impl ArithProgram {
         self.reference.is_exact()
     }
 
+    /// The multiplier block's worst-case absolute product error (see
+    /// [`RecursiveMultiplier::error_bound`]; 0 when exact).
+    pub(crate) fn mul_error_bound(&self) -> i64 {
+        self.reference.error_bound()
+    }
+
     /// The adder block's closed form with its masks and shifts resolved
     /// (see [`approx_arith::ClosedForm`]).
     pub(crate) fn adder_form(&self) -> AdderForm {

@@ -129,14 +129,7 @@ impl FirProgram {
     pub(crate) fn rescale(&self, acc: i64) -> i64 {
         match self.gain_shift {
             Some(0) => acc,
-            Some(shift) => {
-                let half = 1i64 << (shift - 1);
-                if acc >= 0 {
-                    (acc + half) >> shift
-                } else {
-                    -((-acc + half) >> shift)
-                }
-            }
+            Some(shift) => shift_round(acc, shift),
             None => div_round(acc, self.gain),
         }
     }
@@ -168,6 +161,18 @@ impl FirProgram {
             }
         }
         bytes
+    }
+}
+
+/// [`div_round`] by `2^shift` (`shift ≥ 1`), as a shift: round half away
+/// from zero.
+#[inline(always)]
+pub(crate) fn shift_round(acc: i64, shift: u32) -> i64 {
+    let half = 1i64 << (shift - 1);
+    if acc >= 0 {
+        (acc + half) >> shift
+    } else {
+        -((-acc + half) >> shift)
     }
 }
 

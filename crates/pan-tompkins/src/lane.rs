@@ -30,6 +30,13 @@
 //! ([`crate::QrsDetector::detect`]) is one push into one, and the
 //! streaming detector ([`crate::StreamingQrsDetector`]) wraps one.
 //!
+//! The HPF on the exact adder or AMA5 runs neither tap walk. Those adders
+//! are separable ([`approx_arith::AdderForm::is_separable`]): a chain of
+//! adds is a plain sum of lifted operands ([`approx_arith::ClosedForm::lift`]),
+//! and 31 of the HPF's 32 taps share one coefficient. So its outputs come
+//! from a sliding window sum of one product per sample, in both walks
+//! (`SumWalk`), whenever the overflow bound of `running_sum_spike` holds.
+//!
 //! # Bit-identity contract
 //!
 //! Every lane's event stream and final [`DetectionResult`] are **bit
@@ -40,10 +47,12 @@
 //!
 //! * FIR products are taken in tap order and accumulated left-to-right
 //!   exactly like the scalar hot loop, so non-associative approximate
-//!   adds see the same operand sequence. The ring cursor is shared across
-//!   lanes — legal because an FIR output depends only on delay contents
-//!   *relative* to the cursor, so a freshly zeroed lane column behaves
-//!   exactly like a fresh filter (rotation invariance);
+//!   adds see the same operand sequence. The running-sum HPF is the one
+//!   exception: its adder is separable, so the chain equals its sum, and
+//!   its bound proves the chain's overflow count 0. The ring cursor is
+//!   shared across lanes — legal because an FIR output depends only on
+//!   delay contents *relative* to the cursor, so a freshly zeroed lane
+//!   column behaves exactly like a fresh filter (rotation invariance);
 //! * the MWI sums its window in **storage order** (the netlist's 29-adder
 //!   chain), which is *not* rotation invariant — so MWI write cursors are
 //!   per-lane, letting a lane reset mid-run behave like a fresh session;
@@ -73,7 +82,7 @@ use approx_arith::{
 use crate::arith::{div_round, ArithCounters, ArithProgram};
 use crate::detector::DetectionResult;
 use crate::engine::DetectorEngine;
-use crate::fir::FirProgram;
+use crate::fir::{shift_round, FirProgram};
 use crate::snapshot::{self, Reader, SnapshotError, Writer};
 use crate::stages::mwi::WINDOW;
 use crate::streaming::{DetectorTail, StreamEvent};
@@ -168,9 +177,12 @@ trait Stage<A: Copy> {
     /// Lanes in the bank.
     fn lanes(&self) -> usize;
 
-    /// Advances every lane one sample: `x` is the lane row in, `out` the
-    /// lane row of stage outputs.
-    fn tick(&mut self, arith: A, x: &[i64], out: &mut [i64]);
+    /// Advances every lane over a block of ticks, one tick at a time: `x`
+    /// is the block's lane rows in, `out` the lane rows of stage outputs.
+    /// Each stage writes the tick loop out itself: passing its tick as a
+    /// closure to one shared loop ran the 16-lane LPF, derivative and MWI
+    /// about 5× slower.
+    fn lane_walk(&mut self, arith: A, x: &[i64], out: &mut [i64]);
 
     /// Advances a one-lane bank over a whole block of ticks: `x` is the
     /// lane's samples in, `out` its stage outputs.
@@ -252,8 +264,7 @@ struct Walk<'a, S, A> {
 }
 
 impl<S: Stage<A>, A: Copy> Walk<'_, S, A> {
-    /// The time walk of a one-lane bank when `TIME`, else the lane walk,
-    /// tick by tick.
+    /// The time walk of a one-lane bank when `TIME`, else the lane walk.
     #[inline(always)]
     fn run<const TIME: bool>(self) {
         let Self {
@@ -264,11 +275,8 @@ impl<S: Stage<A>, A: Copy> Walk<'_, S, A> {
         } = self;
         if TIME {
             stage.time_walk(arith, x, out);
-            return;
-        }
-        let lanes = stage.lanes();
-        for (x, out) in x.chunks_exact(lanes).zip(out.chunks_exact_mut(lanes)) {
-            stage.tick(arith, x, out);
+        } else {
+            stage.lane_walk(arith, x, out);
         }
     }
 }
@@ -438,18 +446,31 @@ fn rescale_block<const W: usize>(program: &FirProgram, block: &Block<W>, out: &m
     match program.gain_shift() {
         Some(0) => out.copy_from_slice(&block.acc),
         Some(shift) => {
-            let half = 1i64 << (shift - 1);
             for (o, &a) in out.iter_mut().zip(block.acc.iter()) {
-                *o = if a >= 0 {
-                    (a + half) >> shift
-                } else {
-                    -((-a + half) >> shift)
-                };
+                *o = shift_round(a, shift);
             }
         }
         None => {
             for (o, &a) in out.iter_mut().zip(block.acc.iter()) {
                 *o = program.rescale(a);
+            }
+        }
+    }
+}
+
+/// Rescales a row of FIR accumulators in place, like [`rescale_block`].
+#[inline(always)]
+fn rescale_row(program: &FirProgram, out: &mut [i64]) {
+    match program.gain_shift() {
+        Some(0) => {}
+        Some(shift) => {
+            for o in out.iter_mut() {
+                *o = shift_round(*o, shift);
+            }
+        }
+        None => {
+            for o in out.iter_mut() {
+                *o = program.rescale(*o);
             }
         }
     }
@@ -541,6 +562,48 @@ struct LaneFir {
     /// for the pair.
     adder: AdderForm,
     taps: TapRepr,
+    /// The spike tap when the program runs as a running sum (see
+    /// [`running_sum_spike`]), else `None`: the tap walk. A `u16` sits in
+    /// the struct's tail padding, so a bank bills no more session state.
+    running_sum: Option<u16>,
+}
+
+/// The tap at which a FIR program can run as a running sum ([`SumWalk`])
+/// instead of the tap walk, resolved once per bank. It can when:
+///
+/// * the stage adder is separable ([`AdderForm::is_separable`]: exact or
+///   AMA5), so the chain over products `p₀ … p_L` equals
+///   `sext(Σ_{t<L} lift(p_t) + p_L)`, an associative sum;
+/// * every tap is nonzero and all but one, the spike, share the last tap's
+///   coefficient (the HPF: 31 × −1, and +31 at delay 16), so every tap but
+///   the spike takes the same product of its sample;
+/// * no step of the chain can overflow the bus: with clamped samples
+///   `|x̃| ≤ mul_limit`, `Σ_t (mul_limit·|c_t| + the product's and the
+///   adder's error bounds) < 2^(width − 1)` bounds every partial sum and
+///   every sum the tap walk tests, so its overflow count is 0 for every
+///   input. That holds for every HPF up to the stage's 16 LSBs.
+///
+/// The LPF, the derivative (it has a zero tap) and any HPF that fails a
+/// condition (AMA1–AMA4, or too deep for the bound) keep the tap walk.
+fn running_sum_spike(program: &FirProgram, coeffs: &[i64], mul_limit: i64) -> Option<u16> {
+    let arith = program.arith();
+    let (&last, rest) = coeffs.split_last()?;
+    if !arith.adder_form().is_separable() || coeffs.contains(&0) {
+        return None;
+    }
+    let mut odd = (0..rest.len()).filter(|&t| rest[t] != last);
+    let spike = odd.next()?;
+    if odd.next().is_some() {
+        return None;
+    }
+    let errors = arith.mul_error_bound() + arith.adder().error_bound();
+    let bound = coeffs.iter().fold(0i64, |sum, &c| {
+        sum.saturating_add(mul_limit * c.abs() + errors)
+    });
+    if bound >= 1i64 << (arith.adder_width() - 1) {
+        return None;
+    }
+    u16::try_from(spike).ok()
 }
 
 impl LaneFir {
@@ -581,6 +644,7 @@ impl LaneFir {
             adds_per_tick: nonzero.saturating_sub(1),
             coeff_sats_per_tick,
             mul_limit,
+            running_sum: running_sum_spike(&program, &coeffs, mul_limit),
             coeffs,
             adder,
             taps,
@@ -590,15 +654,56 @@ impl LaneFir {
     }
 
     /// Runs the stage over a block of lane rows (see [`Walk`]), with the
-    /// adder form and tap representation matched once for the whole block;
-    /// a time walk lays its history out in the thread's `hist`.
-    fn run(&mut self, x: &[i64], out: &mut [i64], hist: &mut Vec<i64>) {
+    /// kernel, adder form and tap representation matched once for the
+    /// whole block, in the thread's FIR scratch.
+    fn run(&mut self, x: &[i64], out: &mut [i64], scratch: &mut FirScratch) {
         let (adder, taps) = (self.adder, self.taps);
-        let stage = &mut FirWalk { fir: self, hist };
-        with_adder_form!(adder, form => match taps {
-            TapRepr::Native => run_walk(Walk { stage, arith: (form, NativeTaps), x, out }),
-            TapRepr::Table => run_walk(Walk { stage, arith: (form, TableTaps), x, out }),
-        });
+        match (self.running_sum, adder) {
+            // `running_sum_spike` resolves a spike for these two forms only.
+            (Some(spike), AdderForm::Wrap(form)) => self.run_sum(form, spike, x, out, scratch),
+            (Some(spike), AdderForm::Ama5(form)) => self.run_sum(form, spike, x, out, scratch),
+            _ => {
+                let stage = &mut FirWalk {
+                    fir: self,
+                    hist: &mut scratch.hist,
+                };
+                with_adder_form!(adder, form => match taps {
+                    TapRepr::Native => run_walk(Walk { stage, arith: (form, NativeTaps), x, out }),
+                    TapRepr::Table => run_walk(Walk { stage, arith: (form, TableTaps), x, out }),
+                });
+            }
+        }
+    }
+
+    /// [`LaneFir::run`] as a running sum under the separable form `form`.
+    fn run_sum<A: ClosedForm>(
+        &mut self,
+        form: A,
+        spike: u16,
+        x: &[i64],
+        out: &mut [i64],
+        scratch: &mut FirScratch,
+    ) {
+        let taps = self.taps;
+        let stage = &mut SumWalk {
+            fir: self,
+            spike: usize::from(spike),
+            scratch,
+        };
+        match taps {
+            TapRepr::Native => run_walk(Walk {
+                stage,
+                arith: (form, NativeTaps),
+                x,
+                out,
+            }),
+            TapRepr::Table => run_walk(Walk {
+                stage,
+                arith: (form, TableTaps),
+                x,
+                out,
+            }),
+        }
     }
 
     fn reset_lane(&mut self, lane: usize) {
@@ -636,7 +741,8 @@ impl LaneFir {
             + (self.sats.capacity() + self.ovfs.capacity()) * std::mem::size_of::<u64>()
     }
 
-    /// Advances every lane one sample (see [`Stage::tick`]).
+    /// The tap walk's tick: advances every lane one sample, `x` the lane
+    /// row in and `out` the lane row of stage outputs.
     #[inline(always)]
     fn tick<A: ClosedForm, M: TapMul>(&mut self, arith: (A, M), x: &[i64], out: &mut [i64]) {
         let lanes = self.lanes;
@@ -650,13 +756,9 @@ impl LaneFir {
         Blocked::<_, Lanes>::blocks(self, arith, x, lanes, out);
     }
 
-    /// The time walk of a one-lane bank (see [`Stage::time_walk`]). Lays
-    /// the ring's `rows − 1` newest samples and the block out as one linear
-    /// history, so every tap's frame of `W` consecutive ticks is a
-    /// contiguous slice of it; then walks the block and rewrites the ring
-    /// from the history's newest `rows` samples, at cursor 0 (legal by
-    /// rotation invariance). The history is the thread's `hist`, which the
-    /// LPF, HPF and derivative use in turn: each block rebuilds it.
+    /// The time walk of a one-lane bank (see [`Stage::time_walk`]): the
+    /// tap walk in register blocks of consecutive ticks over the block's
+    /// history (see [`LaneFir::open_history`]).
     #[inline(always)]
     fn time_walk<A: ClosedForm, M: TapMul>(
         &mut self,
@@ -668,6 +770,18 @@ impl LaneFir {
         if x.is_empty() {
             return;
         }
+        self.open_history(x, hist);
+        Blocked::<_, Ticks>::blocks(self, arith, hist, x.len(), out);
+        self.close_history(hist);
+    }
+
+    /// Lays a one-lane ring's `rows − 1` newest samples (oldest first) and
+    /// the block `x` out as one linear history in the thread's `hist`, so
+    /// the samples every output of the block reads are contiguous. The
+    /// history is scratch the LPF, HPF and derivative use in turn: each
+    /// block rebuilds it.
+    #[inline(always)]
+    fn open_history(&mut self, x: &[i64], hist: &mut Vec<i64>) {
         let rows = self.coeffs.len();
         // The walk leaves the ring at cursor 0 and a restore loads it at
         // the current cursor, so a one-lane ring stays at 0; rotating
@@ -683,19 +797,261 @@ impl LaneFir {
         hist.extend(self.delay[..rows - 1].iter().rev());
         hist.extend_from_slice(x);
         // xanalyze: end-allow(alloc)
-        Blocked::<_, Ticks>::blocks(self, arith, hist, x.len(), out);
-        let newest = &hist[hist.len() - rows..];
+    }
+
+    /// Rewrites a one-lane ring from the history's `rows` newest samples,
+    /// at cursor 0 (legal by rotation invariance).
+    #[inline(always)]
+    fn close_history(&mut self, hist: &[i64]) {
+        let newest = &hist[hist.len() - self.coeffs.len()..];
         for (d, &v) in self.delay.iter_mut().zip(newest.iter().rev()) {
             *d = v;
         }
     }
+
+    /// The running-sum lane walk (see [`SumWalk`]). At the block start it
+    /// takes the background product `r = P(x̃)` of every ring sample into a
+    /// product ring laid out like the delay ring, and per lane the window
+    /// sum `W` of their lifts and the count of clamped samples. Each tick
+    /// then swaps the oldest sample for the newest in the rings, the sum
+    /// and the count, and computes every lane's output from `W`, the last
+    /// tap's and the spike's ring rows and one spike product.
+    #[inline(always)]
+    fn sum_lane_walk<A: ClosedForm, M: TapMul>(
+        &mut self,
+        (form, _): (A, M),
+        spike: usize,
+        x: &[i64],
+        out: &mut [i64],
+        scratch: &mut FirScratch,
+    ) {
+        let Self {
+            program,
+            lanes,
+            delay,
+            cursor,
+            sats,
+            mul_limit,
+            coeffs,
+            ..
+        } = self;
+        let (lanes, limit, rows) = (*lanes, *mul_limit, coeffs.len());
+        let Some((back, spiked)) = sum_products::<M>(program, coeffs, spike, limit) else {
+            return;
+        };
+        let clamp = |v: i64| v.max(-limit).min(limit - 1);
+        let FirScratch { prods, sums, .. } = scratch;
+        // xanalyze: begin-allow(alloc) — thread-owned scratch: resized in
+        // place each block, never dropped, so it reaches its high-water
+        // size (the widest bank's ring and lanes) on the thread's first
+        // block and never grows after.
+        prods.resize(delay.len(), 0);
+        sums.clear();
+        sums.resize(2 * lanes, 0);
+        // xanalyze: end-allow(alloc)
+        map_products(delay, prods, &back);
+        let (window, clamped) = sums.split_at_mut(lanes);
+        for (ring, samples) in prods.chunks_exact(lanes).zip(delay.chunks_exact(lanes)) {
+            for (((w, n), &r), &v) in window
+                .iter_mut()
+                .zip(clamped.iter_mut())
+                .zip(ring)
+                .zip(samples)
+            {
+                *w += form.lift(r);
+                *n += i64::from(clamp(v) != v);
+            }
+        }
+        let ext = form.ext();
+        // Ring row of tap `t` (sample `n − t`) with the cursor at `c`.
+        let row = |c: usize, t: usize| (if c + t < rows { c + t } else { c + t - rows }) * lanes;
+        for (x, out) in x.chunks_exact(lanes).zip(out.chunks_exact_mut(lanes)) {
+            let c = if *cursor == 0 { rows - 1 } else { *cursor - 1 };
+            *cursor = c;
+            // The newest sample replaces the oldest in the rings, the
+            // window sum and the count.
+            let new = row(c, 0);
+            for ((((d, &r), &v), w), n) in delay[new..new + lanes]
+                .iter_mut()
+                .zip(&prods[new..new + lanes])
+                .zip(x)
+                .zip(window.iter_mut())
+                .zip(clamped.iter_mut())
+            {
+                *w -= form.lift(r);
+                *n += i64::from(clamp(v) != v) - i64::from(clamp(*d) != *d);
+                *d = v;
+            }
+            map_products(x, &mut prods[new..new + lanes], &back);
+            for (w, &r) in window.iter_mut().zip(&prods[new..new + lanes]) {
+                *w += form.lift(r);
+            }
+            // The spike's products, into the output row until the outputs
+            // replace them.
+            let (last, at) = (row(c, rows - 1), row(c, spike));
+            map_products(&delay[at..at + lanes], out, &spiked);
+            for (((((o, s), &w), &n), &r_last), &r_spike) in out
+                .iter_mut()
+                .zip(sats.iter_mut())
+                .zip(&*window)
+                .zip(&*clamped)
+                .zip(&prods[last..last + lanes])
+                .zip(&prods[at..at + lanes])
+            {
+                let acc = w - form.lift(r_last) + r_last + form.lift(*o) - form.lift(r_spike);
+                *o = (acc << ext) >> ext;
+                *s += n.unsigned_abs();
+            }
+            rescale_row(program, out);
+        }
+    }
+
+    /// The running-sum time walk of a one-lane bank (see [`SumWalk`]). Over
+    /// the block's history (see [`LaneFir::open_history`]) it takes every
+    /// sample's background product, the prefix sums of their lifts in one
+    /// serial pass, then every output: output `i` reads history
+    /// `i .. i + rows`, whose window sum is a difference of two prefix
+    /// sums.
+    #[inline(always)]
+    fn sum_time_walk<A: ClosedForm, M: TapMul>(
+        &mut self,
+        (form, _): (A, M),
+        spike: usize,
+        x: &[i64],
+        out: &mut [i64],
+        scratch: &mut FirScratch,
+    ) {
+        let ticks = x.len();
+        if ticks == 0 {
+            return;
+        }
+        let FirScratch { hist, prods, sums } = scratch;
+        self.open_history(x, hist);
+        let Self {
+            program,
+            sats,
+            mul_limit,
+            coeffs,
+            ..
+        } = self;
+        let (limit, rows) = (*mul_limit, coeffs.len());
+        if let Some((back, spiked)) = sum_products::<M>(program, coeffs, spike, limit) {
+            let clamp = |v: i64| v.max(-limit).min(limit - 1);
+            // xanalyze: begin-allow(alloc) — thread-owned scratch: resized
+            // in place each block, never dropped, so it reaches its
+            // high-water size (the history's length plus one) on the
+            // thread's first full block and never grows after.
+            prods.resize(hist.len(), 0);
+            sums.clear();
+            sums.push(0);
+            // xanalyze: end-allow(alloc)
+            map_products(hist, prods, &back);
+            let mut sum = 0;
+            // xanalyze: begin-allow(alloc) — the same scratch, within the
+            // capacity of its high-water block.
+            sums.extend(prods.iter().map(|&r| {
+                sum += form.lift(r);
+                sum
+            }));
+            // xanalyze: end-allow(alloc)
+            // History sample `u` lies in the windows of outputs
+            // `u + 1 − rows ..= u`, clipped to the block.
+            let clamped: u64 = hist
+                .iter()
+                .enumerate()
+                .map(|(u, &v)| {
+                    let outputs = u.min(ticks - 1) + 1 - (u + 1).saturating_sub(rows);
+                    u64::from(clamp(v) != v) * outputs as u64
+                })
+                .sum();
+            sats[0] += clamped;
+            // Output `i`: taps `0 .. rows − 1` lift history `i + 1 ..
+            // i + rows`, the last tap adds history `i` unlifted, and the
+            // spike tap reads history `i + rows − 1 − spike`, whose
+            // products land in the outputs until the outputs replace them.
+            let at = rows - 1 - spike;
+            let out = &mut out[..ticks];
+            map_products(&hist[at..at + ticks], out, &spiked);
+            let ext = form.ext();
+            for ((((o, &r_last), &below), &upto), &r_spike) in out
+                .iter_mut()
+                .zip(&prods[..ticks])
+                .zip(&sums[1..])
+                .zip(&sums[rows..])
+                .zip(&prods[at..])
+            {
+                let acc = upto - below + r_last + form.lift(*o) - form.lift(r_spike);
+                *o = (acc << ext) >> ext;
+            }
+            rescale_row(program, out);
+        }
+        self.close_history(hist);
+    }
 }
 
-/// A FIR stage as [`run_walk`] drives it: the stage and the thread's
-/// history buffer, which only the time walk uses. The walks themselves are
-/// `LaneFir` methods that take the two as separate arguments: walked
-/// through this struct's two references, the exact one-lane walk ran
-/// about 25 % slower.
+/// The running sum's two products of a sample, each clamping it into the
+/// multiplier range first: the background taps' (the last tap's
+/// coefficient) and the spike tap's. `None` if a tap lacks the
+/// representation `M`, which `LaneFir::new` rules out.
+#[inline(always)]
+fn sum_products<'a, M: TapMul + 'a>(
+    program: &'a FirProgram,
+    coeffs: &[i64],
+    spike: usize,
+    limit: i64,
+) -> Option<(impl Fn(i64) -> i64 + 'a, impl Fn(i64) -> i64 + 'a)> {
+    let mults = program.tap_mults();
+    let product = |t: usize| {
+        let mul = M::product(Tap {
+            t,
+            cb: coeffs[t],
+            mults,
+        })?;
+        Some(move |v: i64| mul(v.max(-limit).min(limit - 1)))
+    };
+    let products = product(coeffs.len() - 1).zip(product(spike));
+    debug_assert!(products.is_some(), "a tap lacks its representation");
+    products
+}
+
+/// Writes `product(v)` for every `v` of `src` into `dst`, in register
+/// blocks of 16, 8, 4, then 1. A residual product gathers from a table the
+/// compiler cannot prove apart from `dst`, so a loop storing each product
+/// straight to `dst` stays scalar; a block's products go to a local array
+/// first, as in [`Block::mac`].
+#[inline(always)]
+fn map_products(src: &[i64], dst: &mut [i64], product: &impl Fn(i64) -> i64) {
+    let mut done = map_blocks::<16>(src, dst, product);
+    done += map_blocks::<8>(&src[done..], &mut dst[done..], product);
+    done += map_blocks::<4>(&src[done..], &mut dst[done..], product);
+    map_blocks::<1>(&src[done..], &mut dst[done..], product);
+}
+
+/// [`map_products`] over the whole blocks of `W` elements; returns how many
+/// elements it wrote.
+#[inline(always)]
+fn map_blocks<const W: usize>(
+    src: &[i64],
+    dst: &mut [i64],
+    product: &impl Fn(i64) -> i64,
+) -> usize {
+    let mut done = 0;
+    for (src, dst) in src.chunks_exact(W).zip(dst.chunks_exact_mut(W)) {
+        let mut block = [0i64; W];
+        for (p, &v) in block.iter_mut().zip(src) {
+            *p = product(v);
+        }
+        dst.copy_from_slice(&block);
+        done += W;
+    }
+    done
+}
+
+/// A FIR stage on the tap walk as [`run_walk`] drives it: the stage and
+/// the thread's history buffer, which only the time walk uses. The walks
+/// themselves are `LaneFir` methods that take the two as separate
+/// arguments: walked through this struct's two references, the exact
+/// one-lane walk ran about 25 % slower.
 struct FirWalk<'a> {
     fir: &'a mut LaneFir,
     hist: &'a mut Vec<i64>,
@@ -707,13 +1063,59 @@ impl<A: ClosedForm, M: TapMul> Stage<(A, M)> for FirWalk<'_> {
     }
 
     #[inline(always)]
-    fn tick(&mut self, arith: (A, M), x: &[i64], out: &mut [i64]) {
-        self.fir.tick(arith, x, out);
+    fn lane_walk(&mut self, arith: (A, M), x: &[i64], out: &mut [i64]) {
+        let lanes = self.fir.lanes;
+        for (x, out) in x.chunks_exact(lanes).zip(out.chunks_exact_mut(lanes)) {
+            self.fir.tick(arith, x, out);
+        }
     }
 
     #[inline(always)]
     fn time_walk(&mut self, arith: (A, M), x: &[i64], out: &mut [i64]) {
         self.fir.time_walk(arith, x, out, self.hist);
+    }
+}
+
+/// A FIR stage as a running sum, as [`run_walk`] drives it: the stage, its
+/// spike tap ([`running_sum_spike`]) and the thread's FIR scratch. For a
+/// separable adder the tap walk's chain over tap products `p_t` is
+/// `sext(Σ_{t<L} lift(p_t) + p_L)`, and every tap but the spike `j`
+/// multiplies its sample by one coefficient, so with the background
+/// product `r_m = P(x̃_m)` of each clamped sample and `W(n)` the sum of
+/// `lift(r)` over the window `n − L ..= n`, output `n` is
+///
+/// ```text
+/// sext(W(n) − lift(r_{n−L}) + r_{n−L} + lift(P_j(x̃_{n−j})) − lift(r_{n−j}))
+/// ```
+///
+/// rescaled: two products per output instead of `L + 1` and no adder
+/// chain. The saturation count of an output is the number of clamped
+/// samples in its window; the overflow count stays 0 (the bound of
+/// [`running_sum_spike`]), and op counts stay the hoisted per-tick
+/// constants of the netlist. The products and sums are block scratch,
+/// rebuilt from the delay ring at each block start, so the bank holds
+/// nothing the tap walk does not.
+struct SumWalk<'a> {
+    fir: &'a mut LaneFir,
+    spike: usize,
+    scratch: &'a mut FirScratch,
+}
+
+impl<A: ClosedForm, M: TapMul> Stage<(A, M)> for SumWalk<'_> {
+    fn lanes(&self) -> usize {
+        self.fir.lanes
+    }
+
+    #[inline(always)]
+    fn lane_walk(&mut self, arith: (A, M), x: &[i64], out: &mut [i64]) {
+        self.fir
+            .sum_lane_walk(arith, self.spike, x, out, self.scratch);
+    }
+
+    #[inline(always)]
+    fn time_walk(&mut self, arith: (A, M), x: &[i64], out: &mut [i64]) {
+        self.fir
+            .sum_time_walk(arith, self.spike, x, out, self.scratch);
     }
 }
 
@@ -917,15 +1319,25 @@ impl Stage<()> for LaneSqr {
     }
 
     #[inline(always)]
-    fn tick(&mut self, (): (), x: &[i64], out: &mut [i64]) {
+    fn lane_walk(&mut self, (): (), x: &[i64], out: &mut [i64]) {
         let Self {
             square,
             sats,
             mul_limit,
         } = self;
+        let (lanes, limit) = (sats.len(), *mul_limit);
+        let rows = x.chunks_exact(lanes).zip(out.chunks_exact_mut(lanes));
         match square.table() {
-            None => square_row(sats, *mul_limit, x, out, |cv| cv * cv),
-            Some(table) => square_row(sats, *mul_limit, x, out, |cv| table.square_clamped(cv)),
+            None => {
+                for (x, out) in rows {
+                    square_row(sats, limit, x, out, |cv| cv * cv);
+                }
+            }
+            Some(table) => {
+                for (x, out) in rows {
+                    square_row(sats, limit, x, out, |cv| table.square_clamped(cv));
+                }
+            }
         }
     }
 
@@ -1019,13 +1431,11 @@ impl<A: ClosedForm> Stage<A> for LaneMwi {
     }
 
     #[inline(always)]
-    fn tick(&mut self, form: A, x: &[i64], out: &mut [i64]) {
+    fn lane_walk(&mut self, form: A, x: &[i64], out: &mut [i64]) {
         let lanes = self.lanes;
-        for (lane, (&v, cur)) in x.iter().zip(self.cursor.iter_mut()).enumerate() {
-            self.window[*cur * lanes + lane] = v;
-            *cur = (*cur + 1) % WINDOW;
+        for (x, out) in x.chunks_exact(lanes).zip(out.chunks_exact_mut(lanes)) {
+            self.tick(form, x, out);
         }
-        Blocked::<_, Lanes>::blocks(self, form, x, lanes, out);
     }
 
     #[inline(always)]
@@ -1035,6 +1445,18 @@ impl<A: ClosedForm> Stage<A> for LaneMwi {
 }
 
 impl LaneMwi {
+    /// Advances every lane one sample: writes the lane row `x` into each
+    /// lane's window slot, then sums every window.
+    #[inline(always)]
+    fn tick<A: ClosedForm>(&mut self, form: A, x: &[i64], out: &mut [i64]) {
+        let lanes = self.lanes;
+        for (lane, (&v, cur)) in x.iter().zip(self.cursor.iter_mut()).enumerate() {
+            self.window[*cur * lanes + lane] = v;
+            *cur = (*cur + 1) % WINDOW;
+        }
+        Blocked::<_, Lanes>::blocks(self, form, x, lanes, out);
+    }
+
     /// The storage-order chain over one register block, like the scalar
     /// netlist walk: slot 0's row seeds the accumulators and the other
     /// [`WINDOW`]` − 1` slots' rows add through the closed form `form`.
@@ -1195,10 +1617,25 @@ struct BlockScratch {
     m_e: Vec<i64>,
     /// One lane's settled events, drained into the push's return value.
     events: Vec<StreamEvent>,
-    /// The FIR time walk's linear history, which the LPF, HPF and
-    /// derivative use in turn: the ring's `rows − 1` newest samples, oldest
-    /// first, then the block.
+    /// The FIR stages' buffers, which the LPF, HPF and derivative use in
+    /// turn.
+    fir: FirScratch,
+}
+
+/// The FIR walks' block scratch. Every block rebuilds what it reads.
+#[derive(Debug, Default)]
+struct FirScratch {
+    /// The time walk's linear history: the ring's `rows − 1` newest
+    /// samples, oldest first, then the block.
     hist: Vec<i64>,
+    /// The running sum's background products ([`SumWalk`]): the lane
+    /// walk's product ring, laid out like the delay ring, or the time
+    /// walk's product of every history sample.
+    prods: Vec<i64>,
+    /// The running sum's sums: the lane walk's per-lane window sums of
+    /// lifted products, then per-lane counts of clamped samples; or the
+    /// time walk's prefix sums of the lifted products.
+    sums: Vec<i64>,
 }
 
 impl BlockScratch {
@@ -1209,7 +1646,9 @@ impl BlockScratch {
             + self.m_c.capacity()
             + self.m_d.capacity()
             + self.m_e.capacity()
-            + self.hist.capacity())
+            + self.fir.hist.capacity()
+            + self.fir.prods.capacity()
+            + self.fir.sums.capacity())
             * std::mem::size_of::<i64>()
             + self.events.capacity() * std::mem::size_of::<StreamEvent>()
     }
@@ -1312,12 +1751,12 @@ impl LaneBank {
             m_c,
             m_d,
             m_e,
-            hist,
+            fir,
             ..
         } = scratch;
-        self.lpf.run(m_x0, m_a, hist);
-        self.hpf.run(m_a, m_b, hist);
-        self.der.run(m_b, m_c, hist);
+        self.lpf.run(m_x0, m_a, fir);
+        self.hpf.run(m_a, m_b, fir);
+        self.der.run(m_b, m_c, fir);
         self.sqr.run(m_c, m_d);
         self.mwi.run(m_d, m_e);
     }
@@ -1657,9 +2096,10 @@ impl LaneBank {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{Footprint, PipelineConfig};
+    use crate::config::{Footprint, PipelineConfig, StageKind};
     use crate::oracle;
     use crate::streaming::StreamingQrsDetector;
+    use approx_arith::{FullAdderKind, Mult2x2Kind, StageArith};
 
     fn pulse_train(n: usize, period: usize, first: usize) -> Vec<i32> {
         let mut signal = vec![0i32; n];
@@ -1830,13 +2270,15 @@ mod tests {
         );
     }
 
-    /// Five banks take turns on one thread, so every push finds the block
-    /// scratch as another bank left it: matrices of another width, and the
-    /// FIR history of another stage, ring length or configuration — the
-    /// one buffer the LPF, HPF and derivative share. The push lengths
-    /// straddle the 16/8/4/1 register blocks and the 64-tick kernel block,
-    /// so histories of every length follow each other in every order.
-    /// Every lane must still equal the scalar reference over its samples.
+    /// Seven banks take turns on one thread, so every push finds the block
+    /// scratch as another bank left it: matrices of another width, the FIR
+    /// history of another stage, ring length or configuration (the LPF,
+    /// HPF and derivative share it), and the running-sum HPF's products
+    /// and sums of another width or walk. The AMA4 banks run their HPF on
+    /// the tap walk in between. The push lengths straddle the 16/8/4/1
+    /// register blocks and the 64-tick kernel block, so histories of every
+    /// length follow each other in every order. Every lane must still
+    /// equal the scalar reference over its samples.
     #[test]
     fn scratch_never_leaks_between_banks() {
         const LENGTHS: [usize; 10] = [1, 2, 3, 4, 5, 12, 13, 64, 65, 250];
@@ -1855,12 +2297,18 @@ mod tests {
         };
         let b9 = PipelineConfig::least_energy([10, 12, 2, 8, 16]);
         let b5 = PipelineConfig::least_energy([4, 4, 2, 4, 8]);
+        let ama4 = PipelineConfig::exact().with_stage(
+            StageKind::Hpf,
+            StageArith::new(12, Mult2x2Kind::V1, FullAdderKind::Ama4),
+        );
         let mut seed = 0;
         let mut runs: Vec<_> = [
             (PipelineConfig::exact(), 16),
             (b9, 16),
+            (ama4, 5),
             (b5, 3),
             (b9, 1),
+            (ama4, 1),
             (b5, 1),
         ]
         .into_iter()
@@ -1923,6 +2371,60 @@ mod tests {
                 assert_eq!(result, solo_result, "bank {r} lane {lane} result");
             }
         }
+    }
+
+    /// Which FIR stages of `config` run as a running sum, and around which
+    /// tap.
+    fn running_sums(config: PipelineConfig) -> [Option<u16>; 3] {
+        let bank = LaneBank::new(Arc::new(DetectorEngine::new(config)), 1);
+        [
+            bank.lpf.running_sum,
+            bank.hpf.running_sum,
+            bank.der.running_sum,
+        ]
+    }
+
+    /// The running sum's conditions as `LaneFir::new` resolves them. The
+    /// HPF on the exact adder or AMA5 runs as a running sum around its
+    /// `+31` tap at every depth up to the stage's 16 LSBs, where the
+    /// overflow bound still holds (at k = 16, 32 taps of product error
+    /// 2^24 and adder error 2^17 next to 62 × 2^15 of products sum to
+    /// about 2^29); at k = 20 (product error 2^28) it fails. The LPF (11
+    /// coefficients) and the derivative (a zero tap) never qualify, nor
+    /// does any depth of AMA4, which is not separable.
+    #[test]
+    fn running_sum_resolves_for_the_hpf_up_to_its_lsb_bound() {
+        let hpf = |arith| PipelineConfig::exact().with_stage(StageKind::Hpf, arith);
+        assert_eq!(
+            running_sums(PipelineConfig::exact()),
+            [None, Some(16), None]
+        );
+        for k in 1..=StageKind::Hpf.max_approx_lsbs() {
+            assert_eq!(
+                running_sums(PipelineConfig::least_energy([k; 5])),
+                [None, Some(16), None],
+                "AMA5 k = {k}"
+            );
+            // Accurate cells with an approximate multiplier: the exact
+            // adder, under the multiplier's error bound.
+            let exact_adder = StageArith::new(k, Mult2x2Kind::V1, FullAdderKind::Accurate);
+            assert_eq!(
+                running_sums(hpf(exact_adder))[1],
+                Some(16),
+                "exact adder k = {k}"
+            );
+            let ama4 = StageArith::new(k, Mult2x2Kind::V1, FullAdderKind::Ama4);
+            assert_eq!(running_sums(hpf(ama4))[1], None, "AMA4 k = {k}");
+        }
+        assert_eq!(running_sums(hpf(StageArith::least_energy(20)))[1], None);
+        assert_eq!(
+            running_sums(hpf(StageArith::new(
+                20,
+                Mult2x2Kind::V1,
+                FullAdderKind::Accurate
+            )))[1],
+            None
+        );
     }
 
     #[test]
