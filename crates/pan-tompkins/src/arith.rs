@@ -163,7 +163,7 @@ pub fn div_round(value: i64, divisor: i64) -> i64 {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     //! The programs' arithmetic as the scalar reference counts it
     //! ([`crate::oracle::Counted`]), checked against native arithmetic, the
     //! generic compiled multiply and the bit-level netlist.
@@ -176,6 +176,18 @@ mod tests {
 
     fn program(stage: StageArith) -> Arc<ArithProgram> {
         Arc::new(ArithProgram::new(stage))
+    }
+
+    /// A program whose adder block is built from the triple `adder` and
+    /// whose multiplier block from `multiplier`, a pairing no stage triple
+    /// yields: an approximate adder over products whose low bits its own
+    /// triple's multiplier would clear.
+    pub(crate) fn with_blocks(adder: StageArith, multiplier: StageArith) -> ArithProgram {
+        ArithProgram {
+            adder: ArithConfig::new(adder).adder(),
+            reference: ArithConfig::new(multiplier).multiplier(),
+            compiled: OnceLock::new(),
+        }
     }
 
     /// The generic compiled product of the datapath-clamped operands.

@@ -51,9 +51,14 @@ impl FirProgram {
     /// Panics if `taps` is empty or `gain` is not positive.
     #[must_use]
     pub fn new(taps: &[i64], gain: i64, arith: approx_arith::StageArith) -> Self {
+        Self::with_arith(taps, gain, ArithProgram::new(arith))
+    }
+
+    /// [`FirProgram::new`] over an arithmetic program built elsewhere.
+    pub(crate) fn with_arith(taps: &[i64], gain: i64, arith: ArithProgram) -> Self {
         assert!(!taps.is_empty(), "FIR filter needs at least one tap");
         assert!(gain > 0, "FIR gain must be positive");
-        let arith = Arc::new(ArithProgram::new(arith));
+        let arith = Arc::new(arith);
         let tap_mults = taps
             .iter()
             .map(|&c| (c != 0).then(|| arith.compile_tap(c)))

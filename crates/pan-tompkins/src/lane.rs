@@ -2427,6 +2427,72 @@ mod tests {
         );
     }
 
+    /// The running sum's lifts where they change values. An AMA5 stage's
+    /// own multiplier adds through AMA5 cells, which leave every product's
+    /// low `k` bits 0, so `lift(p) = p` on every input a stage triple can
+    /// build. Here the HPF pairs AMA5 adders with an exact multiplier and
+    /// with V1 over accurate cells, whose products keep those bits. Both
+    /// walks, at 1, 5 and 16 lanes over blocks that start at every ring
+    /// phase, must equal the scalar filter output by output, with its
+    /// saturation and overflow counts, on samples that also clamp.
+    #[test]
+    fn running_sum_lifts_products_whose_low_bits_are_set() {
+        use crate::arith;
+        use crate::stages::hpf::{GAIN, TAPS};
+        const BLOCKS: [usize; 4] = [1, 7, 63, 64];
+        // Spans ±35 000, past the multiplier's ±2^15 operand range.
+        let sample =
+            |t: usize, lane: usize| ((t * 7_919 + lane * 104_729) % 70_001) as i64 - 35_000;
+        for k in [1, 4, 12, 16] {
+            for multiplier in [
+                StageArith::exact(),
+                StageArith::new(k, Mult2x2Kind::V1, FullAdderKind::Accurate),
+            ] {
+                let arith = arith::tests::with_blocks(StageArith::least_energy(k), multiplier);
+                let program = Arc::new(FirProgram::with_arith(&TAPS, GAIN, arith));
+                let background = program.tap_mults()[TAPS.len() - 1]
+                    .as_ref()
+                    .expect("a nonzero tap");
+                let lifts_move = (-32_768..32_768).any(|v| {
+                    let p = background.mul_clamped(v);
+                    with_adder_form!(program.arith().adder_form(), f => f.lift(p) != p)
+                });
+                assert!(lifts_move, "k = {k}: every lift is the identity");
+                for lanes in [1, 5, 16] {
+                    let mut fir = LaneFir::new(Arc::clone(&program), lanes);
+                    assert_eq!(fir.running_sum, Some(16), "k = {k}");
+                    let mut scalar: Vec<_> = (0..lanes)
+                        .map(|_| oracle::FirFilter::from_program(Arc::clone(&program)))
+                        .collect();
+                    let mut scratch = FirScratch::default();
+                    let mut t0 = 0;
+                    for &len in BLOCKS.iter().cycle().take(24) {
+                        let x: Vec<i64> = (0..len * lanes)
+                            .map(|i| sample(t0 + i / lanes, i % lanes))
+                            .collect();
+                        let mut out = vec![0; x.len()];
+                        fir.run(&x, &mut out, &mut scratch);
+                        for (i, (&v, &o)) in x.iter().zip(&out).enumerate() {
+                            let (t, lane) = (t0 + i / lanes, i % lanes);
+                            let want = scalar[lane].process(v);
+                            assert_eq!(o, want, "k = {k}, {lanes} lanes, lane {lane}, tick {t}");
+                        }
+                        t0 += len;
+                    }
+                    for (lane, filter) in scalar.iter().enumerate() {
+                        let counters = filter.counters();
+                        let sats = fir.sats[lane] + t0 as u64 * fir.coeff_sats_per_tick;
+                        assert_eq!(sats, counters.mul_saturations, "k = {k}, lane {lane}");
+                        assert_eq!(
+                            fir.ovfs[lane], counters.add_overflows,
+                            "k = {k}, lane {lane}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     #[should_panic(expected = "whole ticks")]
     fn ragged_frames_are_rejected() {
